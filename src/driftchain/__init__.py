@@ -22,7 +22,6 @@ from .bayes import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     NumericalError,
     UnreachableTargetError,
     ZeroEvidenceError,
@@ -57,7 +56,7 @@ __all__ = [
     "Observation", "PosteriorResult", "absorption_cdf", "estimate_source",
     "first_absorption_pmf", "joint_likelihood", "load_observations", "posterior",
     "sticky_fit_map",
-    "ConfigError", "ConvergenceError", "NumericalError", "UnreachableTargetError",
+    "ConfigError", "NumericalError", "UnreachableTargetError",
     "ZeroEvidenceError",
     "OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
     "load_wet_mask",

@@ -59,8 +59,6 @@ def config_options(fn):
                       type=click.Path(), help="Run config file.")(fn)
     fn = click.option("--out", "out_dir", default=None, type=click.Path(),
                       help="Override the output directory.")(fn)
-    fn = click.option("--threads", default=None, type=int,
-                      help="Worker cap (informational; the pipeline is sequential).")(fn)
     return fn
 
 
@@ -69,8 +67,8 @@ def main():
     """Trajectory-derived Markov-chain drift analysis."""
 
 
-def _load(config_path, out_dir, threads, **more) -> RunConfig:
-    return load_config(config_path, out_dir=out_dir, threads=threads, **more)
+def _load(config_path, out_dir, **more) -> RunConfig:
+    return load_config(config_path, out_dir=out_dir, **more)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -112,11 +110,11 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @click.option("--lag-days", default=None, type=float, help="Override the transition time.")
 @click.option("--crash-date", default=None, type=str, help="Override the time origin (ISO date).")
 @handle_errors
-def build(config_path, out_dir, threads, lag_days, crash_date):
+def build(config_path, out_dir, lag_days, crash_date):
     """Estimate seasonal matrices, compose the annual one, augment, save."""
     import datetime as _dt
 
-    cfg = _load(config_path, out_dir, threads, lag_days=lag_days,
+    cfg = _load(config_path, out_dir, lag_days=lag_days,
                 crash_date=None if crash_date is None else _dt.date.fromisoformat(crash_date))
     cfg.require("grid", "trajectories", "roles")
     g = _load_grid(cfg)
@@ -174,9 +172,9 @@ def build(config_path, out_dir, threads, lag_days, crash_date):
 @click.option("--k-eigs", default=2, type=int, show_default=True,
               help="Number of eigenpairs to compute.")
 @handle_errors
-def spectral_cmd(config_path, out_dir, threads, basin_threshold, k_eigs):
+def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
     """Eigenpairs, basin of attraction, and retention time of the annual matrix."""
-    cfg = _load(config_path, out_dir, threads, basin_threshold=basin_threshold)
+    cfg = _load(config_path, out_dir, basin_threshold=basin_threshold)
     g = _load_grid(cfg)
     annual_path = _matrix_path(cfg, "annual")
     if not annual_path.is_file():
@@ -261,9 +259,9 @@ def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResul
 @click.option("--window-steps", default=None, type=int,
               help="Half-width of the absorption-time matching window, in steps.")
 @handle_errors
-def bayes_cmd(config_path, out_dir, threads, cpi_level, window_steps):
+def bayes_cmd(config_path, out_dir, cpi_level, window_steps):
     """Posterior over candidate source boxes from the observations file."""
-    cfg = _load(config_path, out_dir, threads, cpi_level=cpi_level,
+    cfg = _load(config_path, out_dir, cpi_level=cpi_level,
                 window_steps=window_steps)
     cfg.require("observations")
     g = _load_grid(cfg)
@@ -314,9 +312,9 @@ def bayes_cmd(config_path, out_dir, threads, cpi_level, window_steps):
 @main.command("paths")
 @config_options
 @handle_errors
-def paths_cmd(config_path, out_dir, threads):
+def paths_cmd(config_path, out_dir):
     """Most probable fixed-length paths from candidates to each observed target."""
-    cfg = _load(config_path, out_dir, threads)
+    cfg = _load(config_path, out_dir)
     cfg.require("observations")
     g = _load_grid(cfg)
     schedule = _load_schedule(cfg)
@@ -381,9 +379,9 @@ def paths_cmd(config_path, out_dir, threads):
 @click.option("--matrix", "label", default="annual", show_default=True,
               type=click.Choice(["W", "S", "SF", "annual"]))
 @handle_errors
-def evolve_cmd(config_path, out_dir, threads, initial_state, initial_csv, steps, label):
+def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
-    cfg = _load(config_path, out_dir, threads)
+    cfg = _load(config_path, out_dir)
     mpath = _matrix_path(cfg, label)
     if not mpath.is_file():
         raise ConfigError(f"missing {mpath}; run `driftchain build` first")

@@ -17,7 +17,7 @@ from .ingest import DEFAULT_EPOCH
 _RUN_KEYS = {
     "grid", "trajectories", "roles", "observations", "lag_days", "crash_date",
     "season_exponent", "eigen_tol", "eigen_max_iter", "seed", "out_dir",
-    "basin_threshold", "cpi_level", "window_steps", "threads",
+    "basin_threshold", "cpi_level", "window_steps",
 }
 
 _GRID_KEYS = {"lon_min", "lon_max", "lat_min", "lat_max", "cell_size", "wet_mask"}
@@ -45,7 +45,6 @@ class RunConfig:
     basin_threshold: float = 0.5
     cpi_level: float = 0.95
     window_steps: int = 0
-    threads: int = 0
 
     def __post_init__(self):
         if self.lag_days <= 0:
@@ -60,8 +59,6 @@ class RunConfig:
             raise ConfigError(f"cpi_level must be in (0, 1), got {self.cpi_level}")
         if self.window_steps < 0:
             raise ConfigError("window_steps must be nonnegative")
-        if self.threads < 0:
-            raise ConfigError("threads must be nonnegative (0 = all cores)")
         if self.eigen_tol <= 0 or self.eigen_max_iter < 1:
             raise ConfigError("eigen_tol must be positive and eigen_max_iter >= 1")
         for name in ("grid", "trajectories", "roles", "observations"):
@@ -116,7 +113,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
             kwargs["lag_days"] = float(raw["lag_days"])
         if "crash_date" in raw:
             kwargs["crash_date"] = date.fromisoformat(raw["crash_date"])
-        for key in ("season_exponent", "eigen_max_iter", "seed", "window_steps", "threads"):
+        for key in ("season_exponent", "eigen_max_iter", "seed", "window_steps"):
             if key in raw:
                 kwargs[key] = int(raw[key])
         for key in ("eigen_tol", "basin_threshold", "cpi_level"):

@@ -9,10 +9,6 @@ class NumericalError(Exception):
     """A numerical procedure failed."""
 
 
-class ConvergenceError(NumericalError):
-    """An iterative solver did not reach its tolerance."""
-
-
 class ZeroEvidenceError(NumericalError):
     """Every candidate has zero likelihood; the posterior is undefined."""
 

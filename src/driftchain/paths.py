@@ -1,10 +1,10 @@
 """Most-probable-path computation under a fixed travel time.
 
 Given a target beaching site observed after exactly K steps, the forward
-dynamic program tracks, for each box j and step k, the largest
-log-probability of any k-step path from a source box to j that has not
-been absorbed on the way; the final step is forced into the target's
-absorbing state.  An unconstrained shortest-path variant (no fixed
+dynamic program tracks, for each box j, step k and source box, the
+largest log-probability of any k-step path from that source to j that
+has not been absorbed on the way; the final step is forced into the
+target's absorbing state.  An unconstrained shortest-path variant (no fixed
 length, no absorption bookkeeping) serves as a cross-check.
 """
 
@@ -67,92 +67,37 @@ class PathSet:
     best: PathResult | None
 
 
-def _log_edges(matrix, n_grid: int, target_col: int | None):
-    """Positive-probability edges out of grid states, in log space.
+class _EdgeLayout:
+    """Positive-probability log-edges out of grid states, grouped by column.
 
-    target_col None restricts columns to grid states (intermediate step);
-    otherwise only edges into that single column are kept.
+    target_col None keeps edges into grid states (intermediate step);
+    otherwise only edges into that single column are kept.  Edges are
+    sorted by column, then by row, so the first edge of a column that
+    attains its best score has the smallest predecessor row.
     """
-    coo = matrix.tocoo()
-    mask = (coo.row < n_grid) & (coo.data > 0)
-    if target_col is None:
-        mask &= coo.col < n_grid
-    else:
-        mask &= coo.col == target_col
-    rows = coo.row[mask].astype(np.int64)
-    cols = coo.col[mask].astype(np.int64)
-    logs = np.log(coo.data[mask])
-    return rows, cols, logs
 
+    def __init__(self, matrix, n_grid: int, target_col: int | None):
+        coo = matrix.tocoo()
+        mask = (coo.row < n_grid) & (coo.data > 0)
+        mask &= (coo.col < n_grid) if target_col is None else (coo.col == target_col)
+        rows, cols, data = coo.row[mask], coo.col[mask], coo.data[mask]
+        order = np.lexsort((rows, cols))
+        self.rows = rows[order]
+        self.logs = np.log(data[order])
+        cols = cols[order]
+        head = np.ones(cols.size, dtype=bool)
+        head[1:] = cols[1:] != cols[:-1]
+        self.starts = np.flatnonzero(head)  # first edge of each column
+        self.cols = cols[self.starts]
+        self.seg = np.cumsum(head) - 1  # column position of each edge
+        self.edge_ids = np.arange(cols.size, dtype=np.int32)[:, None]
 
-class _StepCache:
-    """Per-call cache of log-edge arrays keyed by matrix identity."""
-
-    def __init__(self, schedule: ChainSchedule, target_col: int):
-        self.schedule = schedule
-        self.target_col = target_col
-        self.n = schedule.n_grid_states
-        self._interm: dict[int, tuple] = {}
-        self._final: dict[int, tuple] = {}
-
-    def intermediate(self, k: int):
-        m = self.schedule.matrix_for_step(k)
-        key = id(m)
-        if key not in self._interm:
-            self._interm[key] = _log_edges(m, self.n, None)
-        return self._interm[key]
-
-    def final(self, k: int):
-        m = self.schedule.matrix_for_step(k)
-        key = id(m)
-        if key not in self._final:
-            self._final[key] = _log_edges(m, self.n, self.target_col)
-        return self._final[key]
-
-
-def _column_max(rows, cols, scores):
-    """Best incoming score per column; ties resolved to the smallest row.
-
-    Returns (columns, best scores, best rows) over columns with at least
-    one edge.
-    """
-    order = np.lexsort((rows, -scores, cols))
-    c_sorted = cols[order]
-    uniq, first = np.unique(c_sorted, return_index=True)
-    picked = order[first]
-    return uniq, scores[picked], rows[picked]
-
-
-def _run_dp(cache: _StepCache, start: np.ndarray, n_steps: int):
-    """Forward DP; returns (final log-prob, state sequence) or None."""
-    n = cache.n
-    v = np.full(n, -np.inf)
-    v[start] = 0.0
-    back = np.full((n_steps, n), -1, dtype=np.int64)
-    for k in range(n_steps - 1):
-        rows, cols, logs = cache.intermediate(k)
-        scores = v[rows] + logs
-        uniq, best, brows = _column_max(rows, cols, scores)
-        v = np.full(n, -np.inf)
-        v[uniq] = best
-        back[k, uniq] = brows
-    rows, _, logs = cache.final(n_steps - 1)
-    scores = v[rows] + logs
-    finite = np.isfinite(scores)
-    if not finite.any():
-        return None
-    order = np.lexsort((rows, -scores))
-    pick = order[0]
-    total = float(scores[pick])
-    if not np.isfinite(total):
-        return None
-
-    seq = np.empty(n_steps + 1, dtype=np.int64)
-    seq[-1] = cache.target_col
-    seq[-2] = rows[pick]
-    for k in range(n_steps - 2, -1, -1):
-        seq[k] = back[k, seq[k + 1]]
-    return total, seq
+    def step(self, v: np.ndarray):
+        """Best score per (column, source) and the index of the edge attaining it."""
+        scores = v[self.rows] + self.logs[:, None]
+        best = np.maximum.reduceat(scores, self.starts, axis=0)
+        hit = np.where(scores == best[self.seg], self.edge_ids, self.rows.size)
+        return best, np.minimum.reduceat(hit, self.starts, axis=0)
 
 
 def most_probable_path(
@@ -166,6 +111,14 @@ def most_probable_path(
     Intermediate absorption is excluded: before the final step the walker
     must stay among the grid states, and only the last transition enters
     the target's absorbing state.  Infeasible sources yield None entries.
+
+    One forward max-product pass carries every source at once (a value
+    column per source) and keeps, per step, state and source, the index
+    of the winning edge, which costs S*K*n*4 bytes.  Log-probabilities are
+    summed left to right along the path.  Ties are broken deterministically:
+    an intermediate step goes to the smallest predecessor row, the final
+    step to the smallest row entering the target, and ``best`` to the
+    smallest source.
     """
     if n_steps < 1:
         raise ValueError("path length must be at least 1 step")
@@ -178,48 +131,62 @@ def most_probable_path(
     if src.min() < 0 or src.max() >= n:
         raise ValueError("sources must be grid states")
 
-    cache = _StepCache(schedule, schedule.target_state(b))
-    results: list[PathResult | None] = []
-    for s in src:
-        hit = _run_dp(cache, np.array([s]), n_steps)
-        if hit is None:
-            log.info("no feasible %d-step path from state %d to target %d", n_steps, s, b)
-            results.append(None)
-            continue
-        total, seq = hit
-        results.append(_assemble(schedule, seq, total, b))
+    target_col = schedule.target_state(b)
+    layouts: dict[tuple[int, bool], _EdgeLayout] = {}
+    steps: list[_EdgeLayout] = []
+    for k in range(n_steps):
+        final = k == n_steps - 1
+        m = schedule.matrix_for_step(k)
+        key = (id(m), final)
+        if key not in layouts:
+            layouts[key] = _EdgeLayout(m, n, target_col if final else None)
+        steps.append(layouts[key])
+    labels = tuple(schedule.season_label(k) for k in range(n_steps))
 
-    best = None
-    for r in results:
+    v = np.full((n, src.size), -np.inf)
+    v[src, np.arange(src.size)] = 0.0
+    back = np.full((n_steps - 1, n, src.size), -1, dtype=np.int32)
+    for k, lay in enumerate(steps[:-1]):
+        best, back[k, lay.cols] = lay.step(v)
+        v = np.full_like(v, -np.inf)
+        v[lay.cols] = best
+    best, win = steps[-1].step(v)  # at most one column: the target
+
+    results: list[PathResult | None] = [None] * src.size
+    ok = np.flatnonzero(np.isfinite(best).any(axis=0))
+    if ok.size:
+        seq = np.empty((n_steps + 1, ok.size), dtype=np.int64)
+        step_logs = np.empty((n_steps, ok.size))
+        seq[-1] = target_col
+        edge = win[0, ok]
+        for k in range(n_steps - 1, -1, -1):
+            seq[k] = steps[k].rows[edge]
+            step_logs[k] = steps[k].logs[edge]
+            if k:
+                edge = back[k - 1, seq[k], ok]
+        landing = int(schedule.roles.debris[b - 1])
+        for j, i in enumerate(ok):
+            results[i] = PathResult(
+                states=tuple(int(s) for s in seq[:, j]),
+                log_prob=float(best[0, i]),
+                step_log_probs=tuple(float(x) for x in step_logs[:, j]),
+                season_labels=labels,
+                target=int(target_col),
+                target_label=b,
+                landing_state=landing,
+            )
+    best_path = None
+    for s, r in zip(src, results):
         if r is None:
-            continue
-        if best is None or r.log_prob > best.log_prob:
-            best = r
+            log.info("no feasible %d-step path from state %d to target %d", n_steps, s, b)
+        elif best_path is None or r.log_prob > best_path.log_prob:
+            best_path = r
     return PathSet(
         target_label=b,
         n_steps=n_steps,
         sources=tuple(int(s) for s in src),
         results=tuple(results),
-        best=best,
-    )
-
-
-def _assemble(schedule: ChainSchedule, seq: np.ndarray, total: float, b: int) -> PathResult:
-    steps = len(seq) - 1
-    step_logs = []
-    labels = []
-    for k in range(steps):
-        m = schedule.matrix_for_step(k)
-        step_logs.append(float(np.log(m[seq[k], seq[k + 1]])))
-        labels.append(schedule.season_label(k))
-    return PathResult(
-        states=tuple(int(s) for s in seq),
-        log_prob=total,
-        step_log_probs=tuple(step_logs),
-        season_labels=tuple(labels),
-        target=int(seq[-1]),
-        target_label=b,
-        landing_state=int(schedule.roles.debris[b - 1]),
+        best=best_path,
     )
 
 

@@ -100,8 +100,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(window_steps=-1)
         with pytest.raises(ConfigError):
-            RunConfig(threads=-2)
-        with pytest.raises(ConfigError):
             RunConfig(eigen_tol=0.0)
 
     def test_malformed_number_reported(self, tmp_path):

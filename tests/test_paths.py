@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import autonomous, make_roles, schedule_step_mats, seasonal
+from conftest import autonomous, make_roles, random_roles, schedule_step_mats, seasonal
 from oracles import (
     enumerate_best_constrained,
     enumerate_best_unconstrained,
     random_substochastic,
 )
 
+from scipy import sparse
+
+from driftchain.absorb import AugmentedChain
 from driftchain.errors import UnreachableTargetError
 from driftchain.grid import build_grid
 from driftchain.paths import (
@@ -16,6 +19,7 @@ from driftchain.paths import (
     path_to_geojson,
     unconstrained_best_path,
 )
+from driftchain.schedule import AutonomousSchedule
 
 
 def pipeline_schedule():
@@ -146,6 +150,67 @@ class TestConstrainedPath:
         ps = most_probable_path(sched, sources=[1, 0], b=1, n_steps=2)
         assert ps.best.source == 0
         assert ps.sources == (0, 1)  # deduplicated and sorted
+
+    def test_intermediate_tie_breaks_to_smallest_predecessor(self):
+        # 0 -> 1 -> 3 and 0 -> 2 -> 3 score the same bits before landing.
+        a = np.array(
+            [
+                [0.0, 0.5, 0.5, 0.0],
+                [0.0, 0.0, 0.0, 0.6],
+                [0.0, 0.0, 0.0, 0.6],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        roles = make_roles(4, leaky=range(4), sticky={3: 0.5}, debris=(3,))
+        sched = autonomous(a, roles)
+        ps = most_probable_path(sched, sources=[0], b=1, n_steps=3)
+        assert ps.best.states == (0, 1, 3, sched.target_state(1))
+
+    def test_final_tie_breaks_to_smallest_row(self):
+        # Hand-built augmented chain (grid 0..2, cemetery 3, target 4) in
+        # which boxes 1 and 2 both enter the target with equal probability.
+        m = np.zeros((5, 5))
+        m[0, 1] = m[0, 2] = 0.5
+        m[1, 4] = m[2, 4] = 0.4
+        m[1, 3] = m[2, 3] = 0.6
+        m[3, 3] = m[4, 4] = 1.0
+        chain = AugmentedChain(
+            matrix=sparse.csr_matrix(m), roles=make_roles(3, sticky={2: 0.4}, debris=(2,)),
+            transition_time=5.0, label="W",
+        )
+        ps = most_probable_path(AutonomousSchedule(chain), sources=[0], b=1, n_steps=2)
+        assert ps.best.states == (0, 1, 4)
+        assert ps.best.step_log_probs == (np.log(0.5), np.log(0.4))
+
+    def test_each_source_matches_its_own_call(self):
+        # One multi-source pass must give every source the path a
+        # single-source call gives it, and the enumerated optimum, bitwise.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            k_steps = int(rng.integers(1, 7))
+            mats = {lbl: random_substochastic(rng, n, min_row=0.4,
+                                              density=float(rng.uniform(0.5, 0.9)))
+                    for lbl in ("W", "S", "SF")}
+            roles = random_roles(rng, n)
+            sched = seasonal(mats, roles)
+            b = int(rng.integers(1, len(roles.debris) + 1))
+            sources = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            ps = most_probable_path(sched, sources, b, k_steps)
+            step_mats = schedule_step_mats(sched, k_steps)
+            for s, r in zip(ps.sources, ps.results):
+                alone = most_probable_path(sched, [s], b, k_steps).results[0]
+                want, _ = enumerate_best_constrained(
+                    step_mats, [s], sched.target_state(b), range(n), k_steps,
+                )
+                if r is None:
+                    assert alone is None
+                    assert want == -np.inf
+                    continue
+                assert r.source == s
+                assert r.states == alone.states
+                assert r.log_prob == alone.log_prob == want
+                assert r.step_log_probs == alone.step_log_probs
 
     def test_repeated_runs_identical(self):
         sched = pipeline_schedule()
