@@ -31,7 +31,7 @@ from .ingest import (
     Season,
     SeasonCalendar,
     Trajectory,
-    TransitionPair,
+    TransitionPairs,
     extract_pairs,
     parse_trajectories,
     season_split,
@@ -60,7 +60,7 @@ __all__ = [
     "ZeroEvidenceError",
     "OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
     "load_wet_mask",
-    "Season", "SeasonCalendar", "Trajectory", "TransitionPair", "extract_pairs",
+    "Season", "SeasonCalendar", "Trajectory", "TransitionPairs", "extract_pairs",
     "parse_trajectories", "season_split",
     "PathResult", "PathSet", "most_probable_path", "path_to_geojson",
     "unconstrained_best_path",

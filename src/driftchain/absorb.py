@@ -23,7 +23,7 @@ import scipy.sparse as sparse
 
 from .errors import ConfigError, NumericalError
 from .grid import StateRoles
-from .ulam import TransitionMatrix, _parse_triplets, _split_header
+from .ulam import TransitionMatrix, _parse_triplets, _split_header, _write_triplets
 
 log = logging.getLogger(__name__)
 
@@ -248,10 +248,7 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
         fh.write(f"transition_time_days {chain.transition_time:.17g}\n")
         fh.write(f"label {chain.label}\n")
         fh.write("i,j,value\n")
-        coo = chain.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i},{j},{v:.17g}\n")
+        _write_triplets(fh, chain.matrix)
         fh.write("[roles]\n")
         for i in sorted(chain.roles.leaky):
             fh.write(f"leaky,{i}\n")
@@ -267,7 +264,8 @@ def load_chain(path: str | Path) -> AugmentedChain:
     """Read a chain written by :func:`save_chain` (``source`` is None)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
-    header, body = _split_header(lines, "# augmented-chain v1", path)
+    header, body_start = _split_header(lines, "# augmented-chain v1", path)
+    body = lines[body_start:]
     try:
         total = int(header["n_states"])
         n = int(header["n_grid_states"])
@@ -276,6 +274,8 @@ def load_chain(path: str | Path) -> AugmentedChain:
         label = header["label"]
     except KeyError as exc:
         raise ConfigError(f"{path}: missing header field {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed header ({exc})") from None
     if total != n + 1 + m:
         raise ConfigError(f"{path}: inconsistent state counts in header")
 
@@ -283,13 +283,16 @@ def load_chain(path: str | Path) -> AugmentedChain:
         split_at = body.index("[roles]")
     except ValueError:
         raise ConfigError(f"{path}: missing [roles] appendix") from None
-    rows, cols, vals = _parse_triplets(body[:split_at], path)
+    rows, cols, vals = _parse_triplets(body[:split_at], path, body_start + 1, total)
     roles = _parse_roles_appendix(body[split_at + 1:], m, path)
     matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
     matrix.sort_indices()
-    return AugmentedChain(
-        matrix=matrix, roles=roles, transition_time=t, label=label, source=None
-    )
+    try:
+        return AugmentedChain(
+            matrix=matrix, roles=roles, transition_time=t, label=label, source=None
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_roles_appendix(lines: list[str], m_targets: int, path) -> StateRoles:

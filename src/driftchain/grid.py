@@ -46,7 +46,16 @@ class GridCovering:
     n_lon: int
     n_lat: int
     active_boxes: tuple[BoxId, ...]
-    _box_to_state: dict[BoxId, int] = field(repr=False)
+    #: State per (lon_index, lat_index) with one trailing OUT_OF_DOMAIN row
+    #: and column, so a cell index of -1 looks up OUT_OF_DOMAIN.
+    _state_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.full((self.n_lon + 1, self.n_lat + 1), OUT_OF_DOMAIN, dtype=np.int64)
+        boxes = np.array(self.active_boxes, dtype=np.int64).reshape(-1, 2)
+        table[boxes[:, 0], boxes[:, 1]] = np.arange(len(boxes))
+        table.flags.writeable = False
+        object.__setattr__(self, "_state_table", table)
 
     @property
     def n_states(self) -> int:
@@ -54,7 +63,10 @@ class GridCovering:
 
     def state_of_box(self, box: BoxId) -> int:
         """State index of an active box, or OUT_OF_DOMAIN for a dry box."""
-        return self._box_to_state.get(box, OUT_OF_DOMAIN)
+        ix, iy = box
+        if 0 <= ix < self.n_lon and 0 <= iy < self.n_lat:
+            return int(self._state_table[ix, iy])
+        return OUT_OF_DOMAIN
 
     def box_of_state(self, state: int) -> BoxId:
         return self.active_boxes[state]
@@ -83,29 +95,35 @@ class GridCovering:
         on dry boxes.  Boundary points belong to the upper cell (half-open
         convention); the top edges lie outside the domain.
         """
-        ix = self._cell_index(lon, self.lon_min, self.n_lon)
-        if ix < 0:
-            return OUT_OF_DOMAIN
-        iy = self._cell_index(lat, self.lat_min, self.n_lat)
-        if iy < 0:
-            return OUT_OF_DOMAIN
-        return self._box_to_state.get((ix, iy), OUT_OF_DOMAIN)
+        return int(self.points_to_states(lon, lat))
 
-    def _cell_index(self, value: float, lower: float, count: int) -> int:
-        idx = math.floor((value - lower) / self.cell_size)
+    def points_to_states(self, lons, lats) -> np.ndarray:
+        """Vectorised :meth:`point_to_state` over paired lon/lat arrays (int64).
+
+        Non-finite positions map to OUT_OF_DOMAIN.
+        """
+        ix = self._cell_indices(lons, self.lon_min, self.n_lon)
+        iy = self._cell_indices(lats, self.lat_min, self.n_lat)
+        return self._state_table[ix, iy]
+
+    def _cell_indices(self, values, lower: float, count: int) -> np.ndarray:
+        """Half-open cell index of each value, or -1 outside [lower, lower + count*cell)."""
+        v = np.asarray(values, dtype=float)
+        cell = self.cell_size
+        with np.errstate(invalid="ignore", over="ignore"):
+            raw = np.floor((v - lower) / cell)
+        # fmax/fmin send NaN to -1 and clamp to [-1, count], which keeps the
+        # integer cast defined and changes no result: the correction below
+        # moves one step at most.
+        idx = np.fmin(np.fmax(raw, -1.0), count).astype(np.int64)
         # One correction step so the half-open rule is exact against the
         # floating-point cell edges lower + i*cell.
-        if idx + 1 < count and value >= lower + (idx + 1) * self.cell_size:
-            idx += 1
-        elif idx > 0 and value < lower + idx * self.cell_size:
-            idx -= 1
-        if idx < 0 or idx >= count:
-            return -1
-        if value < lower + idx * self.cell_size:
-            return -1
-        if idx == count - 1 and value >= lower + count * self.cell_size:
-            return -1
-        return idx
+        up = (idx + 1 < count) & (v >= lower + (idx + 1) * cell)
+        down = ~up & (idx > 0) & (v < lower + idx * cell)
+        idx = np.where(up, idx + 1, np.where(down, idx - 1, idx))
+        outside = ((idx < 0) | (idx >= count) | (v < lower + idx * cell)
+                   | ((idx == count - 1) & (v >= lower + count * cell)))
+        return np.where(outside, -1, idx)
 
     def box_area_km2(self, state: int) -> float:
         """Spherical area of a state's box in km^2 (depends on latitude only)."""
@@ -193,7 +211,6 @@ def build_grid(
                 active.append((ix, iy))
     if not active:
         raise ConfigError("wet mask leaves no active boxes")
-    box_to_state = {box: s for s, box in enumerate(active)}
     return GridCovering(
         lon_min=lon_min,
         lon_max=lon_max,
@@ -203,7 +220,6 @@ def build_grid(
         n_lon=n_lon,
         n_lat=n_lat,
         active_boxes=tuple(active),
-        _box_to_state=box_to_state,
     )
 
 

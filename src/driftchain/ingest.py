@@ -4,6 +4,10 @@ Times are fractional days since a configurable epoch (default the crash
 date, 2014-03-08).  Seasons follow the monsoon calendar: January-March is
 the winter season W, July-September the summer season S, and the remaining
 six months form the transition season SF.
+
+Ingest is columnar: the trajectory file is parsed in blocks by numpy's C
+reader, lag-T pairs are found with array operations, and the pairs travel
+as one table of parallel arrays (:class:`TransitionPairs`).
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
+from .textio import is_plain, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +40,9 @@ class Season(Enum):
     def __str__(self) -> str:
         return self.value
 
+
+#: Season order behind the ``TransitionPairs.season`` codes.
+SEASONS = tuple(Season)
 
 _DEFAULT_MONTHS = {
     1: Season.W, 2: Season.W, 3: Season.W,
@@ -69,18 +78,35 @@ class SeasonCalendar:
         return self.season_of_date(epoch + timedelta(days=math.floor(day)))
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionPair:
-    """One (start box, end box) sample at lag T.
+@dataclass(frozen=True)
+class TransitionPairs:
+    """Lag-T (start box, end box) samples as parallel arrays, one entry per pair.
 
     ``to_state`` is OUT_OF_DOMAIN when the trajectory left the domain by
-    t+T; ``from_state`` is always a valid state.
+    t+T; ``from_state`` is always a valid state.  ``start_date`` is the
+    start time in days since the epoch and ``season`` indexes ``SEASONS``.
     """
 
-    from_state: int
-    to_state: int
-    start_date: float
-    season: Season
+    from_state: np.ndarray
+    to_state: np.ndarray
+    start_date: np.ndarray
+    season: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("from_state", np.int64), ("to_state", np.int64),
+                            ("start_date", np.float64), ("season", np.int8)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(self.from_state), len(self.to_state),
+                len(self.start_date), len(self.season)}) != 1:
+            raise ValueError("pair columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.from_state)
+
+    def select(self, mask: np.ndarray) -> TransitionPairs:
+        """The pairs where ``mask`` holds, in their original order."""
+        return TransitionPairs(self.from_state[mask], self.to_state[mask],
+                               self.start_date[mask], self.season[mask])
 
 
 @dataclass(frozen=True)
@@ -104,79 +130,200 @@ class ParseReport:
     n_drifters: int = 0
 
 
+#: Physical lines read from the trajectory file per block.
+_BLOCK_LINES = 2048
+
+#: A rejected run of at most this many lines goes through the Python row
+#: rule at once instead of being halved further.
+_BISECT_FLOOR = 16
+
+#: ASCII whitespace that ``str.strip`` removes from an id of a plain line.
+_ID_PADDING = " \t\x0b\x0c"
+
+
+def _plain(text: str) -> bool:
+    """True for lines the C reader may parse: no quote, nothing it reads differently."""
+    return '"' not in text and is_plain(text)
+
+
 def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]:
     """Read a `id,time_days,lon,lat[,drogued]` CSV into per-drifter tracks.
 
     Rows are grouped by drifter id and sorted by time; drifters come back
     sorted by id.  Malformed rows are skipped and counted, duplicate
     timestamps within a drifter keep the first occurrence, and rows with a
-    drogued flag of 1 are dropped when the optional column is present.
-    Raises ConfigError if the header is wrong or no row survives.
+    drogued flag other than 0 are dropped when the optional column is
+    present.  Raises ConfigError if the header is wrong or no row survives.
+
+    The file is read in blocks of lines.  numpy's C reader parses the plain
+    lines of a block; lines with a quote or other characters, and lines the
+    C reader rejects, are tokenised by ``csv`` and converted by ``float()``
+    and ``int()`` (:meth:`_Rows.add_row`).  Both paths give the same
+    values, so the result equals a row-by-row csv parse.
     """
-    report = ParseReport()
-    by_id: dict[str, list[tuple[float, float, float]]] = {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ConfigError(f"{path}: empty trajectory file")
         header = [h.strip() for h in header]
         if header[:4] != ["id", "time_days", "lon", "lat"]:
             raise ConfigError(f"{path}: expected header id,time_days,lon,lat[,drogued]")
         has_drogued = len(header) > 4 and header[4] == "drogued"
-        width = 5 if has_drogued else 4
-        for row in reader:
-            if not row or all(not f.strip() for f in row):
-                continue
-            report.total_rows += 1
-            if len(row) != width:
-                report.skipped_rows += 1
-                continue
-            try:
-                t = float(row[1])
-                lon = float(row[2])
-                lat = float(row[3])
-                drogued = int(row[4]) if has_drogued else 0
-            except ValueError:
-                report.skipped_rows += 1
-                continue
-            if not (math.isfinite(t) and math.isfinite(lon) and math.isfinite(lat)):
-                report.skipped_rows += 1
-                continue
-            if drogued:
-                report.drogued_dropped += 1
-                continue
-            by_id.setdefault(row[0].strip(), []).append((t, lon, lat))
-            report.valid_rows += 1
+        rows = _Rows(width=5 if has_drogued else 4)
+        line = 0
+        while block := list(islice(fh, _BLOCK_LINES)):
+            line += rows.add_block(block, line, fh)
+    return _group_tracks(rows, path)
 
+
+class _Rows:
+    """Parsed rows as columns, each row tagged with its file line index.
+
+    Ids get integer codes in order of arrival.  Rows parsed by the C reader
+    are kept as arrays per run, rows parsed in Python as tuples.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        fields = [("id", object), ("t", float), ("lon", float), ("lat", float)]
+        if width == 5:
+            fields.append(("drogued", np.int64))
+        self.dtype = np.dtype(fields)
+        self.codes: dict[str, int] = {}
+        self.runs: list[tuple[np.ndarray, ...]] = []
+        self.rows: list[tuple] = []
+        self.total = 0
+        self.malformed = 0
+
+    def add_block(self, block: list[str], first: int, rest) -> int:
+        """Parse a block of lines starting at file line ``first``.
+
+        Returns the number of lines consumed, which exceeds the block when
+        a quoted field runs past its end and lines are drawn from ``rest``.
+        """
+        if _plain("".join(block)):
+            self._add_plain(block, first)
+            return len(block)
+        n = len(block)
+        done = 0
+        for k in range(n):
+            if k < done or _plain(block[k]):
+                continue
+            self._add_plain(block[done:k], first + done)
+            # One csv record, drawing more lines while a quoted field is open.
+            reader = csv.reader(chain(map(block.__getitem__, range(k, n)), rest))
+            self.add_row(next(reader), first + k)
+            done = k + reader.line_num
+        self._add_plain(block[done:], first + done)
+        return max(n, done)
+
+    def _add_plain(self, lines: list[str], first: int) -> None:
+        """Parse plain lines with the C reader, halving a rejected run."""
+        if not lines:
+            return
+        parsed = read_rows(lines, self.dtype)
+        if parsed is not None:
+            self._add_parsed(parsed, first)
+        elif len(lines) <= _BISECT_FLOOR:
+            # Without quotes every line is exactly one csv record.
+            for k, row in enumerate(csv.reader(lines)):
+                self.add_row(row, first + k)
+        else:
+            half = len(lines) // 2
+            self._add_plain(lines[:half], first)
+            self._add_plain(lines[half:], first + half)
+
+    def _add_parsed(self, parsed: np.ndarray, first: int) -> None:
+        names = parsed["id"].tolist()
+        joined = "".join(names)
+        if any(c in joined for c in _ID_PADDING):
+            names = list(map(str.strip, names))
+        for name in dict.fromkeys(names):
+            self.codes.setdefault(name, len(self.codes))
+        n = len(names)
+        drogued = (parsed["drogued"] != 0) if self.width == 5 else np.zeros(n, dtype=bool)
+        self.runs.append((
+            np.fromiter(map(self.codes.__getitem__, names), dtype=np.int64, count=n),
+            np.arange(first, first + n, dtype=np.int64),
+            np.ascontiguousarray(parsed["t"]),
+            np.ascontiguousarray(parsed["lon"]),
+            np.ascontiguousarray(parsed["lat"]),
+            drogued,
+        ))
+        self.total += n
+
+    def add_row(self, row: list[str], line: int) -> None:
+        """The row rule for every line the C reader does not parse.
+
+        Blank rows are ignored.  A row of the wrong width, or with a field
+        that float() or int() rejects, is malformed.  Non-finite values and
+        the drogue flag are judged later, for all rows at once.
+        """
+        if not row or all(not f.strip() for f in row):
+            return
+        self.total += 1
+        if len(row) != self.width:
+            self.malformed += 1
+            return
+        try:
+            t, lon, lat = float(row[1]), float(row[2]), float(row[3])
+            drogued = int(row[4]) != 0 if self.width == 5 else False
+        except ValueError:
+            self.malformed += 1
+            return
+        code = self.codes.setdefault(row[0].strip(), len(self.codes))
+        self.rows.append((code, line, t, lon, lat, drogued))
+
+    def columns(self) -> list[np.ndarray]:
+        """(code, line, t, lon, lat, drogued) over all rows."""
+        dtypes = (np.int64, np.int64, float, float, float, bool)
+        runs = list(self.runs)
+        if self.rows:
+            runs.append(tuple(np.array(col, dtype=dt)
+                              for col, dt in zip(zip(*self.rows), dtypes)))
+        if not runs:
+            return [np.empty(0, dtype=dt) for dt in dtypes]
+        return [np.concatenate(col) for col in zip(*runs)]
+
+
+def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
+    """Filter, sort and split the parsed rows into per-drifter tracks."""
+    code, line, t, lon, lat, drogued = rows.columns()
+    finite = np.isfinite(t) & np.isfinite(lon) & np.isfinite(lat)
+    keep = finite & ~drogued
+    report = ParseReport(
+        total_rows=rows.total,
+        valid_rows=int(np.count_nonzero(keep)),
+        skipped_rows=rows.malformed + int(np.count_nonzero(~finite)),
+        drogued_dropped=int(np.count_nonzero(finite & drogued)),
+    )
     if report.valid_rows == 0:
         raise ConfigError(f"{path}: no valid trajectory rows")
     if report.skipped_rows:
         log.warning("%s: skipped %d malformed rows", path, report.skipped_rows)
 
-    trajectories = []
-    for drifter_id in sorted(by_id):
-        rows = sorted(by_id[drifter_id], key=lambda r: r[0])
-        times, lons, lats = [], [], []
-        for t, lon, lat in rows:
-            if times and t == times[-1]:
-                report.duplicate_times += 1
-                continue
-            times.append(t)
-            lons.append(lon)
-            lats.append(lat)
-        trajectories.append(
-            Trajectory(
-                drifter_id=drifter_id,
-                times=np.asarray(times, dtype=float),
-                lons=np.asarray(lons, dtype=float),
-                lats=np.asarray(lats, dtype=float),
-            )
-        )
+    names = list(rows.codes)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[by_name] = np.arange(len(names))
+    key, t, lon, lat = rank[code[keep]], t[keep], lon[keep], lat[keep]
+    # Equal times stay in file order, so the first of them is kept.
+    order = np.lexsort((line[keep], t, key))
+    key, t, lon, lat = key[order], t[order], lon[order], lat[order]
+    repeat = (key[1:] == key[:-1]) & (t[1:] == t[:-1])
+    report.duplicate_times = int(np.count_nonzero(repeat))
+    first = np.concatenate(([True], ~repeat))
+    key, t, lon, lat = key[first], t[first], lon[first], lat[first]
+
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    trajectories = [
+        Trajectory(drifter_id=names[by_name[key[a]]], times=t[a:b], lons=lon[a:b], lats=lat[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
     report.n_drifters = len(trajectories)
     return trajectories, report
 
@@ -187,7 +334,7 @@ def extract_pairs(
     transition_time: float,
     calendar: SeasonCalendar | None = None,
     epoch: date = DEFAULT_EPOCH,
-) -> list[TransitionPair]:
+) -> TransitionPairs:
     """Extract non-overlapping lag-T transition pairs from the tracks.
 
     Starting at each drifter's first sample, the sample nearest t+T within
@@ -200,54 +347,96 @@ def extract_pairs(
     if transition_time <= 0:
         raise ValueError(f"transition_time must be positive, got {transition_time}")
     calendar = calendar or SeasonCalendar()
-    tol = transition_time / 10.0
-    pairs: list[TransitionPair] = []
-    for traj in trajectories:
-        times = traj.times
-        n = len(times)
-        i = 0
-        while i < n:
-            j = _match_index(times, times[i] + transition_time, tol)
-            if j is None:
-                i += 1
-                continue
-            from_state = g.point_to_state(traj.lons[i], traj.lats[i])
-            if from_state == OUT_OF_DOMAIN:
-                i += 1
-                continue
-            to_state = g.point_to_state(traj.lons[j], traj.lats[j])
-            start = float(times[i])
-            pairs.append(
-                TransitionPair(
-                    from_state=from_state,
-                    to_state=to_state,
-                    start_date=start,
-                    season=calendar.season_of_day(start, epoch),
-                )
-            )
-            i = j
-    if not pairs:
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    parts = [empty] + [_batch_pairs(batch, g, transition_time) for batch in _batches(trajectories)]
+    from_state, to_state, start_date = (np.concatenate(col) for col in zip(*parts))
+    pairs = TransitionPairs(
+        from_state=from_state,
+        to_state=to_state,
+        start_date=start_date,
+        season=_season_codes(start_date, calendar, epoch),
+    )
+    if not len(pairs):
         log.warning("extract_pairs produced no pairs")
     return pairs
 
 
-def _match_index(times: np.ndarray, target: float, tol: float) -> int | None:
-    """Index of the sample nearest ``target`` within ``tol``, earlier on ties."""
-    k = int(np.searchsorted(times, target))
-    best = None
-    best_err = tol
-    for idx in (k - 1, k):
-        if 0 <= idx < len(times):
-            err = abs(times[idx] - target)
-            if err < best_err or (err == best_err and best is None):
-                best = idx
-                best_err = err
-    return best
+#: Samples per batch of whole tracks in :func:`extract_pairs`; bounds the
+#: size of the temporary arrays.
+_BATCH_SAMPLES = 1 << 16
 
 
-def season_split(pairs: list[TransitionPair]) -> dict[Season, list[TransitionPair]]:
+def _batches(trajectories: list[Trajectory]):
+    """Consecutive non-empty tracks, grouped into batches of about _BATCH_SAMPLES."""
+    batch, size = [], 0
+    for traj in trajectories:
+        if len(traj):
+            batch.append(traj)
+            size += len(traj)
+        if size >= _BATCH_SAMPLES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _batch_pairs(batch: list[Trajectory], g: GridCovering, transition_time: float):
+    """(from_state, to_state, start_date) of the pairs of a batch of tracks.
+
+    The tracks are concatenated; sample i of the batch belongs to the
+    track occupying [lo[i], hi[i]).  With k the insertion point of t+T in
+    that track, k-1 matches when its error is at most T/10; k matches
+    instead when its error is at most T/10 and either k-1 did not match
+    or k is strictly nearer (the earlier sample wins ties).
+    """
+    lengths = np.array([len(tr) for tr in batch])
+    hi_track = np.cumsum(lengths)
+    lo_track = hi_track - lengths
+    lo, hi = np.repeat(lo_track, lengths), np.repeat(hi_track, lengths)
+    times = np.concatenate([tr.times for tr in batch])
+    targets = times + transition_time
+    k = lo + np.concatenate([np.searchsorted(tr.times, targets[a:b])
+                             for tr, a, b in zip(batch, lo_track, hi_track)])
+    tol = transition_time / 10.0
+    err_before = np.abs(times[np.maximum(k - 1, 0)] - targets)
+    err_after = np.abs(times[np.minimum(k, len(times) - 1)] - targets)
+    take_before = (k > lo) & (err_before <= tol)
+    take_after = (k < hi) & (err_after <= tol) & (~take_before | (err_after < err_before))
+    match = np.where(take_after, k, np.where(take_before, k - 1, -1))
+
+    states = g.points_to_states(np.concatenate([tr.lons for tr in batch]),
+                                np.concatenate([tr.lats for tr in batch]))
+    opens = (match >= 0) & (states != OUT_OF_DOMAIN)
+    starts = _walk(opens, match, lo_track.tolist(), hi_track.tolist())
+    return states[starts], states[match[starts]], times[starts]
+
+
+def _walk(opens: np.ndarray, match: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
+    """Pair starts of each track [lo, hi), walking from its first sample.
+
+    A sample that opens a pair jumps to its match; any other sample steps
+    to the next one, so the walk visits only pair starts and skipped
+    samples.  Jumps always move forward.
+    """
+    step = np.maximum(np.where(opens, match, 0), np.arange(1, len(opens) + 1))
+    starts = []
+    for i, end in zip(lo, hi):
+        while i < end:
+            if opens[i]:
+                starts.append(i)
+            i = step[i]
+    return np.asarray(starts, dtype=np.int64)
+
+
+def _season_codes(start_date: np.ndarray, calendar: SeasonCalendar, epoch: date) -> np.ndarray:
+    """``SEASONS`` index of each start, looked up once per calendar day."""
+    days, inverse = np.unique(np.floor(start_date), return_inverse=True)
+    code = {s: i for i, s in enumerate(SEASONS)}
+    table = np.array([code[calendar.season_of_day(d, epoch)] for d in days.tolist()],
+                     dtype=np.int8)
+    return table[inverse]
+
+
+def season_split(pairs: TransitionPairs) -> dict[Season, TransitionPairs]:
     """Partition pairs by their season tag; all three keys are always present."""
-    out: dict[Season, list[TransitionPair]] = {s: [] for s in Season}
-    for p in pairs:
-        out[p.season].append(p)
-    return out
+    return {s: pairs.select(pairs.season == i) for i, s in enumerate(SEASONS)}

@@ -215,12 +215,7 @@ def retention_time(p, members: np.ndarray, transition_time: float,
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("retention time of an empty set is undefined")
-    mat = _as_csr(p)
-    sub = mat[np.ix_(members, members)].tocsr()
-    if sub.nnz == 0:
-        # lambda_B = 0: everything leaves after one step, T_B = T.
-        return float(transition_time)
-    lam = float(dominant_eigs(sub, k=1, tol=tol, max_iter=max_iter, seed=seed).moduli[0])
+    lam = _restricted_modulus(p, members, tol, max_iter, seed)
     if lam >= 1.0:
         log.info("restricted eigenvalue %.6g >= 1: closed set, infinite retention", lam)
         return math.inf
@@ -247,17 +242,24 @@ def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
             members=members, threshold=threshold, lambda_b=float("nan"),
             transition_time=_transition_time_of(tm),
         )
-    mat = _as_csr(tm)
-    sub = mat[np.ix_(members, members)].tocsr()
-    if sub.nnz == 0:
-        lam = 0.0
-    else:
-        lam = float(dominant_eigs(sub, k=1, tol=tol, max_iter=max_iter,
-                                  seed=seed).moduli[0])
+    lam = _restricted_modulus(tm, members, tol, max_iter, seed)
     return BasinResult(
         members=members, threshold=threshold, lambda_b=lam,
         transition_time=_transition_time_of(tm),
     )
+
+
+def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
+                        seed: int) -> float:
+    """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns.
+
+    A restriction with no entries has lambda_B = 0: everything leaves
+    after one step.
+    """
+    sub = _as_csr(p)[np.ix_(members, members)].tocsr()
+    if sub.nnz == 0:
+        return 0.0
+    return float(dominant_eigs(sub, k=1, tol=tol, max_iter=max_iter, seed=seed).moduli[0])
 
 
 def _transition_time_of(tm) -> float:

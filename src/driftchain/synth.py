@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridCovering, build_grid
-from .ingest import DEFAULT_EPOCH, Season, SeasonCalendar, TransitionPair
+from .ingest import DEFAULT_EPOCH, SEASONS, Season, SeasonCalendar, TransitionPairs
 from .schedule import ChainSchedule
 
 _ROW_TOL = 1e-12
@@ -128,7 +128,7 @@ def sample_pairs(
     n_pairs: int,
     seed: int = 0,
     start_probs: np.ndarray | None = None,
-) -> list[TransitionPair]:
+) -> TransitionPairs:
     """Draw independent lag-T transition pairs straight from kernels.
 
     Start states are uniform (or ``start_probs``); seasons are drawn
@@ -160,15 +160,13 @@ def sample_pairs(
         pos = np.sum(u[sel, None] >= rows, axis=1)
         hit = np.where(pos < n, pos, -1)
         ends[sel] = hit
-    return [
-        TransitionPair(
-            from_state=int(starts[i]),
-            to_state=int(ends[i]),
-            start_date=0.0,
-            season=seasons[season_idx[i]],
-        )
-        for i in range(n_pairs)
-    ]
+    season_code = np.array([SEASONS.index(s) for s in seasons], dtype=np.int8)
+    return TransitionPairs(
+        from_state=starts,
+        to_state=ends,
+        start_date=np.zeros(n_pairs),
+        season=season_code[season_idx],
+    )
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,43 @@
+"""numpy's C text reader, held to what Python's own parsers accept.
+
+``np.loadtxt`` parses comma-separated numbers far faster than a Python
+loop, but it is not a drop-in replacement for ``float()`` and ``int()``:
+it takes the ASCII separators \\x1c-\\x1f as whitespace and reads some
+non-ASCII characters as integer digits.  Callers therefore hand it only
+text that passes :func:`is_plain`, and treat a rejection as "parse these
+lines in Python", never as an error in itself.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+#: ASCII characters kept from the C reader: NUL, which csv rejects on some
+#: Python versions, and the separators it strips as whitespace.
+_NOT_PLAIN_ASCII = "\x00\x1c\x1d\x1e\x1f"
+
+
+def is_plain(text: str) -> bool:
+    """True if the C reader parses the fields of ``text`` exactly as Python does."""
+    return text.isascii() and not any(c in text for c in _NOT_PLAIN_ASCII)
+
+
+def read_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """Parse comma-separated lines into a structured array, or None.
+
+    None means the C reader rejected the lines or skipped one of them (it
+    drops blank lines), so no row can be matched to its line.  The dtype
+    fixes the field count: a line with more or fewer fields is rejected.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an int field such as "1.0" with only a
+            # DeprecationWarning; Python's int() rejects it.
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    return rows if len(rows) == len(lines) else None

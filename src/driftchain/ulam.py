@@ -19,7 +19,8 @@ import scipy.sparse as sparse
 
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN
-from .ingest import TransitionPair
+from .ingest import TransitionPairs
+from .textio import is_plain, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +83,7 @@ class TransitionMatrix:
 
 
 def estimate(
-    pairs: Sequence[TransitionPair],
+    pairs: TransitionPairs,
     n_states: int,
     transition_time: float,
     label: str,
@@ -96,8 +97,7 @@ def estimate(
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
-    frm = np.fromiter((p.from_state for p in pairs), dtype=np.int64, count=len(pairs))
-    to = np.fromiter((p.to_state for p in pairs), dtype=np.int64, count=len(pairs))
+    frm, to = pairs.from_state, pairs.to_state
     if frm.size:
         if frm.min() < 0 or frm.max() >= n_states:
             raise ValueError("pair from_state outside 0..n_states-1")
@@ -284,61 +284,99 @@ def save_matrix(tm: TransitionMatrix, path: str | Path) -> None:
         else:
             fh.write("row_counts " + ",".join(str(int(c)) for c in tm.row_counts) + "\n")
         fh.write("i,j,value\n")
-        coo = tm.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i},{j},{v:.17g}\n")
+        _write_triplets(fh, tm.matrix)
+
+
+#: Entries formatted per chunk by :func:`_write_triplets`; bounds the Python
+#: lists that formatting needs.
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_triplets(fh, matrix: sparse.spmatrix) -> None:
+    """Write one `i,j,value` line per entry, in row-major order."""
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    for a in range(0, len(order), _WRITE_CHUNK):
+        b = a + _WRITE_CHUNK
+        fh.writelines(f"{i},{j},{v:.17g}\n" for i, j, v in
+                      zip(rows[a:b].tolist(), cols[a:b].tolist(), vals[a:b].tolist()))
 
 
 def load_matrix(path: str | Path) -> TransitionMatrix:
     """Read a matrix written by :func:`save_matrix`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
-    header, entries = _split_header(lines, "# transition-matrix v1", path)
+    header, body_start = _split_header(lines, "# transition-matrix v1", path)
     try:
         n = int(header["n_states"])
         t = float(header["transition_time_days"])
         label = header["label"]
         counts_field = header["row_counts"]
+        row_counts = None
+        if counts_field != "none":
+            row_counts = np.array([int(c) for c in counts_field.split(",")], dtype=np.int64)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing header field {exc}") from None
-    row_counts = None
-    if counts_field != "none":
-        row_counts = np.array([int(c) for c in counts_field.split(",")], dtype=np.int64)
-    rows, cols, vals = _parse_triplets(entries, path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed header ({exc})") from None
+    rows, cols, vals = _parse_triplets(lines[body_start:], path, body_start + 1, n)
     m = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     m.sort_indices()
-    return TransitionMatrix(matrix=m, transition_time=t, label=label, row_counts=row_counts)
+    try:
+        return TransitionMatrix(matrix=m, transition_time=t, label=label, row_counts=row_counts)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _split_header(lines: list[str], magic: str, path) -> tuple[dict[str, str], list[str]]:
+def _split_header(lines: list[str], magic: str, path) -> tuple[dict[str, str], int]:
+    """Header fields, and the index of the first line after `i,j,value`."""
     if not lines or lines[0].strip() != magic:
         raise ConfigError(f"{path}: not a {magic!r} file")
     header: dict[str, str] = {}
-    body_start = None
     for idx, line in enumerate(lines[1:], start=1):
         if line.strip() == "i,j,value":
-            body_start = idx + 1
-            break
+            return header, idx + 1
         key, _, value = line.partition(" ")
         header[key.strip()] = value.strip()
-    if body_start is None:
-        raise ConfigError(f"{path}: missing i,j,value section")
-    return header, lines[body_start:]
+    raise ConfigError(f"{path}: missing i,j,value section")
 
 
-def _parse_triplets(entries: list[str], path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols, vals = [], [], []
-    for line in entries:
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _parse_triplets(entries: list[str], path, first_line: int,
+                    n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse `i,j,value` lines up to the first blank, `#` or `[` line.
+
+    ``first_line`` is the 1-based file line number of ``entries[0]``.  A
+    malformed line, or an index outside 0..n_states-1, raises ConfigError
+    naming its path and line.
+    """
+    parsed = None
+    if is_plain("\n".join(entries)):
+        # A stop line is blank (dropped by the C reader) or not numeric
+        # (rejected), so a full parse means there is none.
+        parsed = read_rows(entries, _TRIPLET)
+    if parsed is None:
+        parsed = _parse_triplets_by_line(entries, path, first_line)
+    rows, cols = parsed["i"], parsed["j"]
+    outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n_states))
+    if outside.size:
+        raise ConfigError(f"{path}:{first_line + outside[0]}: matrix index outside "
+                          f"0..{n_states - 1} in {entries[outside[0]].strip()!r}")
+    return rows, cols, parsed["v"]
+
+
+def _parse_triplets_by_line(entries: list[str], path, first_line: int) -> np.ndarray:
+    rows = []
+    for lineno, line in enumerate(entries, start=first_line):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("["):
             break
-        i_s, j_s, v_s = line.split(",")
-        rows.append(int(i_s))
-        cols.append(int(j_s))
-        vals.append(float(v_s))
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=float),
-    )
+        try:
+            i_s, j_s, v_s = line.split(",")
+            rows.append((np.int64(int(i_s)), np.int64(int(j_s)), float(v_s)))
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{path}:{lineno}: malformed matrix entry {line!r}") from None
+    return np.array(rows, dtype=_TRIPLET)

@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: dense linear algebra, literal path
-enumeration, and brute-force Monte-Carlo, sharing no code with the
-implementations under test.
+enumeration, brute-force Monte-Carlo, and row-by-row trajectory parsing,
+sharing no code with the implementations under test.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -215,3 +216,110 @@ def random_substochastic(rng: np.random.Generator, n: int,
         a[empty, rng.integers(n, size=int(empty.sum()))] = rng.random(int(empty.sum()))
     target = rng.uniform(min_row, max_row, n)
     return a * (target / a.sum(axis=1))[:, None]
+
+
+def row_by_row_parse(path):
+    """Trajectory CSV parse one csv row at a time.
+
+    Returns (tracks, counts): tracks is a list of (drifter id, times, lons,
+    lats) sorted by id, counts a dict with the ParseReport field names.
+    Raises ValueError where the package raises ConfigError.
+    """
+    counts = dict(total_rows=0, valid_rows=0, skipped_rows=0, drogued_dropped=0,
+                  duplicate_times=0, n_drifters=0)
+    by_id: dict[str, list[tuple[float, float, float]]] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        if header[:4] != ["id", "time_days", "lon", "lat"]:
+            raise ValueError("bad header")
+        has_drogued = len(header) > 4 and header[4] == "drogued"
+        width = 5 if has_drogued else 4
+        for row in reader:
+            if not row or all(not f.strip() for f in row):
+                continue
+            counts["total_rows"] += 1
+            if len(row) != width:
+                counts["skipped_rows"] += 1
+                continue
+            try:
+                t, lon, lat = float(row[1]), float(row[2]), float(row[3])
+                drogued = int(row[4]) if has_drogued else 0
+            except ValueError:
+                counts["skipped_rows"] += 1
+                continue
+            if not (math.isfinite(t) and math.isfinite(lon) and math.isfinite(lat)):
+                counts["skipped_rows"] += 1
+                continue
+            if drogued:
+                counts["drogued_dropped"] += 1
+                continue
+            by_id.setdefault(row[0].strip(), []).append((t, lon, lat))
+            counts["valid_rows"] += 1
+    if counts["valid_rows"] == 0:
+        raise ValueError("no valid rows")
+    tracks = []
+    for drifter_id in sorted(by_id):
+        times, lons, lats = [], [], []
+        for t, lon, lat in sorted(by_id[drifter_id], key=lambda r: r[0]):
+            if times and t == times[-1]:
+                counts["duplicate_times"] += 1
+                continue
+            times.append(t)
+            lons.append(lon)
+            lats.append(lat)
+        tracks.append((drifter_id, np.asarray(times), np.asarray(lons), np.asarray(lats)))
+    counts["n_drifters"] = len(tracks)
+    return tracks, counts
+
+
+def scalar_cell_state(g, lon: float, lat: float) -> int:
+    """State of a position from the half-open box bounds, one point at a time (-1 outside)."""
+
+    def cell(value, lower, count):
+        idx = math.floor((value - lower) / g.cell_size)
+        if idx + 1 < count and value >= lower + (idx + 1) * g.cell_size:
+            idx += 1
+        elif idx > 0 and value < lower + idx * g.cell_size:
+            idx -= 1
+        if idx < 0 or idx >= count or value < lower + idx * g.cell_size:
+            return -1
+        if idx == count - 1 and value >= lower + count * g.cell_size:
+            return -1
+        return idx
+
+    box = (cell(lon, g.lon_min, g.n_lon), cell(lat, g.lat_min, g.n_lat))
+    return g.active_boxes.index(box) if box in g.active_boxes else -1
+
+
+def sample_by_sample_pairs(tracks, g, transition_time, season_of_day):
+    """Lag-T pairs by a scan over each track's samples.
+
+    ``tracks`` holds (times, lons, lats) triples; returns a list of
+    (from_state, to_state, start_date, season) tuples in extraction order.
+    """
+    tol = transition_time / 10.0
+    pairs = []
+    for times, lons, lats in tracks:
+        i = 0
+        while i < len(times):
+            target = times[i] + transition_time
+            k = int(np.searchsorted(times, target))
+            j, best_err = None, tol
+            for idx in (k - 1, k):
+                if 0 <= idx < len(times):
+                    err = abs(times[idx] - target)
+                    if err < best_err or (err == best_err and j is None):
+                        j, best_err = idx, err
+            if j is None:
+                i += 1
+                continue
+            frm = scalar_cell_state(g, lons[i], lats[i])
+            if frm == -1:
+                i += 1
+                continue
+            start = float(times[i])
+            pairs.append((frm, scalar_cell_state(g, lons[j], lats[j]), start,
+                          season_of_day(start)))
+            i = j
+    return pairs

@@ -7,6 +7,7 @@ documented exit codes (0 ok, 2 config error, 3 numerical failure).
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -429,6 +430,46 @@ class TestEvolve:
     def test_requires_build(self, bare_case):
         r = invoke(["evolve", "--config", str(bare_case / "run.cfg"), "--state", "0"])
         assert r.exit_code == 2
+
+
+class TestMalformedTriplets:
+    @pytest.fixture()
+    def corrupt(self, case, tmp_path):
+        """Copy of the built case with one triplet line of a file replaced."""
+
+        def make(name, entry="3,x,0.5"):
+            copy = tmp_path / "case"
+            shutil.copytree(case, copy)
+            path = copy / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lineno = lines.index("i,j,value\n") + 2
+            lines[lineno - 1] = entry + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            return copy, f"{name}:{lineno}"
+
+        return make
+
+    @pytest.mark.parametrize("args", [["spectral"], ["evolve", "--state", "0"]])
+    def test_annual_matrix_exits_2(self, corrupt, args):
+        copy, where = corrupt("matrix_annual.txt")
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert where in all_output(r)
+
+    @pytest.mark.parametrize("command", ["bayes", "paths"])
+    def test_chain_exits_2(self, corrupt, command):
+        copy, where = corrupt("chain_W.txt")
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert where in all_output(r)
+
+    @pytest.mark.parametrize("name, command", [("matrix_annual.txt", "spectral"),
+                                               ("chain_W.txt", "bayes")])
+    def test_negative_entry_exits_2(self, corrupt, name, command):
+        copy, _ = corrupt(name, entry="0,1,-0.5")
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert name in all_output(r)
 
 
 class TestDeterminism:

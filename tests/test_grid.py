@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_roles
-from oracles import quadrature_box_area_km2
+from oracles import quadrature_box_area_km2, scalar_cell_state
 
 from driftchain.errors import ConfigError
 from driftchain.grid import (
@@ -61,6 +61,46 @@ def test_point_to_state_matches_box_bounds(lon, lat):
         ix, iy = g.box_of_state(s)
         assert 40.0 + ix <= lon < 40.0 + ix + 1
         assert -32.0 + iy <= lat < -32.0 + iy + 1
+
+
+# A 0.1-degree grid: its cell edges lower + i*cell are inexact in binary.
+_FINE_GRID = build_grid((40.0, 41.0, -30.0, -29.5), cell_size=0.1,
+                        wet_mask={(ix, iy): (ix * iy) % 4 != 1
+                                  for ix in range(10) for iy in range(5)})
+
+
+def _near_edge(lower, count, cell):
+    """Cell edges lower + i*cell (one past each end too) and their float neighbours."""
+    edge = st.integers(-1, count + 1).map(lambda i: lower + i * cell)
+    return st.tuples(edge, st.sampled_from([-1, 0, 1])).map(
+        lambda e: float(np.nextafter(e[0], np.inf * e[1])) if e[1] else e[0])
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.one_of(st.floats(39.8, 41.2), _near_edge(40.0, 10, 0.1)),
+            st.one_of(st.floats(-30.2, -29.3), _near_edge(-30.0, 5, 0.1)),
+        ),
+        min_size=1, max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_points_to_states_matches_scalar_rule(points):
+    g = _FINE_GRID
+    lons = np.array([p[0] for p in points])
+    lats = np.array([p[1] for p in points])
+    got = g.points_to_states(lons, lats)
+    assert got.dtype == np.int64
+    assert got.tolist() == [scalar_cell_state(g, x, y) for x, y in points]
+    assert got.tolist() == [g.point_to_state(x, y) for x, y in points]
+
+
+def test_non_finite_positions_are_out_of_domain(square_grid):
+    lons = np.array([np.nan, np.inf, -np.inf, 40.5, 40.5])
+    lats = np.array([-31.5, -31.5, -31.5, np.nan, np.inf])
+    assert square_grid.points_to_states(lons, lats).tolist() == [OUT_OF_DOMAIN] * 5
+    assert square_grid.point_to_state(np.nan, -31.5) == OUT_OF_DOMAIN
 
 
 def test_cell_size_must_divide_extent():

@@ -3,10 +3,13 @@ from datetime import date
 import numpy as np
 import pytest
 
+import oracles
+from driftchain import ingest
 from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN, build_grid
 from driftchain.ingest import (
     DEFAULT_EPOCH,
+    SEASONS,
     Season,
     SeasonCalendar,
     Trajectory,
@@ -19,6 +22,11 @@ from driftchain.ingest import (
 def write_csv(path, rows, header="id,time_days,lon,lat"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+def edges(pairs):
+    """(from_state, to_state) of each pair, in order."""
+    return list(zip(pairs.from_state.tolist(), pairs.to_state.tolist()))
 
 
 def track(drifter_id, samples):
@@ -114,15 +122,14 @@ class TestExtractPairs:
     def test_exact_stride(self):
         traj = track("a", [(0, 40.5, -29.5), (5, 41.5, -29.5), (10, 42.5, -29.5)])
         pairs = extract_pairs([traj], self.grid, 5.0)
-        assert [(p.from_state, p.to_state) for p in pairs] == [(0, 1), (1, 2)]
-        assert pairs[0].season is Season.W
+        assert edges(pairs) == [(0, 1), (1, 2)]
+        assert SEASONS[pairs.season[0]] is Season.W
 
     def test_pairs_do_not_overlap(self):
         # Samples every day; 5-day pairs must start where the last ended.
         samples = [(float(t), 40.5 + 0.2 * t, -29.5) for t in range(21)]
         pairs = extract_pairs([track("a", samples)], self.grid, 5.0)
-        starts = [p.start_date for p in pairs]
-        assert starts == [0.0, 5.0, 10.0, 15.0]
+        assert pairs.start_date.tolist() == [0.0, 5.0, 10.0, 15.0]
 
     def test_nearest_sample_within_tolerance(self):
         # End sample at 5.4 days is within T/10 = 0.5 of the 5-day target.
@@ -131,7 +138,7 @@ class TestExtractPairs:
         assert len(pairs) == 1
         # At 5.6 days the gap exceeds the tolerance: no pair.
         traj = track("a", [(0, 40.5, -29.5), (5.6, 41.5, -29.5)])
-        assert extract_pairs([traj], self.grid, 5.0) == []
+        assert len(extract_pairs([traj], self.grid, 5.0)) == 0
 
     def test_gap_resumes_at_next_sample(self):
         traj = track(
@@ -140,27 +147,24 @@ class TestExtractPairs:
         )
         pairs = extract_pairs([traj], self.grid, 5.0)
         # No match for 0 + 5; extraction restarts at t=2 and chains onward.
-        assert [(p.start_date, p.from_state, p.to_state) for p in pairs] == [
-            (2.0, 1, 2),
-            (7.0, 2, 3),
-        ]
+        assert pairs.start_date.tolist() == [2.0, 7.0]
+        assert edges(pairs) == [(1, 2), (2, 3)]
 
     def test_out_of_domain_end_recorded(self):
         traj = track("a", [(0, 45.5, -29.5), (5, 46.5, -29.5)])
         pairs = extract_pairs([traj], self.grid, 5.0)
-        assert pairs[0].from_state == 5
-        assert pairs[0].to_state == OUT_OF_DOMAIN
+        assert edges(pairs) == [(5, OUT_OF_DOMAIN)]
 
     def test_out_of_domain_start_skipped(self):
         traj = track("a", [(0, 39.5, -29.5), (5, 40.5, -29.5), (10, 41.5, -29.5)])
         pairs = extract_pairs([traj], self.grid, 5.0)
-        assert [(p.from_state, p.to_state) for p in pairs] == [(0, 1)]
+        assert edges(pairs) == [(0, 1)]
 
     def test_season_tag_follows_start_date(self):
         # Start 22 days after the epoch (still March, W); end in April.
         traj = track("a", [(22, 40.5, -29.5), (27, 41.5, -29.5), (32, 42.5, -29.5)])
         pairs = extract_pairs([traj], self.grid, 5.0)
-        assert [p.season for p in pairs] == [Season.W, Season.SF]
+        assert [SEASONS[c] for c in pairs.season] == [Season.W, Season.SF]
 
     def test_bad_transition_time(self):
         with pytest.raises(ValueError):
@@ -175,4 +179,136 @@ def test_season_split_partitions():
     assert set(split) == set(Season)
     assert sum(len(v) for v in split.values()) == len(pairs)
     for season, group in split.items():
-        assert all(p.season is season for p in group)
+        assert all(SEASONS[c] is season for c in group.season)
+
+
+# ------------------------------------------------ oracle: row-by-row ingest
+
+_ENDINGS = ("\n", "\r\n", "\r")
+_IDS = ("a", "b7", " c ", "\tpad", '"q,1"', '"multi\nline"', "Bouée", "x\x1cy", "",
+        "all_drogued")
+_NUMBERS = ("nan", "inf", "-Infinity", "1_0", "١٢", "1e400", "", "x", "+3", "\x1c4",
+            "0x10", " 2.5 ", '"7.25"', "1.", ".5")
+_FLAGS = ("0", "1", "1.0", "2", " 1", "0 ", "-0", "00", "", "x", "٣", "1_0", '"1"')
+
+
+def _number(rng, values):
+    if rng.random() < 0.1:
+        return str(rng.choice(_NUMBERS))
+    return repr(float(rng.choice(values)))
+
+
+def messy_trajectory_text(rng) -> str:
+    """A trajectory file exercising every rule of the row-by-row parser."""
+    width = 5 if rng.random() < 0.7 else 4
+    header = " id, time_days ,lon,lat" + (",drogued" if width == 5 else "")
+    fixed_ending = rng.random() < 0.5
+    ending = str(rng.choice(_ENDINGS))
+    times = np.arange(12) * 0.5  # few distinct values: many duplicate times
+    lines = [header]
+    for _ in range(int(rng.integers(20, 120))):
+        kind = rng.random()
+        if kind < 0.06:
+            lines.append(str(rng.choice(["", "   ", ",,,,", " , , , ", "\t"])))
+            continue
+        name = str(rng.choice(_IDS))
+        fields = [name, _number(rng, times), _number(rng, np.linspace(39.5, 46.5, 29)),
+                  _number(rng, np.linspace(-30.5, -28.5, 9))]
+        if width == 5:
+            flag = "1" if name == "all_drogued" else (
+                str(rng.choice(_FLAGS)) if rng.random() < 0.3 else "0")
+            fields.append(flag)
+        if kind < 0.12:
+            del fields[int(rng.integers(1, len(fields)))]
+        elif kind < 0.16:
+            fields.append("9")
+        lines.append(",".join(fields))
+    ends = [ending if fixed_ending else str(rng.choice(_ENDINGS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if rng.random() < 0.3 else text
+
+
+@pytest.mark.parametrize("block_lines, floor", [(2048, 16), (7, 1), (3, 2)])
+def test_parse_matches_row_by_row_oracle(tmp_path, monkeypatch, block_lines, floor):
+    # Tiny blocks push quoted records across block edges and bisect
+    # rejected runs down to single lines.
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", block_lines)
+    monkeypatch.setattr(ingest, "_BISECT_FLOOR", floor)
+    rng = np.random.default_rng(2024 + block_lines)
+    compared = 0
+    for n in range(150):
+        path = tmp_path / f"messy{n}.csv"
+        path.write_bytes(messy_trajectory_text(rng).encode("utf-8"))
+        try:
+            want, counts = oracles.row_by_row_parse(path)
+        except ValueError:
+            with pytest.raises(ConfigError):
+                parse_trajectories(path)
+            continue
+        got, report = parse_trajectories(path)
+        assert vars(report) == counts, path.read_bytes()
+        assert [t.drifter_id for t in got] == [w[0] for w in want]
+        for traj, (_, times, lons, lats) in zip(got, want):
+            for a, b in ((traj.times, times), (traj.lons, lons), (traj.lats, lats)):
+                assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        compared += 1
+    assert compared > 100
+
+
+def test_parse_keeps_first_of_duplicate_times_across_paths(tmp_path):
+    # The first row at t=0 only parses in Python (quoted), the second in C;
+    # file position, not parse path, decides which one is kept.
+    path = write_csv(tmp_path / "t.csv", ['"a",0,40.0,-30.0', "a,0,41.0,-30.0", "a,1,42.0,-30.0"])
+    (traj,), report = parse_trajectories(path)
+    assert traj.lons.tolist() == [40.0, 42.0]
+    assert report.duplicate_times == 1
+
+
+def _jittered_tracks(rng, dyadic: bool):
+    """Tracks whose steps hit t+T exactly, at exactly T/10 off, or in between."""
+    steps = (np.array([5.0, 4.5, 5.5, 2.5, 0.25, 1.0, 6.0, 0.5]) if dyadic
+             else np.array([0.3, 0.27, 0.33, 0.1, 0.03, 0.6, 0.31]))
+    tracks = []
+    for _ in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(1, 60))
+        times = float(rng.integers(0, 400)) + np.cumsum(rng.choice(steps, size=n))
+        lons = rng.uniform(39.5, 46.5, n)
+        lats = rng.uniform(-30.5, -28.5, n)
+        edge = rng.random(n) < 0.2
+        lons[edge] = 40.0 + rng.integers(-1, 8, edge.sum()) * 1.0
+        tracks.append((times, lons, lats))
+    return tracks
+
+
+@pytest.mark.parametrize("dyadic, lag", [(True, 5.0), (False, 0.3)])
+def test_extract_matches_sample_by_sample_oracle(dyadic, lag):
+    wet = {(ix, iy): (ix + iy) % 5 != 0 for ix in range(6) for iy in range(2)}
+    g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0, wet_mask=wet)
+    cal = SeasonCalendar()
+    epoch = date(2015, 6, 1)
+    rng = np.random.default_rng(7 if dyadic else 8)
+    total = 0
+    for _ in range(200):
+        tracks = _jittered_tracks(rng, dyadic)
+        trajs = [Trajectory(str(k), t, x, y) for k, (t, x, y) in enumerate(tracks)]
+        pairs = extract_pairs(trajs, g, lag, calendar=cal, epoch=epoch)
+        want = oracles.sample_by_sample_pairs(tracks, g, lag,
+                                              lambda d: cal.season_of_day(d, epoch))
+        got = list(zip(pairs.from_state.tolist(), pairs.to_state.tolist(),
+                       pairs.start_date.tolist(), [SEASONS[c] for c in pairs.season]))
+        assert got == want
+        total += len(got)
+    assert total > 1000
+
+
+def test_extract_across_batches(monkeypatch):
+    # Tracks spread over several batches give the same pairs as one batch.
+    g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0)
+    rng = np.random.default_rng(3)
+    trajs = [Trajectory(str(k), t, x, y)
+             for k, (t, x, y) in enumerate(_jittered_tracks(rng, True) * 4)]
+    whole = extract_pairs(trajs, g, 5.0)
+    monkeypatch.setattr(ingest, "_BATCH_SAMPLES", 10)
+    split = extract_pairs(trajs, g, 5.0)
+    for name in ("from_state", "to_state", "start_date", "season"):
+        assert np.array_equal(getattr(whole, name), getattr(split, name))

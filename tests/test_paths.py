@@ -110,7 +110,7 @@ class TestConstrainedPath:
         # the absorbing state after an early landing would have scored 0.9
         assert np.isclose(np.exp(ps.best.log_prob), 1.0 * 0.1 * 1.0 * 0.9)
 
-    def test_too_short_horizon_is_infeasible(self):
+    def test_too_short_horizon_from_coast_is_infeasible(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         roles = make_roles(2, sticky={1: 0.9}, debris=(1,))
         sched = autonomous(a, roles)

@@ -7,7 +7,7 @@ from oracles import dense_power_product
 
 from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN
-from driftchain.ingest import Season
+from driftchain.ingest import SEASONS, Season, TransitionPairs
 from driftchain.synth import sample_pairs
 from driftchain.ulam import (
     TransitionMatrix,
@@ -21,13 +21,11 @@ from driftchain.ulam import (
 
 
 def pairs_from(edges):
-    """Build TransitionPair records from (from, to) tuples."""
-    from driftchain.ingest import TransitionPair
-
-    return [
-        TransitionPair(from_state=i, to_state=j, start_date=0.0, season=Season.W)
-        for i, j in edges
-    ]
+    """Build a W-season pair table from (from, to) tuples."""
+    frm, to = zip(*edges)
+    n = len(edges)
+    return TransitionPairs(from_state=frm, to_state=to, start_date=np.zeros(n),
+                           season=np.full(n, SEASONS.index(Season.W)))
 
 
 class TestEstimate:
@@ -198,10 +196,38 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             load_matrix(path)
 
+    def test_reject_malformed_header(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.eye(2) * 0.5), path)
+        path.write_text(path.read_text().replace("n_states 2", "n_states two"))
+        with pytest.raises(ConfigError, match="malformed header"):
+            load_matrix(path)
+
     def test_reject_missing_body(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("# transition-matrix v1\nn_states 2\n")
         with pytest.raises(ConfigError):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("stop", ["", "   ", "# end", "[extra]"])
+    def test_body_ends_at_first_stop_line(self, tmp_path, stop):
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{stop}\n0,1,0.125\nnot a triplet\n")
+        assert load_matrix(path).matrix.toarray().tolist() == [[0.5, 0.25], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("line", ["3,x,0.5", "1,1", "1,1,0.5,7", "1.0,1,0.5",
+                                      "Ǿ,1,0.5", "1\x1c,1,0.5", "1,2,0.5", "-1,0,0.5",
+                                      "99999999999999999999,0,0.5"])
+    def test_malformed_entry_names_path_and_line(self, tmp_path, line):
+        # numpy's C reader would read "Ǿ" as digits and "\x1c" as blank.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        text = path.read_text(encoding="utf-8").splitlines()
+        text[-2] = line  # the second of three entries
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"m.txt:{len(text) - 1}: "):
             load_matrix(path)
 
 
