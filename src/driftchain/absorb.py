@@ -146,9 +146,7 @@ def add_beaching(
     pc: sparse.csr_matrix,
     roles: StateRoles,
     *,
-    source: TransitionMatrix | None = None,
-    transition_time: float | None = None,
-    label: str | None = None,
+    source: TransitionMatrix,
 ) -> AugmentedChain:
     """Apply the beaching augmentation to a cemetery-closed (N+1) matrix.
 
@@ -156,7 +154,7 @@ def add_beaching(
     the landed mass ell(i) then goes to the cemetery for a non-debris row
     and to the row's own target state(s) for a debris row (split equally
     when several target labels share one box).  Target states are
-    absorbing.  Metadata defaults to ``source`` when given.
+    absorbing.  Transition time and label come from ``source``.
     """
     pc = sparse.csr_matrix(pc)
     n1 = pc.shape[0]
@@ -209,14 +207,11 @@ def add_beaching(
     if worst > _ROW_SUM_TOL:
         raise NumericalError(f"augmented row sums deviate from 1 by {worst:.3e}")
 
-    if source is not None:
-        transition_time = source.transition_time if transition_time is None else transition_time
-        label = source.label if label is None else label
     return AugmentedChain(
         matrix=full,
         roles=roles,
-        transition_time=1.0 if transition_time is None else float(transition_time),
-        label="pooled" if label is None else label,
+        transition_time=float(source.transition_time),
+        label=source.label,
         source=source,
     )
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ZeroEvidenceError
 from .grid import GridCovering
 from .schedule import ChainSchedule
+from .ulam import propagate
 
 log = logging.getLogger(__name__)
 
@@ -90,24 +91,26 @@ def load_observations(path: str | Path) -> list[Observation]:
     return out
 
 
-def absorption_cdf_all(schedule: ChainSchedule, c: int, n_steps: int) -> np.ndarray:
-    """Cumulative absorption probability into every target, per step.
+def absorption_cdf_all(schedule: ChainSchedule, candidates, n_steps: int) -> np.ndarray:
+    """Cumulative absorption into every target, per step and candidate.
 
-    Row k of the result is the mass on each of the M target states after
-    evolving the point distribution at candidate box c for k scheduled
-    steps; column m-1 belongs to target label m.  Rows are nondecreasing.
+    Entry ``[k, m-1, i]`` is the mass on target label m after k scheduled
+    steps from box ``candidates[i]``; it is nondecreasing in k.  One sweep
+    carries a column per candidate: the iterate takes (n+1+M)·C·8 bytes,
+    96 KB for 40 candidates at 256 states and 32 MB at 10^5 states.
     """
     n = schedule.n_grid_states
-    if not 0 <= c < n:
-        raise ValueError(f"candidate {c} outside the grid state range 0..{n - 1}")
+    cand = np.asarray(candidates, dtype=np.int64)
+    if ((cand < 0) | (cand >= n)).any():
+        raise ValueError(f"candidates {cand.tolist()} leave the grid state range 0..{n - 1}")
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    f = np.zeros(schedule.n_states)
-    f[c] = 1.0
-    out = np.zeros((n_steps + 1, schedule.n_targets))
-    for k in range(1, n_steps + 1):
-        f = schedule.matrix_for_step(k - 1).T @ f
-        out[k] = f[n + 1:]
+    f = np.zeros((schedule.n_states, cand.size))
+    f[cand, np.arange(cand.size)] = 1.0
+    out = np.empty((n_steps + 1, schedule.n_targets, cand.size))
+    matrices = (schedule.matrix_for_step(k) for k in range(n_steps))
+    for k, fk in enumerate(propagate(f, matrices)):
+        out[k] = fk[n + 1:]
     return out
 
 
@@ -115,7 +118,7 @@ def absorption_cdf(schedule: ChainSchedule, c: int, b: int, n_steps: int) -> np.
     """Cumulative first-absorption probability into target label b."""
     if not 1 <= b <= schedule.n_targets:
         raise ValueError(f"target label {b} outside 1..{schedule.n_targets}")
-    return absorption_cdf_all(schedule, c, n_steps)[:, b - 1]
+    return absorption_cdf_all(schedule, [c], n_steps)[:, b - 1, 0]
 
 
 def first_absorption_pmf(cdf: np.ndarray) -> np.ndarray:
@@ -308,7 +311,7 @@ def estimate_source(
     level: float = 0.95,
     window_steps: int = 0,
 ) -> PosteriorResult:
-    """Full inversion: per-candidate absorption pmfs -> posterior.
+    """Full inversion: one absorption sweep over all candidates -> posterior.
 
     Candidates default to the roles' declared source set.  With ``grid``
     the result carries candidate coordinates and the latitude interval.
@@ -333,13 +336,11 @@ def estimate_source(
     steps = np.array([o.steps(t) for o in observations], dtype=np.int64)
     horizon = int(steps.max() + window_steps)
 
+    pmf = first_absorption_pmf(absorption_cdf_all(schedule, cand, horizon))
     factors = np.empty((len(cand), len(observations)))
-    for ci, c in enumerate(cand):
-        pmf = first_absorption_pmf(absorption_cdf_all(schedule, int(c), horizon))
-        for oi, o in enumerate(observations):
-            factors[ci, oi] = pmf_mass_at(
-                pmf[:, o.target_label - 1], int(steps[oi]), window_steps
-            )
+    for oi, (o, k) in enumerate(zip(observations, steps.tolist())):
+        for ci in range(len(cand)):
+            factors[ci, oi] = pmf_mass_at(pmf[:, o.target_label - 1, ci], k, window_steps)
 
     logl = joint_likelihood(factors)
     with np.errstate(divide="ignore"):
@@ -396,7 +397,7 @@ def sticky_fit_map(schedule: ChainSchedule, c: int, n_steps: int) -> StickyFitSu
         raise ValueError(f"candidate {c} outside the grid state range 0..{n - 1}")
     f = np.zeros(schedule.n_states)
     f[c] = 1.0
-    for k in range(1, n_steps + 1):
-        mass[k] = f[states] * ells
-        f = schedule.matrix_for_step(k - 1).T @ f
+    matrices = (schedule.matrix_for_step(k) for k in range(n_steps - 1))
+    for k, fk in zip(range(1, n_steps + 1), propagate(f, matrices)):
+        mass[k] = fk[states] * ells
     return StickyFitSurface(states=states, mass=mass)

@@ -10,20 +10,24 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
 import sys
+from datetime import date
 from pathlib import Path
 
 import click
 import numpy as np
+import scipy.sparse as sparse
 
 from . import absorb, bayes, paths, spectral, synth, ulam
-from .config import RunConfig, load_config, load_grid_config
+from .config import SEASON_BLOCK_DAYS, RunConfig, load_config, load_grid_config
 from .errors import ConfigError, NumericalError
-from .grid import GridCovering, load_roles
+from .grid import GridCovering, StateRoles, load_roles
 from .ingest import Season, extract_pairs, parse_trajectories, season_split
-from .schedule import AutonomousSchedule, SeasonalSchedule
+from .schedule import SeasonalSchedule
 
 FMT = "%.17g"
 
@@ -67,10 +71,6 @@ def main():
     """Trajectory-derived Markov-chain drift analysis."""
 
 
-def _load(config_path, out_dir, **more) -> RunConfig:
-    return load_config(config_path, out_dir=out_dir, **more)
-
-
 def _outdir(cfg: RunConfig) -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg.out_dir
@@ -112,10 +112,8 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @handle_errors
 def build(config_path, out_dir, lag_days, crash_date):
     """Estimate seasonal matrices, compose the annual one, augment, save."""
-    import datetime as _dt
-
-    cfg = _load(config_path, out_dir, lag_days=lag_days,
-                crash_date=None if crash_date is None else _dt.date.fromisoformat(crash_date))
+    cfg = load_config(config_path, out_dir=out_dir, lag_days=lag_days,
+                      crash_date=None if crash_date is None else date.fromisoformat(crash_date))
     cfg.require("grid", "trajectories", "roles")
     g = _load_grid(cfg)
     roles = load_roles(g, cfg.roles)
@@ -174,7 +172,7 @@ def build(config_path, out_dir, lag_days, crash_date):
 @handle_errors
 def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
     """Eigenpairs, basin of attraction, and retention time of the annual matrix."""
-    cfg = _load(config_path, out_dir, basin_threshold=basin_threshold)
+    cfg = load_config(config_path, out_dir=out_dir, basin_threshold=basin_threshold)
     g = _load_grid(cfg)
     annual_path = _matrix_path(cfg, "annual")
     if not annual_path.is_file():
@@ -261,8 +259,8 @@ def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResul
 @handle_errors
 def bayes_cmd(config_path, out_dir, cpi_level, window_steps):
     """Posterior over candidate source boxes from the observations file."""
-    cfg = _load(config_path, out_dir, cpi_level=cpi_level,
-                window_steps=window_steps)
+    cfg = load_config(config_path, out_dir=out_dir, cpi_level=cpi_level,
+                      window_steps=window_steps)
     cfg.require("observations")
     g = _load_grid(cfg)
     schedule = _load_schedule(cfg)
@@ -314,7 +312,7 @@ def bayes_cmd(config_path, out_dir, cpi_level, window_steps):
 @handle_errors
 def paths_cmd(config_path, out_dir):
     """Most probable fixed-length paths from candidates to each observed target."""
-    cfg = _load(config_path, out_dir)
+    cfg = load_config(config_path, out_dir=out_dir)
     cfg.require("observations")
     g = _load_grid(cfg)
     schedule = _load_schedule(cfg)
@@ -381,7 +379,7 @@ def paths_cmd(config_path, out_dir):
 @handle_errors
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
-    cfg = _load(config_path, out_dir)
+    cfg = load_config(config_path, out_dir=out_dir)
     mpath = _matrix_path(cfg, label)
     if not mpath.is_file():
         raise ConfigError(f"missing {mpath}; run `driftchain build` first")
@@ -400,14 +398,9 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
         raise ConfigError("--steps must be nonnegative")
 
     out = _outdir(cfg)
-    for k in range(steps + 1):
-        with open(out / f"evolve_step{k:04d}.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("state,mass\n")
-            for s in range(tm.n_states):
-                fh.write(f"{s},{_fmt(f[s])}\n")
-        if k < steps:
-            f = ulam.push_forward(f, tm, 1)
+    for k, f in enumerate(ulam.propagate(f, itertools.repeat(tm.matrix, steps))):
+        rows = "".join(f"{s},{_fmt(m)}\n" for s, m in enumerate(f.tolist()))
+        (out / f"evolve_step{k:04d}.csv").write_text("state,mass\n" + rows, encoding="utf-8")
     click.echo(f"evolved {steps} step(s) of {label}; total mass {f.sum():.6g}")
 
 
@@ -446,11 +439,13 @@ def _read_distribution(path, n: int) -> np.ndarray:
 @handle_errors
 def synth_cmd(spec_path, out_dir, seed):
     """Generate a full synthetic input set (plus ground-truth sidecar)."""
-    import dataclasses
-
     spec = synth.load_spec(spec_path)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
+    # Every later command loads run.cfg, so reject it before writing anything.
+    lag = spec.sample_interval_days
+    run = RunConfig(lag_days=lag, crash_date=spec.start_date, seed=spec.seed,
+                    season_exponent=round(SEASON_BLOCK_DAYS / lag))
     g = spec.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -465,7 +460,7 @@ def synth_cmd(spec_path, out_dir, seed):
     if spec.sample_observations > 0:
         if spec.source_state is None:
             raise ConfigError("sample_observations requires source_state")
-        schedule = _truth_schedule(spec, g)
+        schedule = _truth_schedule(spec)
         sampled = synth.sample_observations(
             schedule, spec.source_state, spec.sample_observations,
             seed=spec.seed, max_steps=spec.max_observation_steps,
@@ -475,15 +470,11 @@ def synth_cmd(spec_path, out_dir, seed):
         synth.write_observations_csv(obs_rows, spec.sample_interval_days,
                                      out / "observations.csv")
     synth.write_truth_sidecar(spec, out / "truth.json", sampled)
-    _write_run_config(spec, out, with_obs=bool(obs_rows))
+    _write_run_config(run, out, with_obs=bool(obs_rows))
     click.echo(f"synthesized {len(tracks)} tracks into {out}")
 
 
-def _truth_schedule(spec, g) -> SeasonalSchedule:
-    import scipy.sparse as sparse
-
-    from .grid import StateRoles
-
+def _truth_schedule(spec) -> SeasonalSchedule:
     roles = StateRoles(
         leaky=frozenset(spec.leaky),
         sticky=dict(spec.sticky),
@@ -501,9 +492,7 @@ def _truth_schedule(spec, g) -> SeasonalSchedule:
     return SeasonalSchedule(chains=chains, start_date=spec.start_date)
 
 
-def _write_run_config(spec, out: Path, with_obs: bool):
-    lag = spec.sample_interval_days
-    exponent = round(90.0 / lag) if abs(90.0 / lag - round(90.0 / lag)) < 1e-9 else 18
+def _write_run_config(run: RunConfig, out: Path, with_obs: bool):
     lines = [
         "grid = grid.cfg",
         "trajectories = trajectories.csv",
@@ -512,10 +501,10 @@ def _write_run_config(spec, out: Path, with_obs: bool):
     if with_obs:
         lines.append("observations = observations.csv")
     lines += [
-        f"lag_days = {_fmt(lag)}",
-        f"crash_date = {spec.start_date.isoformat()}",
-        f"season_exponent = {exponent}",
-        f"seed = {spec.seed}",
+        f"lag_days = {_fmt(run.lag_days)}",
+        f"crash_date = {run.crash_date.isoformat()}",
+        f"season_exponent = {run.season_exponent}",
+        f"seed = {run.seed}",
         "out_dir = .",
     ]
     (out / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -127,15 +127,14 @@ def sample_pairs(
     kernels: dict[Season, np.ndarray] | np.ndarray,
     n_pairs: int,
     seed: int = 0,
-    start_probs: np.ndarray | None = None,
 ) -> TransitionPairs:
     """Draw independent lag-T transition pairs straight from kernels.
 
-    Start states are uniform (or ``start_probs``); seasons are drawn
-    uniformly when several kernels are given.  Row deficits materialize
-    as out-of-domain endings (to_state -1).  This bypasses trajectory
-    assembly: it is the sampling model Ulam counting inverts, so the
-    estimator must converge to the kernel as n_pairs grows.
+    Start states are uniform; seasons are drawn uniformly when several
+    kernels are given.  Row deficits materialize as out-of-domain endings
+    (to_state -1).  This bypasses trajectory assembly: it is the sampling
+    model Ulam counting inverts, so the estimator must converge to the
+    kernel as n_pairs grows.
     """
     if isinstance(kernels, np.ndarray):
         kernels = {Season.W: kernels, Season.S: kernels, Season.SF: kernels}
@@ -145,7 +144,7 @@ def sample_pairs(
     n = kernels[seasons[0]].shape[0]
     rng = np.random.default_rng(seed)
 
-    starts = rng.choice(n, size=n_pairs, p=start_probs)
+    starts = rng.choice(n, size=n_pairs)
     season_idx = rng.integers(len(seasons), size=n_pairs)
     u = rng.random(n_pairs)
 

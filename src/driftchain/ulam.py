@@ -9,10 +9,11 @@ less than one (row-substochastic).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -196,6 +197,22 @@ def compose_annual(
     )
 
 
+def propagate(f: np.ndarray, matrices: Iterable[sparse.spmatrix]) -> Iterator[np.ndarray]:
+    """Yield ``f``, then ``f`` after each matrix in turn: f, f P_0, f P_0 P_1, ...
+
+    The one loop that steps a distribution.  A 2-D ``f`` evolves one
+    distribution per column, each bitwise equal to evolving it alone; the
+    iterate costs n_states x columns x 8 bytes.  ``matrices`` is read one
+    per step taken.  ``synth._one_absorption`` stays apart: it draws one
+    state per step with ``rng.choice``, and a sweep would change its RNG
+    stream and the synth outputs.
+    """
+    yield f
+    for m in matrices:
+        f = m.T @ f
+        yield f
+
+
 def push_forward(f: np.ndarray, tm: TransitionMatrix, k: int = 1) -> np.ndarray:
     """Evolve a (sub)probability row vector k steps: returns f P^k.
 
@@ -210,10 +227,8 @@ def push_forward(f: np.ndarray, tm: TransitionMatrix, k: int = 1) -> np.ndarray:
         raise ValueError("distribution mass exceeds 1")
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    mt = tm.matrix.T.tocsr()
-    out = v.copy()
-    for _ in range(k):
-        out = mt @ out
+    for out in propagate(v.copy(), itertools.repeat(tm.matrix, k)):
+        pass
     return out
 
 

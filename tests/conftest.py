@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from driftchain.absorb import add_beaching, add_cemetery, augment
+from driftchain.absorb import augment
 from driftchain.grid import StateRoles, build_grid
 from driftchain.ingest import Season
 from driftchain.schedule import AutonomousSchedule, SeasonalSchedule

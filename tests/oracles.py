@@ -204,6 +204,63 @@ def quadrature_box_area_km2(
     return float(np.sum(radius_km**2 * np.cos(mids) * dlat * dlon))
 
 
+def per_candidate_absorption_cdf(schedule, c: int, n_steps: int) -> np.ndarray:
+    """(K+1, M) absorption CDF of one candidate, by its own step loop.
+
+    Row k is the mass on the M target states after k scheduled steps from
+    a point mass at box c: the per-candidate sweep that the batched
+    ``absorption_cdf_all`` replaced.
+    """
+    n = schedule.n_grid_states
+    f = np.zeros(schedule.n_states)
+    f[c] = 1.0
+    out = np.zeros((n_steps + 1, schedule.n_targets))
+    for k in range(1, n_steps + 1):
+        f = schedule.matrix_for_step(k - 1).T @ f
+        out[k] = f[n + 1:]
+    return out
+
+
+def per_candidate_log_likelihood(schedule, observations, candidates,
+                                 window_steps: int = 0) -> np.ndarray:
+    """Joint log-likelihood per candidate, one candidate sweep at a time.
+
+    Each factor is the first-absorption pmf of the observed target at the
+    observed step, summed over the window when one is given.
+    """
+    steps = [o.steps(schedule.transition_time) for o in observations]
+    horizon = max(steps) + window_steps
+    factors = np.empty((len(candidates), len(observations)))
+    for ci, c in enumerate(candidates):
+        cdf = per_candidate_absorption_cdf(schedule, int(c), horizon)
+        pmf = np.zeros_like(cdf)
+        pmf[1:] = np.clip(np.diff(cdf, axis=0), 0.0, None)
+        for oi, (o, k) in enumerate(zip(observations, steps)):
+            col = pmf[:, o.target_label - 1]
+            lo, hi = max(1, k - window_steps), min(horizon, k + window_steps)
+            factors[ci, oi] = col[k] if window_steps == 0 else col[lo:hi + 1].sum()
+    with np.errstate(divide="ignore"):
+        return np.log(factors).sum(axis=1)
+
+
+def per_step_sticky_mass(schedule, c: int, n_steps: int) -> np.ndarray:
+    """(K+1, S) first-beaching mass at each sticky state, by a step loop.
+
+    Row k is the occupancy of each sticky state after k-1 steps times its
+    landing probability; sticky states in ascending order.
+    """
+    roles = schedule.roles
+    states = sorted(roles.sticky)
+    ells = np.array([roles.sticky[s] for s in states])
+    mass = np.zeros((n_steps + 1, len(states)))
+    f = np.zeros(schedule.n_states)
+    f[c] = 1.0
+    for k in range(1, n_steps + 1):
+        mass[k] = f[states] * ells
+        f = schedule.matrix_for_step(k - 1).T @ f
+    return mass
+
+
 def random_substochastic(rng: np.random.Generator, n: int,
                          min_row: float = 0.5, max_row: float = 1.0,
                          density: float = 1.0) -> np.ndarray:

@@ -8,7 +8,6 @@ from oracles import mc_first_absorption, random_substochastic
 from driftchain.absorb import (
     AugmentedChain,
     absorption_split,
-    add_beaching,
     add_cemetery,
     augment,
     load_chain,

@@ -1,5 +1,5 @@
 import importlib.resources
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -7,10 +7,18 @@ import pytest
 from conftest import (
     autonomous,
     make_roles,
+    random_roles,
     schedule_step_mats,
     seasonal,
 )
-from oracles import enumerate_first_absorption, enumerate_posterior, random_substochastic
+from oracles import (
+    enumerate_first_absorption,
+    enumerate_posterior,
+    per_candidate_absorption_cdf,
+    per_candidate_log_likelihood,
+    per_step_sticky_mass,
+    random_substochastic,
+)
 
 from driftchain.bayes import (
     Observation,
@@ -124,7 +132,7 @@ class TestAbsorptionCurves:
             roles = make_roles(n, leaky=range(n), sticky=sticky,
                                debris=(min(sticky),))
             sched = autonomous(a, roles)
-            cdf = absorption_cdf_all(sched, int(rng.integers(n)), 10)
+            cdf = absorption_cdf_all(sched, [int(rng.integers(n))], 10)
             assert cdf[0].max() == 0.0
             assert (np.diff(cdf, axis=0) >= -1e-15).all()
             assert cdf.max() <= 1.0 + 1e-12
@@ -132,9 +140,9 @@ class TestAbsorptionCurves:
     def test_input_validation(self):
         sched = corridor_schedule()
         with pytest.raises(ValueError):
-            absorption_cdf_all(sched, c=2, n_steps=3)  # cemetery is not a start
+            absorption_cdf_all(sched, candidates=[2], n_steps=3)  # cemetery is not a start
         with pytest.raises(ValueError):
-            absorption_cdf_all(sched, c=0, n_steps=-1)
+            absorption_cdf_all(sched, candidates=[0], n_steps=-1)
         with pytest.raises(ValueError):
             absorption_cdf(sched, c=0, b=2, n_steps=3)
 
@@ -328,3 +336,69 @@ class TestStickyFitMap:
         surf = sticky_fit_map(sched, c=0, n_steps=3)
         assert surf.mass.shape == (4, 0)
         assert surf.total() == 0.0
+
+
+def random_seasonal(rng, n, roles=None, min_row=0.6):
+    """Seasonal schedule of random dense chains, started on a random day."""
+    mats = {name: random_substochastic(rng, n, min_row=min_row) for name in ("W", "S", "SF")}
+    start = date(2014, 1, 1) + timedelta(days=int(rng.integers(365)))
+    return seasonal(mats, roles or random_roles(rng, n), start_date=start)
+
+
+class TestBatchedSweep:
+    """One sweep over all candidates equals one sweep per candidate, bitwise."""
+
+    def test_each_column_matches_its_own_sweep(self):
+        rng = np.random.default_rng(404)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            sched = random_seasonal(rng, n)
+            n_steps = int(rng.integers(0, 40))
+            for cand in (rng.permutation(n), rng.integers(n, size=n + 2)):
+                cdf = absorption_cdf_all(sched, cand, n_steps)
+                assert cdf.shape == (n_steps + 1, sched.n_targets, len(cand))
+                for i, c in enumerate(cand):
+                    want = per_candidate_absorption_cdf(sched, int(c), n_steps)
+                    assert np.array_equal(cdf[:, :, i], want)
+
+    @pytest.mark.parametrize("window_steps", [0, 2, 4, 6])
+    def test_log_likelihood_matches_per_candidate_loop(self, window_steps):
+        # From a window of 4 the factor sums 9 or more pmf values, where
+        # numpy's pairwise summation no longer adds left to right.  A log
+        # hides a last-bit change of a small factor, so the chains beach
+        # slowly and the window starts near step 1: factors stay large.
+        rng = np.random.default_rng(405 + window_steps)
+        for _ in range(30):
+            n = int(rng.integers(3, 8))
+            sticky = {int(s): float(rng.uniform(0.05, 0.3))
+                      for s in rng.choice(n, size=2, replace=False)}
+            roles = make_roles(n, leaky=range(n), sticky=sticky, debris=tuple(sticky))
+            sched = random_seasonal(rng, n, roles, min_row=0.98)
+            obs = [Observation(target_label=int(rng.integers(1, 3)),
+                               days_since_crash=5.0 * (window_steps + int(rng.integers(2, 6))))
+                   for _ in range(3)]
+            cand = rng.permutation(n)
+            got = estimate_source(sched, obs, candidates=cand, window_steps=window_steps)
+            want = per_candidate_log_likelihood(sched, obs, cand, window_steps)
+            assert np.array_equal(got.log_likelihood, want)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 60])
+    def test_sticky_fit_map_matches_step_loop(self, n_steps):
+        rng = np.random.default_rng(406)
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            sched = random_seasonal(rng, n)
+            c = int(rng.integers(n))
+            surf = sticky_fit_map(sched, c, n_steps)
+            assert surf.states.tolist() == sorted(sched.roles.sticky)
+            assert np.array_equal(surf.mass, per_step_sticky_mass(sched, c, n_steps))
+
+    def test_candidate_outside_grid_raises(self):
+        rng = np.random.default_rng(407)
+        sched = random_seasonal(rng, 4)
+        for bad in ([0, 4], [-1, 2], [sched.cemetery]):
+            with pytest.raises(ValueError):
+                absorption_cdf_all(sched, bad, 5)
+        obs = [Observation(target_label=1, days_since_crash=20.0)]
+        with pytest.raises(ValueError):
+            estimate_source(sched, obs, candidates=np.array([1, 4]))

@@ -177,6 +177,17 @@ class TestSynth:
         r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
 
+    def test_lag_that_does_not_tile_a_season_rejected(self, tmp_path):
+        # No exponent makes 7-day steps fill the 90-day season block, so
+        # every later command would reject the run.cfg.
+        spec = dict(SPEC, sample_interval_days=7.0)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+        assert r.exit_code == 2
+        assert "season_exponent x lag_days must equal 90 days" in all_output(r)
+        assert not (tmp_path / "a").exists()
+
     def test_no_observations_file_when_none_requested(self, bare_case):
         assert not (bare_case / "observations.csv").exists()
         assert "observations" not in (bare_case / "run.cfg").read_text(encoding="utf-8")
@@ -384,6 +395,19 @@ class TestEvolve:
             got = np.array([float(row[1]) for row in rows])
             np.testing.assert_allclose(got, f, atol=1e-12)
             f = f @ a
+
+    @pytest.mark.parametrize("label", ["annual", "W"])
+    def test_steps_equal_iterated_push_forward(self, case, label):
+        r = invoke(["evolve", "--config", str(case / "run.cfg"),
+                    "--state", "1", "--steps", "6", "--matrix", label])
+        assert r.exit_code == 0, all_output(r)
+        tm = ulam.load_matrix(case / f"matrix_{label}.txt")
+        f = np.zeros(4)
+        f[1] = 1.0
+        for k in range(7):
+            _, rows = read_csv(case / f"evolve_step{k:04d}.csv")
+            assert np.array_equal([float(row[1]) for row in rows], f)
+            f = ulam.push_forward(f, tm, 1)
 
     def test_initial_distribution_file(self, case, tmp_path):
         init = tmp_path / "init.csv"

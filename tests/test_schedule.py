@@ -6,7 +6,7 @@ import pytest
 from conftest import autonomous, make_chain, make_roles, seasonal
 
 from driftchain.ingest import Season
-from driftchain.schedule import AutonomousSchedule, SeasonalSchedule
+from driftchain.schedule import SeasonalSchedule
 
 
 def three_season_mats(n=2):

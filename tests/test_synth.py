@@ -7,7 +7,7 @@ from conftest import autonomous, make_roles
 
 from driftchain.bayes import load_observations
 from driftchain.errors import ConfigError
-from driftchain.grid import build_grid, load_roles
+from driftchain.grid import load_roles
 from driftchain.ingest import Season, extract_pairs, parse_trajectories, season_split
 from driftchain.spectral import basin_of_attraction, dominant_eigs
 from driftchain.synth import (

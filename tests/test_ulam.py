@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import dense_tm
-from oracles import dense_power_product
+from oracles import dense_power_product, random_substochastic
 
 from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN
@@ -15,6 +15,7 @@ from driftchain.ulam import (
     estimate,
     load_matrix,
     markov_test,
+    propagate,
     push_forward,
     save_matrix,
 )
@@ -142,6 +143,46 @@ class TestPushForward:
             push_forward(np.array([0.9, 0.9]), tm)
         with pytest.raises(ValueError):
             push_forward(np.array([0.5, 0.5]), tm, k=-1)
+
+
+class TestPropagate:
+    def test_yields_start_then_each_step(self):
+        rng = np.random.default_rng(12)
+        mats = [random_substochastic(rng, 5) for _ in range(3)]
+        f = np.array([0.5, 0.0, 0.25, 0.0, 0.25])
+        got = list(propagate(f, [sparse.csr_matrix(m) for m in mats]))
+        assert len(got) == 4
+        assert got[0] is f
+        for k in range(1, 4):
+            np.testing.assert_allclose(got[k], f @ dense_power_product(mats[:k]),
+                                       rtol=0, atol=1e-15)
+
+    def test_columns_evolve_as_alone(self):
+        rng = np.random.default_rng(13)
+        mats = [sparse.csr_matrix(random_substochastic(rng, 9, density=0.4))
+                for _ in range(25)]
+        block = rng.random((9, 6))
+        block /= block.sum(axis=0)
+        batch = list(propagate(block, mats))
+        for c in range(6):
+            alone = list(propagate(block[:, c].copy(), mats))
+            for k in range(len(mats) + 1):
+                assert np.array_equal(batch[k][:, c], alone[k])
+
+    def test_reads_one_matrix_per_step_taken(self):
+        taken = []
+
+        def matrices():
+            while True:
+                taken.append(len(taken))
+                yield sparse.identity(2, format="csr")
+
+        steps = propagate(np.array([1.0, 0.0]), matrices())
+        next(steps)
+        assert taken == []
+        next(steps)
+        next(steps)
+        assert taken == [0, 1]
 
 
 class TestMarkovTest:
