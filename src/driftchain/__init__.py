@@ -47,7 +47,17 @@ from .spectral import (
     retention_time,
     zonal_profile,
 )
-from .ulam import TransitionMatrix, compose_annual, estimate, load_matrix, markov_test, push_forward, save_matrix
+from .ulam import (
+    AnnualOperator,
+    TransitionMatrix,
+    annual_operator,
+    compose_annual,
+    estimate,
+    load_matrix,
+    markov_test,
+    push_forward,
+    save_matrix,
+)
 
 __version__ = "0.1.0"
 
@@ -67,7 +77,7 @@ __all__ = [
     "AutonomousSchedule", "ChainSchedule", "SeasonalSchedule",
     "BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
     "dominant_eigs", "retention_time", "zonal_profile",
-    "TransitionMatrix", "compose_annual", "estimate", "load_matrix", "markov_test",
-    "push_forward", "save_matrix",
+    "AnnualOperator", "TransitionMatrix", "annual_operator", "compose_annual", "estimate",
+    "load_matrix", "markov_test", "push_forward", "save_matrix",
     "__version__",
 ]

@@ -80,6 +80,23 @@ def _matrix_path(cfg: RunConfig, label: str) -> Path:
     return cfg.out_dir / f"matrix_{label}.txt"
 
 
+def _load_matrix(cfg: RunConfig, label: str) -> ulam.TransitionMatrix:
+    path = _matrix_path(cfg, label)
+    if not path.is_file():
+        raise ConfigError(f"missing {path}; run `driftchain build` first")
+    return ulam.load_matrix(path)
+
+
+def _load_annual(cfg: RunConfig) -> ulam.AnnualOperator:
+    """The annual operator over the seasonal matrices that `build` wrote."""
+    w, s, sf = (_load_matrix(cfg, season.value) for season in (Season.W, Season.S, Season.SF))
+    try:
+        return ulam.annual_operator(w, s, sf, exponent=cfg.season_exponent)
+    except ValueError as exc:
+        # matrix files from different runs mixed in one output directory
+        raise ConfigError(str(exc)) from None
+
+
 def _chain_path(cfg: RunConfig, season: Season) -> Path:
     return cfg.out_dir / f"chain_{season.value}.txt"
 
@@ -111,7 +128,7 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @click.option("--crash-date", default=None, type=str, help="Override the time origin (ISO date).")
 @handle_errors
 def build(config_path, out_dir, lag_days, crash_date):
-    """Estimate seasonal matrices, compose the annual one, augment, save."""
+    """Estimate seasonal matrices, augment them with absorbing states, save."""
     cfg = load_config(config_path, out_dir=out_dir, lag_days=lag_days,
                       crash_date=None if crash_date is None else date.fromisoformat(crash_date))
     cfg.require("grid", "trajectories", "roles")
@@ -146,11 +163,7 @@ def build(config_path, out_dir, lag_days, crash_date):
             f"row_sum_max_{season.value} {_fmt(sums.max())}",
         ]
 
-    annual = ulam.compose_annual(
-        tms[Season.W], tms[Season.S], tms[Season.SF], exponent=cfg.season_exponent
-    )
-    ulam.save_matrix(annual, _matrix_path(cfg, "annual"))
-    lines.append(f"annual_transition_days {_fmt(annual.transition_time)}")
+    lines.append(f"annual_transition_days {_fmt(4 * cfg.season_exponent * cfg.lag_days)}")
 
     for season in Season:
         chain = absorb.augment(tms[season], roles)
@@ -158,7 +171,7 @@ def build(config_path, out_dir, lag_days, crash_date):
 
     report_path = out / "build_report.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"built {len(tms) + 1} matrices and {len(list(Season))} chains in {out}")
+    click.echo(f"built {len(tms)} matrices and {len(list(Season))} chains in {out}")
 
 
 # -------------------------------------------------------------- spectral
@@ -171,24 +184,21 @@ def build(config_path, out_dir, lag_days, crash_date):
               help="Number of eigenpairs to compute.")
 @handle_errors
 def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
-    """Eigenpairs, basin of attraction, and retention time of the annual matrix."""
+    """Eigenpairs, basin of attraction, and retention time of the annual map."""
     cfg = load_config(config_path, out_dir=out_dir, basin_threshold=basin_threshold)
     g = _load_grid(cfg)
-    annual_path = _matrix_path(cfg, "annual")
-    if not annual_path.is_file():
-        raise ConfigError(f"missing {annual_path}; run `driftchain build` first")
-    tm = ulam.load_matrix(annual_path)
-    if tm.n_states != g.n_states:
-        raise ConfigError("annual matrix does not match the configured grid")
+    op = _load_annual(cfg)
+    if op.n_states != g.n_states:
+        raise ConfigError("seasonal matrices do not match the configured grid")
 
     out = _outdir(cfg)
-    eigs = spectral.dominant_eigs(tm, k=k_eigs, tol=cfg.eigen_tol,
+    eigs = spectral.dominant_eigs(op, k=k_eigs, tol=cfg.eigen_tol,
                                   max_iter=cfg.eigen_max_iter, seed=cfg.seed)
     for i in range(len(eigs.eigenvalues)):
         _write_state_csv(out / f"left_{i + 1}.csv", g, eigs.left_vectors[i])
         _write_state_csv(out / f"right_{i + 1}.csv", g, eigs.right_vectors[i])
 
-    basin = spectral.analyze_basin(tm, threshold=cfg.basin_threshold,
+    basin = spectral.analyze_basin(op, threshold=cfg.basin_threshold,
                                    tol=cfg.eigen_tol, max_iter=cfg.eigen_max_iter,
                                    seed=cfg.seed, eigs=eigs)
     profile = spectral.zonal_profile(np.real(eigs.right_vectors[0]), g)
@@ -206,6 +216,8 @@ def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
         conv = "converged" if eigs.converged[i] else "NOT CONVERGED"
         lines.append(f"lambda_{i + 1}_modulus {_fmt(abs(lam))} {conv}{tag}")
     lines += [
+        f"eigen_iterations {eigs.iterations}",
+        f"eigen_max_residual {_fmt(eigs.max_residual)}",
         f"basin_threshold {_fmt(basin.threshold)}",
         f"basin_size {len(basin.members)}",
         f"lambda_basin {_fmt(basin.lambda_b)}",
@@ -380,25 +392,24 @@ def paths_cmd(config_path, out_dir):
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
     cfg = load_config(config_path, out_dir=out_dir)
-    mpath = _matrix_path(cfg, label)
-    if not mpath.is_file():
-        raise ConfigError(f"missing {mpath}; run `driftchain build` first")
-    tm = ulam.load_matrix(mpath)
+    # One step of the annual operator is one year, applied factor by factor.
+    step = _load_annual(cfg) if label == "annual" else _load_matrix(cfg, label).matrix
+    n = step.shape[0]
 
     if (initial_state is None) == (initial_csv is None):
         raise ConfigError("provide exactly one of --state or --initial")
     if initial_state is not None:
-        if not 0 <= initial_state < tm.n_states:
-            raise ConfigError(f"--state outside 0..{tm.n_states - 1}")
-        f = np.zeros(tm.n_states)
+        if not 0 <= initial_state < n:
+            raise ConfigError(f"--state outside 0..{n - 1}")
+        f = np.zeros(n)
         f[initial_state] = 1.0
     else:
-        f = _read_distribution(initial_csv, tm.n_states)
+        f = _read_distribution(initial_csv, n)
     if steps < 0:
         raise ConfigError("--steps must be nonnegative")
 
     out = _outdir(cfg)
-    for k, f in enumerate(ulam.propagate(f, itertools.repeat(tm.matrix, steps))):
+    for k, f in enumerate(ulam.propagate(f, itertools.repeat(step, steps))):
         rows = "".join(f"{s},{_fmt(m)}\n" for s, m in enumerate(f.tolist()))
         (out / f"evolve_step{k:04d}.csv").write_text("state,mass\n" + rows, encoding="utf-8")
     click.echo(f"evolved {steps} step(s) of {label}; total mass {f.sum():.6g}")
@@ -442,10 +453,12 @@ def synth_cmd(spec_path, out_dir, seed):
     spec = synth.load_spec(spec_path)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    # Every later command loads run.cfg, so reject it before writing anything.
+    # Reject a spec that no later command could run before writing anything.
     lag = spec.sample_interval_days
     run = RunConfig(lag_days=lag, crash_date=spec.start_date, seed=spec.seed,
                     season_exponent=round(SEASON_BLOCK_DAYS / lag))
+    if spec.sample_observations > 0 and spec.source_state is None:
+        raise ConfigError("sample_observations requires source_state")
     g = spec.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -458,8 +471,6 @@ def synth_cmd(spec_path, out_dir, seed):
     sampled = None
     obs_rows: list = list(spec.observations)
     if spec.sample_observations > 0:
-        if spec.source_state is None:
-            raise ConfigError("sample_observations requires source_state")
         schedule = _truth_schedule(spec)
         sampled = synth.sample_observations(
             schedule, spec.source_state, spec.sample_observations,

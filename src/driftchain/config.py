@@ -22,8 +22,8 @@ _RUN_KEYS = {
 
 _GRID_KEYS = {"lon_min", "lon_max", "lat_min", "lat_max", "cell_size", "wet_mask"}
 
-#: compose_annual raises each seasonal matrix to season_exponent, so the
-#: lag must tile the 90-day season block exactly.
+#: The annual operator applies each seasonal matrix season_exponent times,
+#: so the lag must tile the 90-day season block exactly.
 SEASON_BLOCK_DAYS = 90.0
 
 

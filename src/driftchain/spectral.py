@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .grid import GridCovering, states_by_latitude_row
+from .ulam import AnnualOperator
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +55,11 @@ class EigenResult:
     def moduli(self) -> np.ndarray:
         return np.abs(self.eigenvalues)
 
+    @property
+    def max_residual(self) -> float:
+        """The worst residual over both sides."""
+        return float(max(self.left_residuals.max(), self.right_residuals.max()))
+
 
 @dataclass(frozen=True)
 class BasinResult:
@@ -79,6 +85,38 @@ def _as_csr(p) -> sparse.csr_matrix:
     return sparse.csr_matrix(np.asarray(m, dtype=float))
 
 
+@dataclass(frozen=True)
+class _Restricted:
+    """``op`` restricted to the member rows and columns, never sliced out.
+
+    ``sub @ x`` applies ``op`` to x placed on the members (zero elsewhere)
+    and reads the member rows of the result.
+    """
+
+    op: AnnualOperator
+    members: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.members), len(self.members))
+
+    @property
+    def T(self) -> _Restricted:
+        return _Restricted(self.op.T, self.members)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        full = np.zeros((self.op.shape[0], *x.shape[1:]), dtype=x.dtype)
+        full[self.members] = x
+        return (self.op @ full)[self.members]
+
+
+def _as_operator(p):
+    """``p`` itself if it is an operator applied factor by factor, else its CSR matrix."""
+    if isinstance(p, (AnnualOperator, _Restricted)):
+        return p
+    return _as_csr(p)
+
+
 def _start_block(n: int, width: int, seed: int) -> np.ndarray:
     """Orthonormal start block whose first column spans the uniform vector."""
     x = np.empty((n, width))
@@ -90,9 +128,10 @@ def _start_block(n: int, width: int, seed: int) -> np.ndarray:
     return q
 
 
-def _subspace_iterate(mat: sparse.csr_matrix, k: int, tol: float,
-                      max_iter: int, seed: int):
+def _subspace_iterate(mat, k: int, tol: float, max_iter: int, seed: int):
     """Block power iteration with Rayleigh-Ritz extraction.
+
+    ``mat`` needs only ``shape`` and ``mat @ block``.
 
     Returns (ritz values, ritz vectors as columns, relative residuals,
     iterations) with the first k pairs converged when possible.
@@ -153,13 +192,14 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> EigenResult:
     """Leading k eigenpairs (both sides) of a sparse transition matrix.
 
-    Accepts a TransitionMatrix, an AugmentedChain, or any square matrix.
+    Accepts a TransitionMatrix, an AugmentedChain, an AnnualOperator (its
+    transpose gives the left side), or any square matrix.
     Deterministic for a fixed seed; non-converged pairs are returned with
     their ``converged`` flag cleared rather than raising.  Complex
     conjugate pairs are reported with ``is_complex_pair`` set; only their
     moduli are meaningful downstream.
     """
-    mat = _as_csr(p)
+    mat = _as_operator(p)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got {mat.shape}")
     if k < 1:
@@ -167,7 +207,8 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
     n = mat.shape[0]
     k_eff = min(k, n)
 
-    lv, lvec, lres, lits = _subspace_iterate(mat.T.tocsr(), k_eff, tol, max_iter, seed)
+    left = mat.T.tocsr() if sparse.issparse(mat) else mat.T
+    lv, lvec, lres, lits = _subspace_iterate(left, k_eff, tol, max_iter, seed)
     rv, rvec, rres, rits = _subspace_iterate(mat, k_eff, tol, max_iter, seed)
 
     left_rows = np.vstack([_tidy_vector(lvec[:, i], left=True) for i in range(k_eff)])
@@ -254,11 +295,19 @@ def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
     """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns.
 
     A restriction with no entries has lambda_B = 0: everything leaves
-    after one step.
+    after one step.  An operator is restricted without slicing it; its
+    entries are nonnegative, so the restriction is empty when it maps the
+    ones vector to zero.
     """
-    sub = _as_csr(p)[np.ix_(members, members)].tocsr()
-    if sub.nnz == 0:
-        return 0.0
+    mat = _as_operator(p)
+    if sparse.issparse(mat):
+        sub = mat[np.ix_(members, members)].tocsr()
+        if sub.nnz == 0:
+            return 0.0
+    else:
+        sub = _Restricted(mat, members)
+        if not (sub @ np.ones(len(members))).any():
+            return 0.0
     return float(dominant_eigs(sub, k=1, tol=tol, max_iter=max_iter, seed=seed).moduli[0])
 
 

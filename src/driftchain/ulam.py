@@ -155,6 +155,21 @@ def _matpow(m: sparse.csr_matrix, e: int, prune_tol: float) -> sparse.csr_matrix
     return result
 
 
+def _shared_transition_time(p_w: TransitionMatrix, p_s: TransitionMatrix,
+                            p_sf: TransitionMatrix, exponent: int) -> float:
+    """Check that the seasonal matrices fit one annual map; return their lag."""
+    if exponent < 1:
+        raise ValueError("exponent must be at least 1")
+    n = p_w.n_states
+    t = p_w.transition_time
+    for other in (p_s, p_sf):
+        if other.n_states != n:
+            raise ValueError("seasonal matrices must share the state count")
+        if other.transition_time != t:
+            raise ValueError("seasonal matrices must share the transition time")
+    return t
+
+
 def compose_annual(
     p_w: TransitionMatrix,
     p_s: TransitionMatrix,
@@ -167,16 +182,10 @@ def compose_annual(
     The factor order is fixed; with the default exponent 18 and 5-day
     seasonal matrices the composite advances one 360-day year.  Entries
     below ``prune_tol`` are dropped after each product to bound fill-in.
+    The product fills in and is nearly dense on a well-mixed chain; the
+    CLI applies :func:`annual_operator` instead.
     """
-    if exponent < 1:
-        raise ValueError("exponent must be at least 1")
-    n = p_w.n_states
-    t = p_w.transition_time
-    for other in (p_s, p_sf):
-        if other.n_states != n:
-            raise ValueError("seasonal matrices must share the state count")
-        if other.transition_time != t:
-            raise ValueError("seasonal matrices must share the transition time")
+    t = _shared_transition_time(p_w, p_s, p_sf, exponent)
     w_e = _matpow(p_w.matrix, exponent, prune_tol)
     s_e = _matpow(p_s.matrix, exponent, prune_tol)
     sf_e = _matpow(p_sf.matrix, exponent, prune_tol)
@@ -197,15 +206,70 @@ def compose_annual(
     )
 
 
-def propagate(f: np.ndarray, matrices: Iterable[sparse.spmatrix]) -> Iterator[np.ndarray]:
+@dataclass(frozen=True)
+class AnnualOperator:
+    """The annual map P_W^e * P_SF^e * P_S^e * P_SF^e, kept as its factors.
+
+    ``factors`` holds the seasonal matrices in product order (W, SF, S, SF);
+    their product is never formed, so the operator costs the seasonal
+    matrices' memory, not the near-dense annual matrix's.  ``op @ x``
+    applies the 4e factors right to left to a vector or a block of columns.
+    ``op.T`` is the transposed map: the factors transposed (views, no
+    copies) in reverse order, so ``propagate`` over the operator advances a
+    distribution one year per step.
+    """
+
+    factors: tuple[sparse.spmatrix, ...]
+    exponent: int
+    transition_time: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.factors[0].shape
+
+    @property
+    def n_states(self) -> int:
+        return self.shape[0]
+
+    @property
+    def T(self) -> AnnualOperator:
+        return AnnualOperator(tuple(m.T for m in reversed(self.factors)),
+                              self.exponent, self.transition_time)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        for m in reversed(self.factors):
+            for _ in range(self.exponent):
+                x = m @ x
+        return x
+
+
+def annual_operator(
+    p_w: TransitionMatrix,
+    p_s: TransitionMatrix,
+    p_sf: TransitionMatrix,
+    exponent: int = 18,
+) -> AnnualOperator:
+    """The operator form of :func:`compose_annual`: same map, no pruning.
+
+    The operator refers to the seasonal matrices; it copies none of them.
+    """
+    t = _shared_transition_time(p_w, p_s, p_sf, exponent)
+    sf = p_sf.matrix
+    return AnnualOperator(factors=(p_w.matrix, sf, p_s.matrix, sf), exponent=exponent,
+                          transition_time=4 * exponent * t)
+
+
+def propagate(f: np.ndarray,
+              matrices: Iterable[sparse.spmatrix | AnnualOperator]) -> Iterator[np.ndarray]:
     """Yield ``f``, then ``f`` after each matrix in turn: f, f P_0, f P_0 P_1, ...
 
     The one loop that steps a distribution.  A 2-D ``f`` evolves one
     distribution per column, each bitwise equal to evolving it alone; the
     iterate costs n_states x columns x 8 bytes.  ``matrices`` is read one
-    per step taken.  ``synth._one_absorption`` stays apart: it draws one
-    state per step with ``rng.choice``, and a sweep would change its RNG
-    stream and the synth outputs.
+    per step taken; an :class:`AnnualOperator` is one year's step.
+    ``synth._one_absorption`` stays apart: it draws one state per step with
+    ``rng.choice``, and a sweep would change its RNG stream and the synth
+    outputs.
     """
     yield f
     for m in matrices:

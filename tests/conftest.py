@@ -12,6 +12,8 @@ from driftchain.ingest import Season
 from driftchain.schedule import AutonomousSchedule, SeasonalSchedule
 from driftchain.ulam import TransitionMatrix
 
+from oracles import random_substochastic
+
 
 def dense_tm(a, transition_time=5.0, label="pooled", row_counts=None) -> TransitionMatrix:
     """Wrap a dense array as a TransitionMatrix."""
@@ -22,6 +24,13 @@ def dense_tm(a, transition_time=5.0, label="pooled", row_counts=None) -> Transit
         label=label,
         row_counts=row_counts,
     )
+
+
+def seasonal_tms(rng, n, min_row=0.97, density=0.3) -> dict[str, TransitionMatrix]:
+    """Random sparse W, S and SF matrices; rows near 1 keep 72-factor products O(1)."""
+    return {lbl: dense_tm(random_substochastic(rng, n, min_row=min_row, density=density),
+                          label=lbl)
+            for lbl in ("W", "S", "SF")}
 
 
 def make_roles(n, leaky=(), sticky=None, debris=(), candidates=None) -> StateRoles:

@@ -6,6 +6,7 @@ build/spectral/bayes/paths/evolve, checking the emitted files and the
 documented exit codes (0 ok, 2 config error, 3 numerical failure).
 """
 
+import itertools
 import json
 import shutil
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftchain import ulam
+from driftchain import spectral, ulam
 from driftchain.cli import main
 
 from oracles import dense_power_product
@@ -79,6 +80,18 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:] if line]
     return header, rows
+
+
+def annual_operator(case):
+    """The annual operator over the case's seasonal matrices."""
+    w, s, sf = (ulam.load_matrix(case / f"matrix_{x}.txt") for x in ("W", "S", "SF"))
+    return ulam.annual_operator(w, s, sf, exponent=18)
+
+
+def dense_annual(case):
+    """The annual map as the dense product of its 72 seasonal factors."""
+    m = {s: ulam.load_matrix(case / f"matrix_{s}.txt").matrix.toarray() for s in ("W", "S", "SF")}
+    return dense_power_product([m["W"]] * 18 + [m["SF"]] * 18 + [m["S"]] * 18 + [m["SF"]] * 18)
 
 
 def run_pipeline(root, spec=SPEC, stages=("build", "spectral", "bayes", "paths")):
@@ -168,6 +181,8 @@ class TestSynth:
         r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
         assert "source_state" in all_output(r)
+        # rejected before any write: no partial input set is left behind
+        assert not (tmp_path / "a").exists()
 
     def test_missing_season_kernel_rejected(self, tmp_path):
         spec = dict(SPEC)
@@ -196,9 +211,10 @@ class TestSynth:
 class TestBuild:
     def test_artifacts_and_echo(self, case):
         for name in ("matrix_W.txt", "matrix_S.txt", "matrix_SF.txt",
-                     "matrix_annual.txt", "chain_W.txt", "chain_S.txt",
-                     "chain_SF.txt", "build_report.txt"):
+                     "chain_W.txt", "chain_S.txt", "chain_SF.txt", "build_report.txt"):
             assert (case / name).is_file(), name
+        # spectral and evolve apply the seasonal factors; the product is not written
+        assert not (case / "matrix_annual.txt").exists()
 
     def test_report_accounting(self, case):
         rep = report_dict(case / "build_report.txt")
@@ -230,14 +246,9 @@ class TestBuild:
         assert np.max(np.abs(est - truth)) < 0.25
 
     def test_annual_is_ordered_seasonal_product(self, case):
-        mats = {s: ulam.load_matrix(case / f"matrix_{s}.txt").matrix.toarray()
-                for s in ("W", "S", "SF")}
-        annual = ulam.load_matrix(case / "matrix_annual.txt")
-        expected = dense_power_product(
-            [mats["W"]] * 18 + [mats["SF"]] * 18 + [mats["S"]] * 18 + [mats["SF"]] * 18
-        )
-        assert annual.transition_time == 360.0
-        np.testing.assert_allclose(annual.matrix.toarray(), expected, atol=1e-13)
+        op = annual_operator(case)
+        assert op.transition_time == 360.0
+        np.testing.assert_allclose(op @ np.eye(4), dense_annual(case), atol=1e-13)
 
     def test_lag_override_must_tile_seasons(self, case):
         r = invoke(["build", "--config", str(case / "run.cfg"), "--lag-days", "7"])
@@ -275,6 +286,12 @@ class TestSpectral:
         assert abs(float(rep["lambda_basin"]) - 1.0) < 1e-10
         retention = rep["retention_days"]
         assert retention == "inf" or float(retention) > 1e5
+
+    def test_report_counts_eigen_work(self, case):
+        rep = report_dict(case / "spectral_report.txt")
+        eigs = spectral.dominant_eigs(annual_operator(case), k=2, tol=1e-10, seed=11)
+        assert rep["eigen_iterations"] == str(eigs.iterations)
+        assert float(rep["eigen_max_residual"]) == eigs.max_residual <= 1e-10
 
     def test_basin_geojson(self, case):
         doc = json.loads((case / "basin.geojson").read_text(encoding="utf-8"))
@@ -386,7 +403,7 @@ class TestEvolve:
         r = invoke(["evolve", "--config", str(case / "run.cfg"),
                     "--state", "0", "--steps", "2"])
         assert r.exit_code == 0, all_output(r)
-        a = ulam.load_matrix(case / "matrix_annual.txt").matrix.toarray()
+        a = dense_annual(case)
         f = np.zeros(4)
         f[0] = 1.0
         for k in range(3):
@@ -401,13 +418,18 @@ class TestEvolve:
         r = invoke(["evolve", "--config", str(case / "run.cfg"),
                     "--state", "1", "--steps", "6", "--matrix", label])
         assert r.exit_code == 0, all_output(r)
-        tm = ulam.load_matrix(case / f"matrix_{label}.txt")
         f = np.zeros(4)
         f[1] = 1.0
+        if label == "annual":
+            expected = list(ulam.propagate(f, itertools.repeat(annual_operator(case), 6)))
+        else:
+            tm = ulam.load_matrix(case / f"matrix_{label}.txt")
+            expected = [f]
+            for _ in range(6):
+                expected.append(ulam.push_forward(expected[-1], tm, 1))
         for k in range(7):
             _, rows = read_csv(case / f"evolve_step{k:04d}.csv")
-            assert np.array_equal([float(row[1]) for row in rows], f)
-            f = ulam.push_forward(f, tm, 1)
+            assert np.array_equal([float(row[1]) for row in rows], expected[k])
 
     def test_initial_distribution_file(self, case, tmp_path):
         init = tmp_path / "init.csv"
@@ -475,7 +497,8 @@ class TestMalformedTriplets:
 
     @pytest.mark.parametrize("args", [["spectral"], ["evolve", "--state", "0"]])
     def test_annual_matrix_exits_2(self, corrupt, args):
-        copy, where = corrupt("matrix_annual.txt")
+        # both read the annual operator's seasonal factors
+        copy, where = corrupt("matrix_W.txt")
         r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
         assert r.exit_code == 2
         assert where in all_output(r)
@@ -487,10 +510,11 @@ class TestMalformedTriplets:
         assert r.exit_code == 2
         assert where in all_output(r)
 
-    @pytest.mark.parametrize("name, command", [("matrix_annual.txt", "spectral"),
+    @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
                                                ("chain_W.txt", "bayes")])
     def test_negative_entry_exits_2(self, corrupt, name, command):
-        copy, _ = corrupt(name, entry="0,1,-0.5")
+        # row 0 has no other entry in column 3, so the parsed value stays negative
+        copy, _ = corrupt(name, entry="0,3,-0.5")
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert name in all_output(r)

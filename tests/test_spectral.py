@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_tm
-from oracles import dense_dominant_pair, random_substochastic
+from conftest import dense_tm, seasonal_tms
+from oracles import dense_dominant_pair, dense_power_product, random_substochastic
 
 from driftchain.grid import build_grid
 from driftchain.spectral import (
+    _restricted_modulus,
     analyze_basin,
     basin_of_attraction,
     dominant_eigs,
     retention_time,
     zonal_profile,
 )
+from driftchain.ulam import annual_operator, compose_annual
 
 
 class TestDominantEigs:
@@ -72,6 +74,16 @@ class TestDominantEigs:
         lam = res.eigenvalues[0]
         defect = np.abs(p @ a - lam * p).sum()
         assert defect <= 1e-11 * abs(res.eigenvalues[0]) * 10
+
+    def test_max_residual_covers_both_sides(self):
+        rng = np.random.default_rng(8)
+        worse_side = set()
+        for _ in range(10):
+            res = dominant_eigs(random_substochastic(rng, 12), k=2, tol=1e-11)
+            left, right = res.left_residuals.max(), res.right_residuals.max()
+            worse_side.add("left" if left > right else "right")
+            assert res.max_residual == max(left, right)
+        assert worse_side == {"left", "right"}
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(21)
@@ -138,6 +150,56 @@ class TestBasin:
         steps = np.arange(1, 4000)
         expect_steps = np.sum(steps * (1 - q) * q ** (steps - 1))
         assert t_b == pytest.approx(360.0 * expect_steps, rel=1e-6)
+
+
+def operator_and_product(tms, exponent):
+    """The annual operator and, as its oracle, the dense 4e-factor product."""
+    op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=exponent)
+    w, s, sf = (tms[k].matrix.toarray() for k in ("W", "S", "SF"))
+    dense = dense_power_product([w] * exponent + [sf] * exponent + [s] * exponent
+                                + [sf] * exponent)
+    return op, dense
+
+
+class TestAnnualOperator:
+    @pytest.mark.parametrize("n, seed, exponent", [(3, 1, 18), (8, 2, 18), (20, 3, 1),
+                                                   (35, 4, 18), (50, 5, 1), (50, 6, 18)])
+    def test_eigs_match_composed_matrix(self, n, seed, exponent):
+        tms = seasonal_tms(np.random.default_rng(seed), n)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=exponent)
+        composed = compose_annual(tms["W"], tms["S"], tms["SF"], exponent=exponent)
+        got = dominant_eigs(op, k=2)
+        want = dominant_eigs(composed, k=2)
+        assert got.converged.all() and want.converged.all()
+        assert np.abs(got.moduli - want.moduli).max() <= 1e-10
+        assert np.abs(got.left_vectors[0] - want.left_vectors[0]).max() <= 1e-10
+        assert np.abs(got.right_vectors[0] - want.right_vectors[0]).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, seed", [(4, 7), (20, 8), (50, 9)])
+    def test_restricted_modulus_matches_sliced_product(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op, dense = operator_and_product(seasonal_tms(rng, n), 18)
+        for size in (1, n // 2, n):
+            members = np.sort(rng.choice(n, size=size, replace=False))
+            want = np.abs(np.linalg.eigvals(dense[np.ix_(members, members)])).max()
+            got = _restricted_modulus(op, members, tol=1e-12, max_iter=100_000, seed=0)
+            assert abs(got - want) <= 1e-10
+
+    def test_basin_matches_dense_product(self):
+        op, dense = operator_and_product(seasonal_tms(np.random.default_rng(10), 30), 18)
+        got, want = analyze_basin(op), analyze_basin(dense_tm(dense, transition_time=360.0))
+        assert np.array_equal(got.members, want.members)
+        assert abs(got.lambda_b - want.lambda_b) <= 1e-10
+        assert got.transition_time == want.transition_time == 360.0
+
+    def test_empty_restriction_has_zero_modulus(self):
+        # no state moves into state 0, so the annual map never returns to it
+        tms = {k: dense_tm(tm.matrix.toarray() * (np.arange(6) != 0), label=k)
+               for k, tm in seasonal_tms(np.random.default_rng(11), 6).items()}
+        op, dense = operator_and_product(tms, 18)
+        assert not dense[:, 0].any()
+        assert _restricted_modulus(op, np.array([0]), tol=1e-10, max_iter=100, seed=0) == 0.0
+        assert retention_time(op, np.array([0]), 360.0) == 360.0
 
 
 class TestZonalProfile:

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import dense_tm
+from conftest import dense_tm, seasonal_tms
 from oracles import dense_power_product, random_substochastic
 
 from driftchain.errors import ConfigError
@@ -11,6 +13,7 @@ from driftchain.ingest import SEASONS, Season, TransitionPairs
 from driftchain.synth import sample_pairs
 from driftchain.ulam import (
     TransitionMatrix,
+    annual_operator,
     compose_annual,
     estimate,
     load_matrix,
@@ -114,6 +117,58 @@ class TestComposeAnnual:
             compose_annual(a, c, a)
         with pytest.raises(ValueError):
             compose_annual(a, a, a, exponent=0)
+
+
+def seasonal_product(tms, exponent):
+    """Dense oracle of the annual map: W^e SF^e S^e SF^e, factor by factor."""
+    w, s, sf = (tms[k].matrix.toarray() for k in ("W", "S", "SF"))
+    return dense_power_product([w] * exponent + [sf] * exponent + [s] * exponent
+                               + [sf] * exponent)
+
+
+class TestAnnualOperator:
+    @pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (7, 3), (20, 4), (50, 5)])
+    def test_action_matches_dense_product(self, n, seed):
+        tms = seasonal_tms(np.random.default_rng(seed), n)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=18)
+        want = seasonal_product(tms, 18)
+        assert want.sum(axis=1).min() > 0.1  # near-stochastic rows: not a vanishing product
+        assert np.abs(op @ np.eye(n) - want).max() <= 1e-12
+        assert np.abs(op.T @ np.eye(n) - want.T).max() <= 1e-12
+        x = np.random.default_rng(seed).random(n)
+        assert np.abs(op @ x - want @ x).max() <= 1e-12
+
+    def test_metadata_and_transpose_views(self):
+        tms = seasonal_tms(np.random.default_rng(6), 5)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=3)
+        assert op.shape == (5, 5)
+        assert op.n_states == 5
+        assert op.transition_time == 4 * 3 * 5.0
+        t = op.T
+        assert (t.shape, t.exponent, t.transition_time) == (op.shape, 3, op.transition_time)
+        assert len(t.factors) == len(op.factors) == 4
+        for a, b in zip(t.factors, reversed(op.factors)):
+            assert np.shares_memory(a.data, b.data) and np.shares_memory(a.indices, b.indices)
+            assert np.array_equal(a.toarray(), b.toarray().T)
+
+    def test_propagate_is_one_year_per_step(self):
+        rng = np.random.default_rng(7)
+        tms = seasonal_tms(rng, 30)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=18)
+        dense = seasonal_product(tms, 18)
+        f = rng.random(30)
+        f /= f.sum()
+        for k, got in enumerate(propagate(f, itertools.repeat(op, 4))):
+            assert np.abs(got - f @ np.linalg.matrix_power(dense, k)).max() <= 1e-13
+
+    def test_shape_and_time_mismatch(self):
+        a = dense_tm(np.eye(2), label="W")
+        with pytest.raises(ValueError):
+            annual_operator(a, dense_tm(np.eye(3), label="S"), a)
+        with pytest.raises(ValueError):
+            annual_operator(a, dense_tm(np.eye(2), transition_time=7.0, label="S"), a)
+        with pytest.raises(ValueError):
+            annual_operator(a, a, a, exponent=0)
 
 
 class TestPushForward:
