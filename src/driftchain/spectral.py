@@ -117,6 +117,11 @@ def _as_operator(p):
     return _as_csr(p)
 
 
+def _transpose(mat):
+    """The operator whose iteration gives the left side of ``mat``."""
+    return mat.T.tocsr() if sparse.issparse(mat) else mat.T
+
+
 def _start_block(n: int, width: int, seed: int) -> np.ndarray:
     """Orthonormal start block whose first column spans the uniform vector."""
     x = np.empty((n, width))
@@ -207,8 +212,7 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
     n = mat.shape[0]
     k_eff = min(k, n)
 
-    left = mat.T.tocsr() if sparse.issparse(mat) else mat.T
-    lv, lvec, lres, lits = _subspace_iterate(left, k_eff, tol, max_iter, seed)
+    lv, lvec, lres, lits = _subspace_iterate(_transpose(mat), k_eff, tol, max_iter, seed)
     rv, rvec, rres, rits = _subspace_iterate(mat, k_eff, tol, max_iter, seed)
 
     left_rows = np.vstack([_tidy_vector(lvec[:, i], left=True) for i in range(k_eff)])
@@ -308,7 +312,15 @@ def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
         sub = _Restricted(mat, members)
         if not (sub @ np.ones(len(members))).any():
             return 0.0
-    return float(dominant_eigs(sub, k=1, tol=tol, max_iter=max_iter, seed=seed).moduli[0])
+    # lambda_B is a left eigenvalue modulus, so only the left side is iterated;
+    # the values equal dominant_eigs(sub, k=1).moduli[0] bit for bit.
+    vals, _, resid, its = _subspace_iterate(_transpose(sub), 1, tol, max_iter, seed)
+    if resid[0] > tol:
+        log.warning(
+            "eigensolver: restricted eigenvalue unconverged after %d iterations "
+            "(residual %.2e)", its, float(resid[0]),
+        )
+    return float(np.abs(vals)[0])
 
 
 def _transition_time_of(tm) -> float:

@@ -83,6 +83,8 @@ def validate_kernel(k: np.ndarray, name: str) -> None:
     k = np.asarray(k)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ConfigError(f"kernel {name} must be square, got {k.shape}")
+    if not np.isfinite(k).all():
+        raise ConfigError(f"kernel {name} has non-finite entries")
     if k.size and k.min() < 0:
         raise ConfigError(f"kernel {name} has negative entries")
     sums = k.sum(axis=1)
@@ -148,17 +150,14 @@ def sample_pairs(
     season_idx = rng.integers(len(seasons), size=n_pairs)
     u = rng.random(n_pairs)
 
-    # Cumulative rows per (season, state); a draw beyond the row sum is an exit.
-    cums = {s: np.cumsum(kernels[s], axis=1) for s in seasons}
     ends = np.empty(n_pairs, dtype=np.int64)
     for si, s in enumerate(seasons):
         sel = season_idx == si
         if not sel.any():
             continue
-        rows = cums[s][starts[sel]]
-        pos = np.sum(u[sel, None] >= rows, axis=1)
-        hit = np.where(pos < n, pos, -1)
-        ends[sel] = hit
+        cum, targets = _draw_table(kernels[s])
+        rows = starts[sel]
+        ends[sel] = targets[rows, np.sum(u[sel, None] >= cum[rows], axis=1)]
     season_code = np.array([SEASONS.index(s) for s in seasons], dtype=np.int8)
     return TransitionPairs(
         from_state=starts,
@@ -166,6 +165,28 @@ def sample_pairs(
         start_date=np.zeros(n_pairs),
         season=season_code[season_idx],
     )
+
+
+def _draw_table(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row running sums over the nonzero entries, and their columns.
+
+    ``cum[i]`` holds row i's running sums in column order, padded to the
+    longest row's nonzero count r with the row total; ``targets[i]``
+    holds the matching columns, padded with -1 to width r + 1.  A draw u
+    moves state i to ``targets[i, count of cum[i] <= u]``: the first
+    column whose running sum exceeds u, or -1 (an exit) when u reaches
+    the row total.  Entries are nonnegative, so skipping the zeros never
+    changes a running sum, and the move equals the dense-row rule.
+    """
+    rows, cols = np.nonzero(kernel)
+    counts = np.bincount(rows, minlength=kernel.shape[0])
+    width = int(counts.max(initial=0))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    vals = np.zeros((kernel.shape[0], width))
+    vals[rows, slot] = kernel[rows, cols]
+    targets = np.full((kernel.shape[0], width + 1), -1, dtype=np.int64)
+    targets[rows, slot] = cols
+    return np.cumsum(vals, axis=1), targets
 
 
 @dataclass(frozen=True)
@@ -183,7 +204,8 @@ def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None)
     Each drifter starts in a uniform random box at a random step-aligned
     day, reports one jittered in-box position per step, and —
     when its kernel row's deficit fires — one final position just outside
-    the domain before vanishing.
+    the domain before vanishing.  A move costs O(log r) for r the longest
+    row's nonzero count (see ``_draw_table``).
     """
     calendar = calendar or SeasonCalendar()
     g = spec.grid()
@@ -193,6 +215,9 @@ def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None)
     max_steps = max(int(math.floor(spec.duration_days / dt)), 1)
     out_lon = g.lon_max + spec.cell_size
     out_lat = (g.lat_min + g.lat_max) / 2.0
+    tables = {s: _draw_table(spec.kernels[s]) for s in Season}
+    step_tables = [tables[calendar.season_of_day(step * dt, spec.start_date)]
+                   for step in range(max_steps)]
     tracks = []
     for did in range(spec.n_drifters):
         start_step = int(rng.integers(max_steps))
@@ -200,16 +225,15 @@ def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None)
         times, lons, lats, states = [], [], [], []
         step = start_step
         while step <= max_steps and state >= 0:
-            t = step * dt
             lon, lat = _jittered_position(g, state, rng)
-            times.append(t)
+            times.append(step * dt)
             lons.append(lon)
             lats.append(lat)
             states.append(state)
             if step == max_steps:
                 break
-            season = calendar.season_of_day(t, spec.start_date)
-            state = _step_state(spec.kernels[season], state, rng)
+            cum, targets = step_tables[step]
+            state = int(targets[state, cum[state].searchsorted(rng.random(), side="right")])
             step += 1
         if state < 0 and step <= max_steps:
             times.append(step * dt)
@@ -233,17 +257,6 @@ def _jittered_position(g: GridCovering, state: int, rng) -> tuple[float, float]:
         lon + half * (2.0 * rng.random() - 1.0),
         lat + half * (2.0 * rng.random() - 1.0),
     )
-
-
-def _step_state(kernel: np.ndarray, state: int, rng) -> int:
-    row = kernel[state]
-    u = rng.random()
-    acc = 0.0
-    for j, p in enumerate(row):
-        acc += p
-        if u < acc:
-            return j
-    return -1
 
 
 def write_tracks_csv(tracks: list[SimulatedTrack], path: str | Path) -> None:
@@ -357,6 +370,9 @@ def write_grid_config(spec: SyntheticSpec, path: str | Path) -> None:
 def write_truth_sidecar(spec: SyntheticSpec, path: str | Path,
                         sampled_obs: list[tuple[int, int]] | None = None) -> None:
     """Ground-truth JSON sidecar for oracle comparison."""
+    # json's indent encoder is pure Python and the kernels are nearly all of
+    # the payload, so they go in as placeholders and are encoded apart.
+    tokens = {s: f"\0kernel {s}" for s in Season}
     payload = {
         "seed": spec.seed,
         "source_state": spec.source_state,
@@ -366,16 +382,34 @@ def write_truth_sidecar(spec: SyntheticSpec, path: str | Path,
         "start_date": spec.start_date.isoformat(),
         "bounds": list(spec.bounds),
         "cell_size": spec.cell_size,
-        "kernels": {str(s): spec.kernels[s].tolist() for s in Season},
+        "kernels": {str(s): tokens[s] for s in Season},
         "leaky": list(spec.leaky),
         "sticky": {str(i): l for i, l in sorted(spec.sticky.items())},
         "debris": list(spec.debris),
         "candidate_sources": list(spec.candidate_sources),
         "sampled_observations": sampled_obs,
     }
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    for s, token in tokens.items():
+        text = text.replace(json.dumps(token), _json_matrix(spec.kernels[s].tolist(), level=2))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
+
+
+def _json_matrix(rows: list[list[float]], level: int) -> str:
+    """``json.dumps(rows, indent=2)`` of a list of lists of finite floats
+    (or ints), opened ``level`` indents deep, without json's pure-Python
+    indent encoder."""
+    if not rows:
+        return "[]"
+    outer = "\n" + "  " * (level + 1)
+    inner = ",\n" + "  " * (level + 2)
+    items = [
+        "[" + inner[1:] + inner.join(map(repr, row)) + outer + "]" if row else "[]"
+        for row in rows
+    ]
+    return "[" + outer + ("," + outer).join(items) + "\n" + "  " * level + "]"
 
 
 def two_gyre_kernel(n_per_gyre: int, leak: float = 0.3,

@@ -380,3 +380,69 @@ def sample_by_sample_pairs(tracks, g, transition_time, season_of_day):
                           season_of_day(start)))
             i = j
     return pairs
+
+
+def dense_walk_tracks(spec, calendar):
+    """Drifter walks that draw each move by scanning the dense kernel row.
+
+    Consumes the RNG stream in the order ``synth.simulate_tracks`` does
+    and returns one (times, lons, lats, states) tuple per drifter.
+    """
+    g = spec.grid()
+    rng = np.random.default_rng(spec.seed)
+    dt = spec.sample_interval_days
+    max_steps = max(int(math.floor(spec.duration_days / dt)), 1)
+    half = 0.45 * g.cell_size
+
+    def position(state):
+        lon, lat = g.box_center(state)
+        return (lon + half * (2.0 * rng.random() - 1.0),
+                lat + half * (2.0 * rng.random() - 1.0))
+
+    def move(row):
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(row):
+            acc += p
+            if u < acc:
+                return j
+        return -1
+
+    tracks = []
+    for _ in range(spec.n_drifters):
+        step = int(rng.integers(max_steps))
+        state = int(rng.integers(g.n_states))
+        samples = []
+        while step <= max_steps and state >= 0:
+            samples.append((step * dt, *position(state), state))
+            if step == max_steps:
+                break
+            season = calendar.season_of_day(step * dt, spec.start_date)
+            state = move(spec.kernels[season][state])
+            step += 1
+        if state < 0 and step <= max_steps:
+            samples.append((step * dt, g.lon_max + spec.cell_size,
+                            (g.lat_min + g.lat_max) / 2.0, -1))
+        times, lons, lats, states = (list(col) for col in zip(*samples))
+        tracks.append((np.asarray(times), np.asarray(lons), np.asarray(lats),
+                       np.asarray(states, dtype=np.int64)))
+    return tracks
+
+
+def dense_row_pairs(kernels, n_pairs: int, seed: int):
+    """(from, to) pair draws by counting dense cumulative-row entries <= u.
+
+    ``kernels`` is a list of kernels in season-code order; consumes the
+    RNG stream in the order ``synth.sample_pairs`` does.
+    """
+    n = kernels[0].shape[0]
+    rng = np.random.default_rng(seed)
+    starts = rng.choice(n, size=n_pairs)
+    season_idx = rng.integers(len(kernels), size=n_pairs)
+    u = rng.random(n_pairs)
+    ends = np.empty(n_pairs, dtype=np.int64)
+    for i in range(n_pairs):
+        cum = np.cumsum(kernels[season_idx[i]][starts[i]])
+        pos = int(np.sum(u[i] >= cum))
+        ends[i] = pos if pos < n else -1
+    return starts, ends, season_idx

@@ -192,6 +192,16 @@ class TestSynth:
         r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
 
+    def test_nan_kernel_entry_rejected(self, tmp_path):
+        spec = dict(SPEC, kernels=dict(SPEC["kernels"]))
+        spec["kernels"]["S"] = [[float("nan")] + row[1:] for row in SPEC["kernels"]["S"]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+        assert r.exit_code == 2
+        assert "kernel S has non-finite entries" in all_output(r)
+        assert not (tmp_path / "a").exists()
+
     def test_lag_that_does_not_tile_a_season_rejected(self, tmp_path):
         # No exponent makes 7-day steps fill the 90-day season block, so
         # every later command would reject the run.cfg.

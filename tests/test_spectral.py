@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from conftest import dense_tm, seasonal_tms
 from oracles import dense_dominant_pair, dense_power_product, random_substochastic
 
 from driftchain.grid import build_grid
 from driftchain.spectral import (
+    _Restricted,
     _restricted_modulus,
     analyze_basin,
     basin_of_attraction,
@@ -184,6 +186,26 @@ class TestAnnualOperator:
             want = np.abs(np.linalg.eigvals(dense[np.ix_(members, members)])).max()
             got = _restricted_modulus(op, members, tol=1e-12, max_iter=100_000, seed=0)
             assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("n, seed", [(6, 12), (30, 13)])
+    def test_restricted_modulus_equals_two_sided_solve(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op, _ = operator_and_product(seasonal_tms(rng, n), 18)
+        csr = sparse.csr_matrix(random_substochastic(rng, n, density=0.3))
+        for size in (1, n // 2, n):
+            members = np.sort(rng.choice(n, size=size, replace=False))
+            subs = ((op, _Restricted(op, members)),
+                    (csr, csr[np.ix_(members, members)].tocsr()))
+            for p, sub in subs:
+                want = dominant_eigs(sub, k=1, tol=1e-12, seed=0).moduli[0]
+                got = _restricted_modulus(p, members, tol=1e-12, max_iter=100_000, seed=0)
+                assert got == want
+
+    def test_unconverged_restricted_modulus_warns(self, caplog):
+        a = random_substochastic(np.random.default_rng(14), 12)
+        with caplog.at_level("WARNING", logger="driftchain.spectral"):
+            _restricted_modulus(a, np.arange(8), tol=1e-15, max_iter=1, seed=0)
+        assert "restricted eigenvalue unconverged after 1 iterations" in caplog.text
 
     def test_basin_matches_dense_product(self):
         op, dense = operator_and_product(seasonal_tms(np.random.default_rng(10), 30), 18)

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from conftest import autonomous, make_roles
+from oracles import dense_row_pairs, dense_walk_tracks, random_substochastic
 
 from driftchain.bayes import load_observations
 from driftchain.errors import ConfigError
 from driftchain.grid import load_roles
-from driftchain.ingest import Season, extract_pairs, parse_trajectories, season_split
+from driftchain.ingest import (
+    SEASONS,
+    Season,
+    SeasonCalendar,
+    extract_pairs,
+    parse_trajectories,
+    season_split,
+)
 from driftchain.spectral import basin_of_attraction, dominant_eigs
 from driftchain.synth import (
     SyntheticSpec,
+    _json_matrix,
     load_spec,
     sample_observations,
     sample_pairs,
@@ -44,7 +53,36 @@ def toy_spec(**overrides):
     return SyntheticSpec(**fields)
 
 
+def awkward_kernel(rng, n: int) -> np.ndarray:
+    """Substochastic kernel with interior zeros, row deficits, all-zero rows
+    and rows that hold a single exact 1."""
+    k = random_substochastic(rng, n, min_row=0.3, max_row=1.0, density=0.4)
+    rows = rng.permutation(n)
+    k[rows[: n // 4]] = 0.0
+    one_hot = rows[n // 4: n // 2]
+    k[one_hot] = 0.0
+    k[one_hot, rng.integers(n, size=len(one_hot))] = 1.0
+    return k
+
+
 class TestSamplePairs:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (40, 3)])
+    def test_matches_dense_rule(self, n, seed):
+        if n == 1:
+            kernels = {Season.W: np.ones((1, 1)), Season.S: np.full((1, 1), 0.5),
+                       Season.SF: np.zeros((1, 1))}
+        else:
+            rng = np.random.default_rng(seed)
+            kernels = {s: awkward_kernel(rng, n) for s in Season}
+        pairs = sample_pairs(kernels, 5000, seed=seed)
+        order = sorted(kernels, key=lambda s: s.value)
+        starts, ends, season_idx = dense_row_pairs([kernels[s] for s in order], 5000, seed)
+        codes = np.array([SEASONS.index(s) for s in order], dtype=np.int8)
+        assert np.array_equal(pairs.from_state, starts)
+        assert np.array_equal(pairs.to_state, ends)
+        assert np.array_equal(pairs.season, codes[season_idx])
+        assert np.array_equal(pairs.start_date, np.zeros(5000))
+
     def test_deterministic(self):
         k = np.array([[0.5, 0.4], [0.3, 0.3]])
         a = sample_pairs(k, 500, seed=9)
@@ -112,6 +150,29 @@ class TestSimulateTracks:
             assert (tr.states[:-1] >= 0).all()
             assert tr.lons[-1] == g.lon_max + spec.cell_size
             assert g.point_to_state(tr.lons[-1], tr.lats[-1]) == -1
+
+    @pytest.mark.parametrize("nx, ny, seed", [(1, 1, 0), (1, 1, 1), (3, 1, 2),
+                                              (4, 3, 3), (8, 5, 4)])
+    def test_matches_dense_walk(self, nx, ny, seed):
+        rng = np.random.default_rng(seed)
+        n = nx * ny
+        if n == 1:
+            values = rng.permutation([0.0, 0.5, 1.0])
+            kernels = {s: np.full((1, 1), v) for s, v in zip(Season, values)}
+        else:
+            kernels = {s: awkward_kernel(rng, n) for s in Season}
+        spec = toy_spec(bounds=(40.0, 40.0 + nx, -30.0, -30.0 + ny), kernels=kernels,
+                        n_drifters=60, duration_days=400.0, seed=seed,
+                        leaky=(), sticky={}, debris=(), candidate_sources=())
+        got = simulate_tracks(spec)
+        want = dense_walk_tracks(spec, SeasonCalendar())
+        assert len(got) == len(want) == 60
+        for tr, (times, lons, lats, states) in zip(got, want):
+            assert np.array_equal(tr.times, times)
+            assert np.array_equal(tr.lons, lons)
+            assert np.array_equal(tr.lats, lats)
+            assert np.array_equal(tr.states, states)
+            assert tr.states.dtype == states.dtype
 
     def test_round_trip_through_ingest_recovers_kernel(self, tmp_path):
         # The cyclic permutation kernel makes transitions deterministic,
@@ -198,6 +259,31 @@ class TestWriters:
         assert payload["source_state"] is None
         assert payload["sampled_observations"] == [[1, 4]]
 
+    def test_truth_sidecar_bytes_match_json_encoder(self, tmp_path):
+        kernel = np.array([[1e-05, 0.1 + 0.2, 5e-324], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        spec = toy_spec(kernels={Season.W: kernel, Season.S: kernel[::-1].copy(),
+                                 Season.SF: np.eye(3)}, source_state=1)
+        path = tmp_path / "truth.json"
+        write_truth_sidecar(spec, path, sampled_obs=[(1, 4), (1, 9)])
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["kernels"] == {str(s): spec.kernels[s].tolist() for s in Season}
+        want = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [
+        [], [[]], [[0.0]], [[1e+16, 1e-05], [0.1 + 0.2, 5e-324]], [[], [1.0, 2.5e-17]],
+    ])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_json_matrix_matches_json_encoder(self, rows, level):
+        # json's text for the list nested `level` dicts deep, cut back out
+        nested = rows
+        for _ in range(level):
+            nested = {"k": nested}
+        text = json.dumps(nested, indent=2)
+        start = text.rfind('"k": ') + 5 if level else 0
+        closing = "".join("\n" + "  " * i + "}" for i in reversed(range(level)))
+        assert _json_matrix(rows, level) == text[start:len(text) - len(closing)]
+
 
 class TestSpecParsing:
     def test_load_spec_round_trip(self, tmp_path):
@@ -236,6 +322,16 @@ class TestSpecParsing:
     def test_super_stochastic_kernel_rejected(self):
         with pytest.raises(ConfigError):
             toy_spec(kernels={s: np.full((3, 3), 0.4) for s in Season})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        kernel = np.array([[0.5, bad], [0.2, 0.3]])
+        with pytest.raises(ConfigError, match="kernel S has non-finite entries"):
+            toy_spec(bounds=(40.0, 42.0, -30.0, -29.0),
+                     kernels={s: kernel if s is Season.S else np.eye(2) for s in Season},
+                     leaky=(), sticky={}, debris=(), candidate_sources=())
+        with pytest.raises(ConfigError):
+            sample_pairs(kernel, 10)
 
     def test_grid_mismatch_rejected(self):
         spec = toy_spec(bounds=(40.0, 44.0, -30.0, -29.0))
