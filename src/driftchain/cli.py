@@ -145,6 +145,7 @@ def build(config_path, out_dir, lag_days, crash_date):
         f"n_states {g.n_states}",
         f"lag_days {_fmt(cfg.lag_days)}",
         f"drifters {report.n_drifters}",
+        f"total_rows {report.total_rows}",
         f"valid_rows {report.valid_rows}",
         f"skipped_rows {report.skipped_rows}",
         f"drogued_dropped {report.drogued_dropped}",
@@ -158,6 +159,7 @@ def build(config_path, out_dir, lag_days, crash_date):
         sums = tm.row_sums()
         lines += [
             f"pairs_{season.value} {len(by_season[season])}",
+            f"nnz_{season.value} {tm.matrix.nnz}",
             f"empty_row_fraction_{season.value} {_fmt(tm.empty_row_fraction())}",
             f"row_sum_min_{season.value} {_fmt(sums.min())}",
             f"row_sum_max_{season.value} {_fmt(sums.max())}",

@@ -6,6 +6,7 @@ so a run directory can be moved or copied wholesale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -47,6 +48,10 @@ class RunConfig:
     window_steps: int = 0
 
     def __post_init__(self):
+        # NaN makes every comparison below false, so none of them would catch it.
+        for name in ("lag_days", "eigen_tol", "basin_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lag_days <= 0:
             raise ConfigError(f"lag_days must be positive, got {self.lag_days}")
         block = self.season_exponent * self.lag_days

@@ -197,6 +197,8 @@ def build_grid(
     Boxes missing from the mask are dry.
     """
     lon_min, lon_max, lat_min, lat_max = map(float, bounds)
+    if not all(map(math.isfinite, (lon_min, lon_max, lat_min, lat_max, cell_size))):
+        raise ConfigError(f"grid bounds and cell_size must be finite, got {bounds}, {cell_size}")
     if not (lon_max > lon_min and lat_max > lat_min):
         raise ConfigError(f"degenerate bounds {bounds}")
     if cell_size <= 0:

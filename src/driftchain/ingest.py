@@ -162,6 +162,7 @@ def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]
     values, so the result equals a row-by-row csv parse.
     """
     try:
+        capacity = _line_breaks(path)
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from None
@@ -173,133 +174,154 @@ def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]
         if header[:4] != ["id", "time_days", "lon", "lat"]:
             raise ConfigError(f"{path}: expected header id,time_days,lon,lat[,drogued]")
         has_drogued = len(header) > 4 and header[4] == "drogued"
-        rows = _Rows(width=5 if has_drogued else 4)
-        line = 0
+        rows = _Rows(width=5 if has_drogued else 4, capacity=capacity)
         while block := list(islice(fh, _BLOCK_LINES)):
-            line += rows.add_block(block, line, fh)
+            rows.add_block(block, fh)
     return _group_tracks(rows, path)
 
 
-class _Rows:
-    """Parsed rows as columns, each row tagged with its file line index.
+def _line_breaks(path: str | Path) -> int:
+    """Line breaks in the file (\\n, \\r\\n or \\r), an upper bound on its data rows.
 
-    Ids get integer codes in order of arrival.  Rows parsed by the C reader
-    are kept as arrays per run, rows parsed in Python as tuples.
+    Every record after the header starts on a line of its own, and the
+    header takes the first line.
+    """
+    breaks = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            breaks += chunk.count(b"\n")
+            if b"\r" in chunk:
+                # A \r\n split between chunks counts twice, which keeps the bound.
+                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return breaks
+
+
+class _Rows:
+    """Accepted rows, each written once into preallocated columns in file order.
+
+    A row is accepted when it parses, its time and position are finite and
+    it is not drogued; other rows are only counted.  Ids get integer codes
+    in order of arrival.  Rows from the C reader and from the Python row
+    rule go into the same columns as they arrive, so position in the
+    columns is position in the file.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, capacity: int):
         self.width = width
         fields = [("id", object), ("t", float), ("lon", float), ("lat", float)]
         if width == 5:
             fields.append(("drogued", np.int64))
         self.dtype = np.dtype(fields)
         self.codes: dict[str, int] = {}
-        self.runs: list[tuple[np.ndarray, ...]] = []
-        self.rows: list[tuple] = []
+        self.code = np.empty(capacity, dtype=np.int32)
+        self.t = np.empty(capacity)
+        self.lon = np.empty(capacity)
+        self.lat = np.empty(capacity)
+        self.n = 0
         self.total = 0
-        self.malformed = 0
+        self.skipped = 0
+        self.drogued = 0
 
-    def add_block(self, block: list[str], first: int, rest) -> int:
-        """Parse a block of lines starting at file line ``first``.
-
-        Returns the number of lines consumed, which exceeds the block when
-        a quoted field runs past its end and lines are drawn from ``rest``.
-        """
+    def add_block(self, block: list[str], rest) -> None:
+        """Parse a block of lines, drawing more from ``rest`` while a quoted field is open."""
         if _plain("".join(block)):
-            self._add_plain(block, first)
-            return len(block)
+            self._add_plain(block)
+            return
         n = len(block)
         done = 0
         for k in range(n):
             if k < done or _plain(block[k]):
                 continue
-            self._add_plain(block[done:k], first + done)
+            self._add_plain(block[done:k])
             # One csv record, drawing more lines while a quoted field is open.
             reader = csv.reader(chain(map(block.__getitem__, range(k, n)), rest))
-            self.add_row(next(reader), first + k)
+            self.add_row(next(reader))
             done = k + reader.line_num
-        self._add_plain(block[done:], first + done)
-        return max(n, done)
+        self._add_plain(block[done:])
 
-    def _add_plain(self, lines: list[str], first: int) -> None:
+    def _add_plain(self, lines: list[str]) -> None:
         """Parse plain lines with the C reader, halving a rejected run."""
         if not lines:
             return
         parsed = read_rows(lines, self.dtype)
         if parsed is not None:
-            self._add_parsed(parsed, first)
+            self._add_parsed(parsed)
         elif len(lines) <= _BISECT_FLOOR:
             # Without quotes every line is exactly one csv record.
-            for k, row in enumerate(csv.reader(lines)):
-                self.add_row(row, first + k)
+            for row in csv.reader(lines):
+                self.add_row(row)
         else:
             half = len(lines) // 2
-            self._add_plain(lines[:half], first)
-            self._add_plain(lines[half:], first + half)
+            self._add_plain(lines[:half])
+            self._add_plain(lines[half:])
 
-    def _add_parsed(self, parsed: np.ndarray, first: int) -> None:
-        names = parsed["id"].tolist()
+    def _add_parsed(self, parsed: np.ndarray) -> None:
+        t, lon, lat = parsed["t"], parsed["lon"], parsed["lat"]
+        finite = np.isfinite(t) & np.isfinite(lon) & np.isfinite(lat)
+        keep = finite & (parsed["drogued"] == 0) if self.width == 5 else finite
+        n_finite, n_keep = int(np.count_nonzero(finite)), int(np.count_nonzero(keep))
+        self.total += len(parsed)
+        self.skipped += len(parsed) - n_finite
+        self.drogued += n_finite - n_keep
+        names = parsed["id"][keep].tolist()
         joined = "".join(names)
         if any(c in joined for c in _ID_PADDING):
             names = list(map(str.strip, names))
         for name in dict.fromkeys(names):
             self.codes.setdefault(name, len(self.codes))
-        n = len(names)
-        drogued = (parsed["drogued"] != 0) if self.width == 5 else np.zeros(n, dtype=bool)
-        self.runs.append((
-            np.fromiter(map(self.codes.__getitem__, names), dtype=np.int64, count=n),
-            np.arange(first, first + n, dtype=np.int64),
-            np.ascontiguousarray(parsed["t"]),
-            np.ascontiguousarray(parsed["lon"]),
-            np.ascontiguousarray(parsed["lat"]),
-            drogued,
-        ))
-        self.total += n
+        a, b = self.n, self.n + n_keep
+        self.code[a:b] = np.fromiter(map(self.codes.__getitem__, names), dtype=np.int32,
+                                     count=n_keep)
+        self.t[a:b], self.lon[a:b], self.lat[a:b] = t[keep], lon[keep], lat[keep]
+        self.n = b
 
-    def add_row(self, row: list[str], line: int) -> None:
+    def add_row(self, row: list[str]) -> None:
         """The row rule for every line the C reader does not parse.
 
-        Blank rows are ignored.  A row of the wrong width, or with a field
-        that float() or int() rejects, is malformed.  Non-finite values and
-        the drogue flag are judged later, for all rows at once.
+        Blank rows are ignored.  A row of the wrong width, with a field
+        that float() or int() rejects, or with a non-finite value is
+        skipped; a row with a drogue flag other than 0 is dropped.
         """
         if not row or all(not f.strip() for f in row):
             return
         self.total += 1
         if len(row) != self.width:
-            self.malformed += 1
+            self.skipped += 1
             return
         try:
             t, lon, lat = float(row[1]), float(row[2]), float(row[3])
-            drogued = int(row[4]) != 0 if self.width == 5 else False
+            drogued = self.width == 5 and int(row[4]) != 0
         except ValueError:
-            self.malformed += 1
+            self.skipped += 1
             return
-        code = self.codes.setdefault(row[0].strip(), len(self.codes))
-        self.rows.append((code, line, t, lon, lat, drogued))
+        if not (math.isfinite(t) and math.isfinite(lon) and math.isfinite(lat)):
+            self.skipped += 1
+        elif drogued:
+            self.drogued += 1
+        else:
+            n = self.n
+            self.code[n] = self.codes.setdefault(row[0].strip(), len(self.codes))
+            self.t[n], self.lon[n], self.lat[n] = t, lon, lat
+            self.n = n + 1
 
-    def columns(self) -> list[np.ndarray]:
-        """(code, line, t, lon, lat, drogued) over all rows."""
-        dtypes = (np.int64, np.int64, float, float, float, bool)
-        runs = list(self.runs)
-        if self.rows:
-            runs.append(tuple(np.array(col, dtype=dt)
-                              for col, dt in zip(zip(*self.rows), dtypes)))
-        if not runs:
-            return [np.empty(0, dtype=dt) for dt in dtypes]
-        return [np.concatenate(col) for col in zip(*runs)]
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(code, t, lon, lat) of the accepted rows; the columns leave this object."""
+        columns = tuple(col[:self.n] for col in (self.code, self.t, self.lon, self.lat))
+        del self.code, self.t, self.lon, self.lat
+        return columns
 
 
 def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
-    """Filter, sort and split the parsed rows into per-drifter tracks."""
-    code, line, t, lon, lat, drogued = rows.columns()
-    finite = np.isfinite(t) & np.isfinite(lon) & np.isfinite(lat)
-    keep = finite & ~drogued
+    """Sort the accepted rows by (id, time) and split them into per-drifter tracks.
+
+    Each column is rebound as soon as its successor exists, so at most one
+    column is held twice.
+    """
     report = ParseReport(
         total_rows=rows.total,
-        valid_rows=int(np.count_nonzero(keep)),
-        skipped_rows=rows.malformed + int(np.count_nonzero(~finite)),
-        drogued_dropped=int(np.count_nonzero(finite & drogued)),
+        valid_rows=rows.n,
+        skipped_rows=rows.skipped,
+        drogued_dropped=rows.drogued,
     )
     if report.valid_rows == 0:
         raise ConfigError(f"{path}: no valid trajectory rows")
@@ -308,16 +330,24 @@ def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
 
     names = list(rows.codes)
     by_name = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
+    rank = np.empty(len(names), dtype=np.int32)
     rank[by_name] = np.arange(len(names))
-    key, t, lon, lat = rank[code[keep]], t[keep], lon[keep], lat[keep]
-    # Equal times stay in file order, so the first of them is kept.
-    order = np.lexsort((line[keep], t, key))
-    key, t, lon, lat = key[order], t[order], lon[order], lat[order]
+    code, t, lon, lat = rows.take()
+    key = rank[code]
+    del code
+    # The rows are in file order and lexsort is stable, so equal times stay
+    # in file order and the first of them is kept.
+    order = np.lexsort((t, key))
+    key = key[order]
+    t = t[order]
     repeat = (key[1:] == key[:-1]) & (t[1:] == t[:-1])
     report.duplicate_times = int(np.count_nonzero(repeat))
     first = np.concatenate(([True], ~repeat))
-    key, t, lon, lat = key[first], t[first], lon[first], lat[first]
+    order = order[first]
+    key = key[first]
+    t = t[first]
+    lon = lon[order]
+    lat = lat[order]
 
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
     trajectories = [

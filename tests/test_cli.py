@@ -75,6 +75,14 @@ def report_dict(path):
     return out
 
 
+def set_keys(path, **values):
+    """Rewrite a `key = value` config file with ``values`` in place of those keys."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+             if line.partition("=")[0].strip() not in values]
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -241,10 +249,25 @@ class TestBuild:
         # consecutive sample pair becomes a transition: one fewer per track
         total = sum(int(rep[f"pairs_{s}"]) for s in ("W", "S", "SF"))
         assert int(rep["total_pairs"]) == total == valid - 60
+        assert int(rep["total_rows"]) == data_rows
         assert float(rep["annual_transition_days"]) == 360.0
         for s in ("W", "S", "SF"):
             assert 0.0 <= float(rep[f"empty_row_fraction_{s}"]) < 1.0
             assert float(rep[f"row_sum_max_{s}"]) <= 1.0 + 1e-12
+            nnz = ulam.load_matrix(case / f"matrix_{s}.txt").matrix.nnz
+            assert int(rep[f"nnz_{s}"]) == nnz > 0
+
+    def test_report_counts_rows_the_parse_skips(self, case, tmp_path):
+        copy = tmp_path / "case"
+        shutil.copytree(case, copy)
+        with open(copy / "trajectories.csv", "a", encoding="utf-8") as fh:
+            fh.write("\nd0,x,40.5,-29.5\nd0,5,nan,-29.5\n")
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 0, all_output(r)
+        rep, before = report_dict(copy / "build_report.txt"), report_dict(case / "build_report.txt")
+        assert int(rep["total_rows"]) == int(before["total_rows"]) + 2
+        assert rep["skipped_rows"] == "2"
+        assert rep["valid_rows"] == before["valid_rows"]
 
     def test_estimates_are_plausible(self, case):
         # recurrent truth kernels keep every row sampled all year round
@@ -267,6 +290,43 @@ class TestBuild:
     def test_missing_config_file(self, tmp_path):
         r = invoke(["build", "--config", str(tmp_path / "nope.cfg")])
         assert r.exit_code == 2
+
+
+class TestNonFiniteSettings:
+    """NaN and infinite settings exit 2 before any artifact is written."""
+
+    @pytest.fixture
+    def copy(self, case, tmp_path):
+        dst = tmp_path / "case"
+        shutil.copytree(case, dst)
+        return dst
+
+    def test_nan_lag_rejected(self, copy):
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        r = invoke(["build", "--config", str(copy / "run.cfg"), "--lag-days", "nan"])
+        assert r.exit_code == 2
+        assert "lag_days must be finite" in all_output(r)
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    @pytest.mark.parametrize("key", ["eigen_tol", "basin_threshold"])
+    def test_nan_spectral_setting_rejected(self, copy, key):
+        # A short iteration cap keeps a solve that ignores the NaN brief.
+        set_keys(copy / "run.cfg", eigen_max_iter=50, **{key: "nan"})
+        r = invoke(["spectral", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{key} must be finite" in all_output(r)
+
+    def test_nan_basin_threshold_flag_rejected(self, copy):
+        r = invoke(["spectral", "--config", str(copy / "run.cfg"), "--basin-threshold", "nan"])
+        assert r.exit_code == 2
+        assert "basin_threshold must be finite" in all_output(r)
+
+    @pytest.mark.parametrize("key, value", [("cell_size", "nan"), ("lon_max", "inf")])
+    def test_non_finite_grid_rejected(self, copy, key, value):
+        set_keys(copy / "grid.cfg", **{key: value})
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert "must be finite" in all_output(r)
 
 
 class TestSpectral:

@@ -102,6 +102,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(eigen_tol=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["lag_days", "eigen_tol", "basin_threshold"])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RunConfig(**{key: value})
+
     def test_malformed_number_reported(self, tmp_path):
         bad = write_config(tmp_path, "lag_days = five\n")
         with pytest.raises(ConfigError):

@@ -112,6 +112,18 @@ def test_cell_size_must_divide_extent():
         build_grid((0.0, 1.0, 0.0, 1.0), cell_size=-0.5)
 
 
+@pytest.mark.parametrize("bounds, cell", [
+    ((0.0, 1.0, 0.0, 1.0), float("nan")),
+    ((0.0, 1.0, 0.0, 1.0), float("inf")),
+    ((0.0, float("inf"), 0.0, 1.0), 0.5),
+    ((float("-inf"), 1.0, 0.0, 1.0), 0.5),
+    ((0.0, 1.0, float("nan"), 1.0), 0.5),
+])
+def test_non_finite_bounds_or_cell_rejected(bounds, cell):
+    with pytest.raises(ConfigError, match="must be finite"):
+        build_grid(bounds, cell_size=cell)
+
+
 def test_box_area_against_quadrature(square_grid):
     # Sphere-rectangle areas should agree with numerical quadrature.
     for state in (0, 5, 15):

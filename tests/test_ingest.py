@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -262,6 +263,77 @@ def test_parse_keeps_first_of_duplicate_times_across_paths(tmp_path):
     (traj,), report = parse_trajectories(path)
     assert traj.lons.tolist() == [40.0, 42.0]
     assert report.duplicate_times == 1
+
+
+def assert_matches_oracle(path, got, report):
+    want, counts = oracles.row_by_row_parse(path)
+    assert vars(report) == counts
+    assert [t.drifter_id for t in got] == [w[0] for w in want]
+    for traj, (_, times, lons, lats) in zip(got, want):
+        for a, b in ((traj.times, times), (traj.lons, lons), (traj.lats, lats)):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def archive_text(rng, n_rows: int) -> str:
+    """A drogued-column archive with bad, quoted and non-finite lines in many blocks.
+
+    Times sit on a coarse grid, so many fixes of a drifter share a time.
+    """
+    ids = [f"D{k:03d}" for k in range(200)]
+    who = rng.integers(0, len(ids), n_rows).tolist()
+    times = (rng.integers(0, 1000, n_rows) * 0.25).tolist()
+    lons = rng.uniform(40.0, 46.0, n_rows).round(5).tolist()
+    lats = rng.uniform(-30.0, -28.0, n_rows).round(5).tolist()
+    flags = (rng.random(n_rows) < 0.02).astype(int).tolist()
+    odd = {k: str(rng.choice(["quoted", "short", "text", "nan", "blank"]))
+           for k in rng.choice(n_rows, n_rows // 300, replace=False).tolist()}
+    lines = ["id,time_days,lon,lat,drogued"]
+    for k, (d, t, x, y, g) in enumerate(zip(who, times, lons, lats, flags)):
+        name = ids[d]
+        kind = odd.get(k)
+        if kind == "quoted":
+            name = f'"{name}"'
+        elif kind == "short":
+            lines.append(f"{name},{t},{x}")
+            continue
+        elif kind == "blank":
+            lines.append("")
+            continue
+        lines.append(f"{name},{'x' if kind == 'text' else t},{'nan' if kind == 'nan' else x},"
+                     f"{y},{g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_peak_memory_is_bounded_by_its_tracks(tmp_path):
+    # Rows are written once into preallocated columns; the peak holds the
+    # columns and one sort permutation, not per-run arrays and row tuples.
+    path = tmp_path / "archive.csv"
+    path.write_text(archive_text(np.random.default_rng(5), 50_000), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got, report = parse_trajectories(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(tr.times.nbytes + tr.lons.nbytes + tr.lats.nbytes for tr in got)
+    assert report.skipped_rows > 50 and report.duplicate_times > 1000
+    assert peak - base <= 3.5 * returned
+    assert_matches_oracle(path, got, report)
+
+
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_rows_may_fill_every_line_break(tmp_path, ending):
+    # Without a final line break every break ends a data row, so the rows
+    # fill the columns sized from the break count exactly.
+    rows = [f"d{k % 3},{k},40.5,-29.5" for k in range(50)]
+    path = tmp_path / "t.csv"
+    path.write_bytes(ending.join(["id,time_days,lon,lat", *rows]).encode())
+    assert ingest._line_breaks(path) == len(rows)
+    got, report = parse_trajectories(path)
+    assert report.valid_rows == len(rows)
+    assert_matches_oracle(path, got, report)
 
 
 def _jittered_tracks(rng, dyadic: bool):
