@@ -29,7 +29,6 @@ from .errors import (
 from .grid import OUT_OF_DOMAIN, GridCovering, StateRoles, build_grid, load_roles, load_wet_mask
 from .ingest import (
     Season,
-    SeasonCalendar,
     Trajectory,
     TransitionPairs,
     extract_pairs,
@@ -70,7 +69,7 @@ __all__ = [
     "ZeroEvidenceError",
     "OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
     "load_wet_mask",
-    "Season", "SeasonCalendar", "Trajectory", "TransitionPairs", "extract_pairs",
+    "Season", "Trajectory", "TransitionPairs", "extract_pairs",
     "parse_trajectories", "season_split",
     "PathResult", "PathSet", "most_probable_path", "path_to_geojson",
     "unconstrained_best_path",

@@ -48,9 +48,9 @@ class Observation:
     def __post_init__(self):
         if self.target_label < 1:
             raise ConfigError(f"target label must be >= 1, got {self.target_label}")
-        if self.days_since_crash <= 0:
+        if not (math.isfinite(self.days_since_crash) and self.days_since_crash > 0):
             raise ConfigError(
-                f"days_since_crash must be positive, got {self.days_since_crash}"
+                f"days_since_crash must be positive and finite, got {self.days_since_crash}"
             )
 
     def steps(self, transition_time: float) -> int:

@@ -182,7 +182,7 @@ def build(config_path, out_dir, lag_days, crash_date):
 @config_options
 @click.option("--basin-threshold", default=None, type=float,
               help="Right-eigenvector level defining the basin (default 0.5).")
-@click.option("--k-eigs", default=2, type=int, show_default=True,
+@click.option("--k-eigs", default=2, type=click.IntRange(min=1), show_default=True,
               help="Number of eigenpairs to compute.")
 @handle_errors
 def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
@@ -434,6 +434,8 @@ def _read_distribution(path, n: int) -> np.ndarray:
                 raise ConfigError(f"{path}:{lineno}: malformed row") from None
             if not 0 <= s < n:
                 raise ConfigError(f"{path}:{lineno}: state {s} outside 0..{n - 1}")
+            if not np.isfinite(m):
+                raise ConfigError(f"{path}:{lineno}: mass {m_str.strip()!r} is not finite")
             f[s] += m
     if f.min() < 0:
         raise ConfigError(f"{path}: distribution has negative mass")
@@ -459,8 +461,6 @@ def synth_cmd(spec_path, out_dir, seed):
     lag = spec.sample_interval_days
     run = RunConfig(lag_days=lag, crash_date=spec.start_date, seed=spec.seed,
                     season_exponent=round(SEASON_BLOCK_DAYS / lag))
-    if spec.sample_observations > 0 and spec.source_state is None:
-        raise ConfigError("sample_observations requires source_state")
     g = spec.grid()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

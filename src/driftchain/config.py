@@ -60,6 +60,10 @@ class RunConfig:
                 f"season_exponent x lag_days must equal {SEASON_BLOCK_DAYS:g} days "
                 f"(one season block), got {self.season_exponent} x {self.lag_days} = {block:g}"
             )
+        # Right vectors peak at exactly 1, so a threshold of 1 or more
+        # leaves the basin empty.
+        if self.basin_threshold >= 1:
+            raise ConfigError(f"basin_threshold must be below 1, got {self.basin_threshold}")
         if not 0 < self.cpi_level < 1:
             raise ConfigError(f"cpi_level must be in (0, 1), got {self.cpi_level}")
         if self.window_steps < 0:

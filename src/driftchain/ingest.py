@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from itertools import chain, islice
@@ -44,7 +44,9 @@ class Season(Enum):
 #: Season order behind the ``TransitionPairs.season`` codes.
 SEASONS = tuple(Season)
 
-_DEFAULT_MONTHS = {
+#: The monsoon calendar, month number to season.  The annual map's W, SF,
+#: S, SF factor order (``ulam.annual_operator``) is only right for it.
+MONTH_SEASONS = {
     1: Season.W, 2: Season.W, 3: Season.W,
     4: Season.SF, 5: Season.SF, 6: Season.SF,
     7: Season.S, 8: Season.S, 9: Season.S,
@@ -52,30 +54,9 @@ _DEFAULT_MONTHS = {
 }
 
 
-@dataclass(frozen=True)
-class SeasonCalendar:
-    """Total month-to-season mapping with 3 W, 3 S and 6 SF months."""
-
-    month_to_season: dict[int, Season] = field(default_factory=lambda: dict(_DEFAULT_MONTHS))
-
-    def __post_init__(self):
-        if sorted(self.month_to_season) != list(range(1, 13)):
-            raise ConfigError("season calendar must map every month 1..12")
-        counts = {s: 0 for s in Season}
-        for s in self.month_to_season.values():
-            counts[s] += 1
-        if counts != {Season.W: 3, Season.S: 3, Season.SF: 6}:
-            raise ConfigError(f"season calendar must have 3 W, 3 S and 6 SF months, got {counts}")
-
-    def season_of_month(self, month: int) -> Season:
-        return self.month_to_season[month]
-
-    def season_of_date(self, d: date) -> Season:
-        return self.month_to_season[d.month]
-
-    def season_of_day(self, day: float, epoch: date = DEFAULT_EPOCH) -> Season:
-        """Season of a fractional day-since-epoch timestamp."""
-        return self.season_of_date(epoch + timedelta(days=math.floor(day)))
+def season_of_day(day: float, epoch: date = DEFAULT_EPOCH) -> Season:
+    """Season of a fractional day-since-epoch timestamp."""
+    return MONTH_SEASONS[(epoch + timedelta(days=math.floor(day))).month]
 
 
 @dataclass(frozen=True)
@@ -362,7 +343,6 @@ def extract_pairs(
     trajectories: list[Trajectory],
     g: GridCovering,
     transition_time: float,
-    calendar: SeasonCalendar | None = None,
     epoch: date = DEFAULT_EPOCH,
 ) -> TransitionPairs:
     """Extract non-overlapping lag-T transition pairs from the tracks.
@@ -376,7 +356,6 @@ def extract_pairs(
     """
     if transition_time <= 0:
         raise ValueError(f"transition_time must be positive, got {transition_time}")
-    calendar = calendar or SeasonCalendar()
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
     parts = [empty] + [_batch_pairs(batch, g, transition_time) for batch in _batches(trajectories)]
     from_state, to_state, start_date = (np.concatenate(col) for col in zip(*parts))
@@ -384,7 +363,7 @@ def extract_pairs(
         from_state=from_state,
         to_state=to_state,
         start_date=start_date,
-        season=_season_codes(start_date, calendar, epoch),
+        season=_season_codes(start_date, epoch),
     )
     if not len(pairs):
         log.warning("extract_pairs produced no pairs")
@@ -458,11 +437,11 @@ def _walk(opens: np.ndarray, match: np.ndarray, lo: list[int], hi: list[int]) ->
     return np.asarray(starts, dtype=np.int64)
 
 
-def _season_codes(start_date: np.ndarray, calendar: SeasonCalendar, epoch: date) -> np.ndarray:
+def _season_codes(start_date: np.ndarray, epoch: date) -> np.ndarray:
     """``SEASONS`` index of each start, looked up once per calendar day."""
     days, inverse = np.unique(np.floor(start_date), return_inverse=True)
     code = {s: i for i, s in enumerate(SEASONS)}
-    table = np.array([code[calendar.season_of_day(d, epoch)] for d in days.tolist()],
+    table = np.array([code[season_of_day(d, epoch)] for d in days.tolist()],
                      dtype=np.int8)
     return table[inverse]
 

@@ -13,13 +13,13 @@ absorption and path modules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import scipy.sparse as sparse
 
 from .absorb import AugmentedChain
-from .ingest import DEFAULT_EPOCH, Season, SeasonCalendar
+from .ingest import DEFAULT_EPOCH, Season, season_of_day
 
 
 class ChainSchedule:
@@ -85,7 +85,6 @@ class SeasonalSchedule(ChainSchedule):
 
     chains: dict[Season, AugmentedChain]
     start_date: date = DEFAULT_EPOCH
-    calendar: SeasonCalendar = field(default_factory=SeasonCalendar)
 
     def __post_init__(self):
         missing = [s for s in Season if s not in self.chains]
@@ -107,7 +106,7 @@ class SeasonalSchedule(ChainSchedule):
     def season_of_step(self, k: int) -> Season:
         if k < 0:
             raise ValueError("step index must be nonnegative")
-        return self.calendar.season_of_day(k * self.transition_time, self.start_date)
+        return season_of_day(k * self.transition_time, self.start_date)
 
     def matrix_for_step(self, k: int) -> sparse.csr_matrix:
         return self.chains[self.season_of_step(k)].matrix

@@ -78,22 +78,17 @@ class BasinResult:
         return self.transition_time / (1.0 - self.lambda_b)
 
 
-def _as_csr(p) -> sparse.csr_matrix:
-    m = getattr(p, "matrix", p)
-    if sparse.issparse(m):
-        return m.tocsr()
-    return sparse.csr_matrix(np.asarray(m, dtype=float))
-
-
 @dataclass(frozen=True)
 class _Restricted:
     """``op`` restricted to the member rows and columns, never sliced out.
 
     ``sub @ x`` applies ``op`` to x placed on the members (zero elsewhere)
-    and reads the member rows of the result.
+    and reads the member rows of the result.  For a CSR ``op`` the zeros
+    add nothing, so this equals the product with the sliced matrix bit
+    for bit.
     """
 
-    op: AnnualOperator
+    op: AnnualOperator | sparse.spmatrix
     members: np.ndarray
 
     @property
@@ -114,12 +109,10 @@ def _as_operator(p):
     """``p`` itself if it is an operator applied factor by factor, else its CSR matrix."""
     if isinstance(p, (AnnualOperator, _Restricted)):
         return p
-    return _as_csr(p)
-
-
-def _transpose(mat):
-    """The operator whose iteration gives the left side of ``mat``."""
-    return mat.T.tocsr() if sparse.issparse(mat) else mat.T
+    m = getattr(p, "matrix", p)
+    if sparse.issparse(m):
+        return m.tocsr()
+    return sparse.csr_matrix(np.asarray(m, dtype=float))
 
 
 def _start_block(n: int, width: int, seed: int) -> np.ndarray:
@@ -212,7 +205,7 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
     n = mat.shape[0]
     k_eff = min(k, n)
 
-    lv, lvec, lres, lits = _subspace_iterate(_transpose(mat), k_eff, tol, max_iter, seed)
+    lv, lvec, lres, lits = _subspace_iterate(mat.T, k_eff, tol, max_iter, seed)
     rv, rvec, rres, rits = _subspace_iterate(mat, k_eff, tol, max_iter, seed)
 
     left_rows = np.vstack([_tidy_vector(lvec[:, i], left=True) for i in range(k_eff)])
@@ -261,10 +254,8 @@ def retention_time(p, members: np.ndarray, transition_time: float,
     if members.size == 0:
         raise ValueError("retention time of an empty set is undefined")
     lam = _restricted_modulus(p, members, tol, max_iter, seed)
-    if lam >= 1.0:
-        log.info("restricted eigenvalue %.6g >= 1: closed set, infinite retention", lam)
-        return math.inf
-    return transition_time / (1.0 - lam)
+    # The set was not picked by a threshold, hence NaN in that field.
+    return BasinResult(members, math.nan, lam, transition_time).retention_time
 
 
 def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
@@ -283,11 +274,9 @@ def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
     members = basin_of_attraction(r, threshold)
     if members.size == 0:
         log.warning("no states exceed the basin threshold %.3g", threshold)
-        return BasinResult(
-            members=members, threshold=threshold, lambda_b=float("nan"),
-            transition_time=_transition_time_of(tm),
-        )
-    lam = _restricted_modulus(tm, members, tol, max_iter, seed)
+        lam = math.nan
+    else:
+        lam = _restricted_modulus(tm, members, tol, max_iter, seed)
     return BasinResult(
         members=members, threshold=threshold, lambda_b=lam,
         transition_time=_transition_time_of(tm),
@@ -299,22 +288,15 @@ def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
     """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns.
 
     A restriction with no entries has lambda_B = 0: everything leaves
-    after one step.  An operator is restricted without slicing it; its
-    entries are nonnegative, so the restriction is empty when it maps the
-    ones vector to zero.
+    after one step.  Entries are nonnegative, so the restriction is empty
+    when it maps the ones vector to zero.
     """
-    mat = _as_operator(p)
-    if sparse.issparse(mat):
-        sub = mat[np.ix_(members, members)].tocsr()
-        if sub.nnz == 0:
-            return 0.0
-    else:
-        sub = _Restricted(mat, members)
-        if not (sub @ np.ones(len(members))).any():
-            return 0.0
+    sub = _Restricted(_as_operator(p), members)
+    if not (sub @ np.ones(len(members))).any():
+        return 0.0
     # lambda_B is a left eigenvalue modulus, so only the left side is iterated;
     # the values equal dominant_eigs(sub, k=1).moduli[0] bit for bit.
-    vals, _, resid, its = _subspace_iterate(_transpose(sub), 1, tol, max_iter, seed)
+    vals, _, resid, its = _subspace_iterate(sub.T, 1, tol, max_iter, seed)
     if resid[0] > tol:
         log.warning(
             "eigensolver: restricted eigenvalue unconverged after %d iterations "

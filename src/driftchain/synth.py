@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridCovering, build_grid
-from .ingest import DEFAULT_EPOCH, SEASONS, Season, SeasonCalendar, TransitionPairs
+from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import ChainSchedule
 
 _ROW_TOL = 1e-12
@@ -63,8 +63,15 @@ class SyntheticSpec:
             validate_kernel(k, str(season))
         if self.n_drifters < 0:
             raise ConfigError("n_drifters must be nonnegative")
-        if self.sample_interval_days <= 0:
-            raise ConfigError("sample interval must be positive")
+        if not (math.isfinite(self.sample_interval_days) and self.sample_interval_days > 0):
+            raise ConfigError("sample interval must be positive and finite")
+        if not math.isfinite(self.duration_days):
+            raise ConfigError(f"duration_days must be finite, got {self.duration_days}")
+        if self.sample_observations > 0:
+            if self.source_state is None:
+                raise ConfigError("sample_observations requires source_state")
+            if self.max_observation_steps < 1:
+                raise ConfigError("max_observation_steps must be at least 1 to sample observations")
 
     @property
     def n_states(self) -> int:
@@ -198,7 +205,7 @@ class SimulatedTrack:
     states: np.ndarray  # -1 marks the final out-of-domain sample
 
 
-def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None) -> list[SimulatedTrack]:
+def simulate_tracks(spec: SyntheticSpec) -> list[SimulatedTrack]:
     """Walk virtual drifters through the true seasonal kernels.
 
     Each drifter starts in a uniform random box at a random step-aligned
@@ -207,7 +214,6 @@ def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None)
     the domain before vanishing.  A move costs O(log r) for r the longest
     row's nonzero count (see ``_draw_table``).
     """
-    calendar = calendar or SeasonCalendar()
     g = spec.grid()
     rng = np.random.default_rng(spec.seed)
     dt = spec.sample_interval_days
@@ -216,7 +222,7 @@ def simulate_tracks(spec: SyntheticSpec, calendar: SeasonCalendar | None = None)
     out_lon = g.lon_max + spec.cell_size
     out_lat = (g.lat_min + g.lat_max) / 2.0
     tables = {s: _draw_table(spec.kernels[s]) for s in Season}
-    step_tables = [tables[calendar.season_of_day(step * dt, spec.start_date)]
+    step_tables = [tables[season_of_day(step * dt, spec.start_date)]
                    for step in range(max_steps)]
     tracks = []
     for did in range(spec.n_drifters):

@@ -27,9 +27,6 @@ log = logging.getLogger(__name__)
 
 VALID_LABELS = ("W", "S", "SF", "annual", "pooled")
 
-#: Entries below this magnitude are dropped when multiplying matrices.
-DEFAULT_PRUNE_TOL = 1e-15
-
 _ROW_SUM_TOL = 1e-12
 
 
@@ -131,65 +128,21 @@ def estimate(
     return tm
 
 
-def _pruned(m: sparse.csr_matrix, prune_tol: float) -> sparse.csr_matrix:
-    if prune_tol > 0 and m.nnz:
-        m.data[np.abs(m.data) < prune_tol] = 0.0
-        m.eliminate_zeros()
-    m.sort_indices()
-    return m
-
-
-def _matmul(a: sparse.csr_matrix, b: sparse.csr_matrix, prune_tol: float) -> sparse.csr_matrix:
-    return _pruned((a @ b).tocsr(), prune_tol)
-
-
-def _matpow(m: sparse.csr_matrix, e: int, prune_tol: float) -> sparse.csr_matrix:
-    result = None
-    base = m
-    while e > 0:
-        if e & 1:
-            result = base.copy() if result is None else _matmul(result, base, prune_tol)
-        e >>= 1
-        if e:
-            base = _matmul(base, base, prune_tol)
-    return result
-
-
-def _shared_transition_time(p_w: TransitionMatrix, p_s: TransitionMatrix,
-                            p_sf: TransitionMatrix, exponent: int) -> float:
-    """Check that the seasonal matrices fit one annual map; return their lag."""
-    if exponent < 1:
-        raise ValueError("exponent must be at least 1")
-    n = p_w.n_states
-    t = p_w.transition_time
-    for other in (p_s, p_sf):
-        if other.n_states != n:
-            raise ValueError("seasonal matrices must share the state count")
-        if other.transition_time != t:
-            raise ValueError("seasonal matrices must share the transition time")
-    return t
-
-
 def compose_annual(
     p_w: TransitionMatrix,
     p_s: TransitionMatrix,
     p_sf: TransitionMatrix,
     exponent: int = 18,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
 ) -> TransitionMatrix:
-    """Compose the season-aware annual matrix P_W^e * P_SF^e * P_S^e * P_SF^e.
+    """The annual matrix P_W^e * P_SF^e * P_S^e * P_SF^e, materialised.
 
-    The factor order is fixed; with the default exponent 18 and 5-day
-    seasonal matrices the composite advances one 360-day year.  Entries
-    below ``prune_tol`` are dropped after each product to bound fill-in.
-    The product fills in and is nearly dense on a well-mixed chain; the
-    CLI applies :func:`annual_operator` instead.
+    It is :func:`annual_operator` applied to the identity, so forming it
+    costs n_states^2 floats whatever its fill; the CLI applies the operator
+    instead.  With the default exponent 18 and 5-day seasonal matrices the
+    composite advances one 360-day year.
     """
-    t = _shared_transition_time(p_w, p_s, p_sf, exponent)
-    w_e = _matpow(p_w.matrix, exponent, prune_tol)
-    s_e = _matpow(p_s.matrix, exponent, prune_tol)
-    sf_e = _matpow(p_sf.matrix, exponent, prune_tol)
-    annual = _matmul(_matmul(_matmul(w_e, sf_e, prune_tol), s_e, prune_tol), sf_e, prune_tol)
+    op = annual_operator(p_w, p_s, p_sf, exponent)
+    annual = sparse.csr_matrix(op @ np.eye(op.n_states))
     # Products of substochastic factors are substochastic up to roundoff;
     # clamp stray ulps so the row-sum invariant holds exactly.
     sums = np.asarray(annual.sum(axis=1)).ravel()
@@ -200,7 +153,7 @@ def compose_annual(
         annual = sparse.diags(scale).dot(annual).tocsr()
     return TransitionMatrix(
         matrix=annual,
-        transition_time=4 * exponent * t,
+        transition_time=op.transition_time,
         label="annual",
         row_counts=None,
     )
@@ -249,14 +202,22 @@ def annual_operator(
     p_sf: TransitionMatrix,
     exponent: int = 18,
 ) -> AnnualOperator:
-    """The operator form of :func:`compose_annual`: same map, no pruning.
+    """The annual map P_W^e * P_SF^e * P_S^e * P_SF^e over the seasonal matrices.
 
-    The operator refers to the seasonal matrices; it copies none of them.
+    The factor order is fixed by the monsoon calendar's year, which starts
+    in winter.  The operator refers to the seasonal matrices; it copies
+    none of them.
     """
-    t = _shared_transition_time(p_w, p_s, p_sf, exponent)
+    if exponent < 1:
+        raise ValueError("exponent must be at least 1")
+    for other in (p_s, p_sf):
+        if other.n_states != p_w.n_states:
+            raise ValueError("seasonal matrices must share the state count")
+        if other.transition_time != p_w.transition_time:
+            raise ValueError("seasonal matrices must share the transition time")
     sf = p_sf.matrix
     return AnnualOperator(factors=(p_w.matrix, sf, p_s.matrix, sf), exponent=exponent,
-                          transition_time=4 * exponent * t)
+                          transition_time=4 * exponent * p_w.transition_time)
 
 
 def propagate(f: np.ndarray,

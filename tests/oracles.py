@@ -382,10 +382,10 @@ def sample_by_sample_pairs(tracks, g, transition_time, season_of_day):
     return pairs
 
 
-def dense_walk_tracks(spec, calendar):
+def dense_walk_tracks(spec, season_of_day):
     """Drifter walks that draw each move by scanning the dense kernel row.
 
-    Consumes the RNG stream in the order ``synth.simulate_tracks`` does
+    ``season_of_day(day, start_date)`` names the kernel of each step.  Consumes the RNG stream in the order ``synth.simulate_tracks`` does
     and returns one (times, lons, lats, states) tuple per drifter.
     """
     g = spec.grid()
@@ -417,7 +417,7 @@ def dense_walk_tracks(spec, calendar):
             samples.append((step * dt, *position(state), state))
             if step == max_steps:
                 break
-            season = calendar.season_of_day(step * dt, spec.start_date)
+            season = season_of_day(step * dt, spec.start_date)
             state = move(spec.kernels[season][state])
             step += 1
         if state < 0 and step <= max_steps:

@@ -70,6 +70,9 @@ class TestSteps:
             Observation(target_label=0, days_since_crash=10.0)
         with pytest.raises(ConfigError):
             Observation(target_label=1, days_since_crash=-3.0)
+        for days in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                Observation(target_label=1, days_since_crash=days)
 
 
 def test_bundled_observation_table():

@@ -120,6 +120,18 @@ def case(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("cli_case"))
 
 
+@pytest.fixture
+def copy(case, tmp_path):
+    """A private copy of the full case, free to modify."""
+    dst = tmp_path / "case"
+    shutil.copytree(case, dst)
+    return dst
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 @pytest.fixture(scope="module")
 def bare_case(tmp_path_factory):
     """Synth output with no observations and no build artifacts."""
@@ -221,6 +233,19 @@ class TestSynth:
         assert "season_exponent x lag_days must equal 90 days" in all_output(r)
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"duration_days": float("nan")}, "duration_days must be finite"),
+        ({"duration_days": float("inf")}, "duration_days must be finite"),
+        ({"max_observation_steps": 0}, "max_observation_steps must be at least 1"),
+    ])
+    def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(SPEC, **changes)), encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+        assert r.exit_code == 2
+        assert message in all_output(r)
+        assert not (tmp_path / "a").exists()
+
     def test_no_observations_file_when_none_requested(self, bare_case):
         assert not (bare_case / "observations.csv").exists()
         assert "observations" not in (bare_case / "run.cfg").read_text(encoding="utf-8")
@@ -295,12 +320,6 @@ class TestBuild:
 class TestNonFiniteSettings:
     """NaN and infinite settings exit 2 before any artifact is written."""
 
-    @pytest.fixture
-    def copy(self, case, tmp_path):
-        dst = tmp_path / "case"
-        shutil.copytree(case, dst)
-        return dst
-
     def test_nan_lag_rejected(self, copy):
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
         r = invoke(["build", "--config", str(copy / "run.cfg"), "--lag-days", "nan"])
@@ -327,6 +346,48 @@ class TestNonFiniteSettings:
         r = invoke(["build", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert "must be finite" in all_output(r)
+
+
+class TestOutOfRangeInputs:
+    """Inputs no command can use exit 2 before any artifact is written."""
+
+    @pytest.mark.parametrize("threshold", ["1", "5"])
+    def test_threshold_that_empties_the_basin_rejected(self, copy, threshold):
+        # right vectors peak at exactly 1, so no state exceeds 1 or more
+        before = snapshot(copy)
+        r = invoke(["spectral", "--config", str(copy / "run.cfg"),
+                    "--basin-threshold", threshold])
+        assert r.exit_code == 2
+        assert "basin_threshold must be below 1" in all_output(r)
+        assert snapshot(copy) == before
+
+    def test_zero_eigenpairs_rejected(self, copy):
+        before = snapshot(copy)
+        r = invoke(["spectral", "--config", str(copy / "run.cfg"), "--k-eigs", "0"])
+        assert r.exit_code == 2
+        assert "--k-eigs" in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("command", ["bayes", "paths"])
+    @pytest.mark.parametrize("days", ["nan", "inf"])
+    def test_non_finite_observation_days_rejected(self, copy, command, days):
+        (copy / "observations.csv").write_text(
+            f"target_label,days_since_crash,name\n1,{days},bad\n", encoding="utf-8")
+        before = snapshot(copy)
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert "days_since_crash must be positive and finite" in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_initial_mass_rejected(self, copy, tmp_path, mass):
+        init = tmp_path / "init.csv"
+        init.write_text(f"state,mass\n1,0\n0,{mass}\n", encoding="utf-8")
+        before = snapshot(copy)
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init)])
+        assert r.exit_code == 2
+        assert f"{init}:3: mass '{mass}' is not finite" in all_output(r)
+        assert snapshot(copy) == before
 
 
 class TestSpectral:

@@ -10,12 +10,13 @@ from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN, build_grid
 from driftchain.ingest import (
     DEFAULT_EPOCH,
+    MONTH_SEASONS,
     SEASONS,
     Season,
-    SeasonCalendar,
     Trajectory,
     extract_pairs,
     parse_trajectories,
+    season_of_day,
     season_split,
 )
 
@@ -93,27 +94,20 @@ class TestParse:
 
 class TestSeasonCalendar:
     def test_default_layout(self):
-        cal = SeasonCalendar()
-        assert cal.season_of_month(1) is Season.W
-        assert cal.season_of_month(7) is Season.S
-        assert cal.season_of_month(4) is Season.SF
-        assert cal.season_of_month(10) is Season.SF
+        assert MONTH_SEASONS[1] is Season.W
+        assert MONTH_SEASONS[7] is Season.S
+        assert MONTH_SEASONS[4] is Season.SF
+        assert MONTH_SEASONS[10] is Season.SF
+        seasons = [MONTH_SEASONS[m] for m in range(1, 13)]
+        assert [seasons.count(s) for s in (Season.W, Season.S, Season.SF)] == [3, 3, 6]
 
     def test_day_offsets_from_epoch(self):
-        cal = SeasonCalendar()
         assert DEFAULT_EPOCH == date(2014, 3, 8)
-        assert cal.season_of_day(0.0) is Season.W       # March 8
-        assert cal.season_of_day(23.9) is Season.W      # March 31
-        assert cal.season_of_day(24.0) is Season.SF     # April 1
-        assert cal.season_of_day(115.0) is Season.S     # July 1
-        assert cal.season_of_day(360.0) is Season.W     # ~March again
-
-    def test_invalid_calendars_rejected(self):
-        months = {m: Season.W for m in range(1, 13)}
-        with pytest.raises(ConfigError):
-            SeasonCalendar(month_to_season=months)
-        with pytest.raises(ConfigError):
-            SeasonCalendar(month_to_season={1: Season.W})
+        assert season_of_day(0.0) is Season.W       # March 8
+        assert season_of_day(23.9) is Season.W      # March 31
+        assert season_of_day(24.0) is Season.SF     # April 1
+        assert season_of_day(115.0) is Season.S     # July 1
+        assert season_of_day(360.0) is Season.W     # ~March again
 
 
 class TestExtractPairs:
@@ -356,16 +350,15 @@ def _jittered_tracks(rng, dyadic: bool):
 def test_extract_matches_sample_by_sample_oracle(dyadic, lag):
     wet = {(ix, iy): (ix + iy) % 5 != 0 for ix in range(6) for iy in range(2)}
     g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0, wet_mask=wet)
-    cal = SeasonCalendar()
     epoch = date(2015, 6, 1)
     rng = np.random.default_rng(7 if dyadic else 8)
     total = 0
     for _ in range(200):
         tracks = _jittered_tracks(rng, dyadic)
         trajs = [Trajectory(str(k), t, x, y) for k, (t, x, y) in enumerate(tracks)]
-        pairs = extract_pairs(trajs, g, lag, calendar=cal, epoch=epoch)
+        pairs = extract_pairs(trajs, g, lag, epoch=epoch)
         want = oracles.sample_by_sample_pairs(tracks, g, lag,
-                                              lambda d: cal.season_of_day(d, epoch))
+                                              lambda d: season_of_day(d, epoch))
         got = list(zip(pairs.from_state.tolist(), pairs.to_state.tolist(),
                        pairs.start_date.tolist(), [SEASONS[c] for c in pairs.season]))
         assert got == want

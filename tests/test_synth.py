@@ -12,9 +12,9 @@ from driftchain.grid import load_roles
 from driftchain.ingest import (
     SEASONS,
     Season,
-    SeasonCalendar,
     extract_pairs,
     parse_trajectories,
+    season_of_day,
     season_split,
 )
 from driftchain.spectral import basin_of_attraction, dominant_eigs
@@ -165,7 +165,7 @@ class TestSimulateTracks:
                         n_drifters=60, duration_days=400.0, seed=seed,
                         leaky=(), sticky={}, debris=(), candidate_sources=())
         got = simulate_tracks(spec)
-        want = dense_walk_tracks(spec, SeasonCalendar())
+        want = dense_walk_tracks(spec, season_of_day)
         assert len(got) == len(want) == 60
         for tr, (times, lons, lats, states) in zip(got, want):
             assert np.array_equal(tr.times, times)

@@ -86,7 +86,6 @@ class TestComposeAnnual:
             dense_tm(mats["S"], label="S"),
             dense_tm(mats["SF"], label="SF"),
             exponent=2,
-            prune_tol=0.0,
         )
         factors = [mats["W"]] * 2 + [mats["SF"]] * 2 + [mats["S"]] * 2 + [mats["SF"]] * 2
         want = dense_power_product(factors)
@@ -103,7 +102,7 @@ class TestComposeAnnual:
         assert not np.allclose(right, wrong)
         out = compose_annual(
             dense_tm(w, label="W"), dense_tm(s, label="S"), dense_tm(sf, label="SF"),
-            exponent=1, prune_tol=0.0,
+            exponent=1,
         )
         assert np.allclose(out.matrix.toarray(), right, atol=1e-15)
 
