@@ -36,7 +36,7 @@ from .ingest import (
     season_split,
 )
 from .paths import PathResult, PathSet, most_probable_path, path_to_geojson, unconstrained_best_path
-from .schedule import AutonomousSchedule, ChainSchedule, SeasonalSchedule
+from .schedule import SeasonalSchedule
 from .spectral import (
     BasinResult,
     EigenResult,
@@ -73,7 +73,7 @@ __all__ = [
     "parse_trajectories", "season_split",
     "PathResult", "PathSet", "most_probable_path", "path_to_geojson",
     "unconstrained_best_path",
-    "AutonomousSchedule", "ChainSchedule", "SeasonalSchedule",
+    "SeasonalSchedule",
     "BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
     "dominant_eigs", "retention_time", "zonal_profile",
     "AnnualOperator", "TransitionMatrix", "annual_operator", "compose_annual", "estimate",

@@ -38,16 +38,14 @@ _UNDECLARED_DEFICIT_WARN = 1e-9
 class AugmentedChain:
     """Row-stochastic absorbing chain over N grid states plus 1+M sinks.
 
-    ``matrix`` has shape (N+1+M, N+1+M).  ``roles`` and ``source`` are
-    back-references to the inputs of the augmentation; a chain loaded from
-    disk has ``source=None``.
+    ``matrix`` has shape (N+1+M, N+1+M); ``roles`` assigns the grid
+    states their leaky, sticky, debris and candidate-source roles.
     """
 
     matrix: sparse.csr_matrix
     roles: StateRoles
     transition_time: float
     label: str
-    source: TransitionMatrix | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -212,7 +210,6 @@ def add_beaching(
         roles=roles,
         transition_time=float(source.transition_time),
         label=source.label,
-        source=source,
     )
 
 
@@ -256,7 +253,7 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
 
 
 def load_chain(path: str | Path) -> AugmentedChain:
-    """Read a chain written by :func:`save_chain` (``source`` is None)."""
+    """Read a chain written by :func:`save_chain`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header, body_start = _split_header(lines, "# augmented-chain v1", path)
@@ -283,9 +280,7 @@ def load_chain(path: str | Path) -> AugmentedChain:
     matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
     matrix.sort_indices()
     try:
-        return AugmentedChain(
-            matrix=matrix, roles=roles, transition_time=t, label=label, source=None
-        )
+        return AugmentedChain(matrix=matrix, roles=roles, transition_time=t, label=label)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ZeroEvidenceError
 from .grid import GridCovering
-from .schedule import ChainSchedule
+from .schedule import SeasonalSchedule
 from .ulam import propagate
 
 log = logging.getLogger(__name__)
@@ -91,7 +91,19 @@ def load_observations(path: str | Path) -> list[Observation]:
     return out
 
 
-def absorption_cdf_all(schedule: ChainSchedule, candidates, n_steps: int) -> np.ndarray:
+def observation_steps(schedule: SeasonalSchedule, observations: list[Observation]) -> list[int]:
+    """Each observation's elapsed steps on the schedule, after checking
+    that every target label is one of the chains' targets."""
+    for o in observations:
+        if o.target_label > schedule.n_targets:
+            raise ConfigError(
+                f"observation {o.name!r} targets label {o.target_label}, but the "
+                f"chain has {schedule.n_targets} targets"
+            )
+    return [o.steps(schedule.transition_time) for o in observations]
+
+
+def absorption_cdf_all(schedule: SeasonalSchedule, candidates, n_steps: int) -> np.ndarray:
     """Cumulative absorption into every target, per step and candidate.
 
     Entry ``[k, m-1, i]`` is the mass on target label m after k scheduled
@@ -114,7 +126,7 @@ def absorption_cdf_all(schedule: ChainSchedule, candidates, n_steps: int) -> np.
     return out
 
 
-def absorption_cdf(schedule: ChainSchedule, c: int, b: int, n_steps: int) -> np.ndarray:
+def absorption_cdf(schedule: SeasonalSchedule, c: int, b: int, n_steps: int) -> np.ndarray:
     """Cumulative first-absorption probability into target label b."""
     if not 1 <= b <= schedule.n_targets:
         raise ValueError(f"target label {b} outside 1..{schedule.n_targets}")
@@ -180,7 +192,6 @@ class PosteriorResult:
 
     candidates: np.ndarray
     log_likelihood: np.ndarray
-    prior: np.ndarray
     posterior: np.ndarray
     c_max: int
     c_max_index: int
@@ -189,7 +200,6 @@ class PosteriorResult:
     latitudes: np.ndarray | None = None
     longitudes: np.ndarray | None = None
     single_posteriors: np.ndarray | None = None
-    observations: tuple[Observation, ...] | None = None
 
 
 def posterior(
@@ -201,7 +211,6 @@ def posterior(
     latitudes: np.ndarray | None = None,
     longitudes: np.ndarray | None = None,
     per_observation_log: np.ndarray | None = None,
-    observations: tuple[Observation, ...] | None = None,
 ) -> PosteriorResult:
     """Normalize likelihood x prior into the posterior over candidates.
 
@@ -253,7 +262,6 @@ def posterior(
     return PosteriorResult(
         candidates=cand,
         log_likelihood=logl,
-        prior=pri,
         posterior=post,
         c_max=int(cand[idx]),
         c_max_index=idx,
@@ -262,7 +270,6 @@ def posterior(
         latitudes=latitudes,
         longitudes=None if longitudes is None else np.asarray(longitudes, dtype=float),
         single_posteriors=singles,
-        observations=observations,
     )
 
 
@@ -302,7 +309,7 @@ def central_interval(
 
 
 def estimate_source(
-    schedule: ChainSchedule,
+    schedule: SeasonalSchedule,
     observations: list[Observation],
     *,
     candidates: np.ndarray | None = None,
@@ -326,14 +333,7 @@ def estimate_source(
     else:
         cand = np.asarray(candidates, dtype=np.int64)
 
-    t = schedule.transition_time
-    for o in observations:
-        if o.target_label > schedule.n_targets:
-            raise ConfigError(
-                f"observation {o.name!r} targets label {o.target_label}, but the "
-                f"chain has {schedule.n_targets} targets"
-            )
-    steps = np.array([o.steps(t) for o in observations], dtype=np.int64)
+    steps = np.array(observation_steps(schedule, observations), dtype=np.int64)
     horizon = int(steps.max() + window_steps)
 
     pmf = first_absorption_pmf(absorption_cdf_all(schedule, cand, horizon))
@@ -360,7 +360,6 @@ def estimate_source(
         latitudes=lats,
         longitudes=lons,
         per_observation_log=obs_log,
-        observations=tuple(observations),
     )
 
 
@@ -379,7 +378,7 @@ class StickyFitSurface:
         return float(self.mass.sum())
 
 
-def sticky_fit_map(schedule: ChainSchedule, c: int, n_steps: int) -> StickyFitSurface:
+def sticky_fit_map(schedule: SeasonalSchedule, c: int, n_steps: int) -> StickyFitSurface:
     """Joint (site, time) surface of first beaching for one candidate.
 
     The mass landing at sticky state s on step k is the occupancy of s

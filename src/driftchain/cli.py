@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import sys
-from datetime import date
 from pathlib import Path
 
 import click
@@ -129,8 +128,7 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @handle_errors
 def build(config_path, out_dir, lag_days, crash_date):
     """Estimate seasonal matrices, augment them with absorbing states, save."""
-    cfg = load_config(config_path, out_dir=out_dir, lag_days=lag_days,
-                      crash_date=None if crash_date is None else date.fromisoformat(crash_date))
+    cfg = load_config(config_path, out_dir=out_dir, lag_days=lag_days, crash_date=crash_date)
     cfg.require("grid", "trajectories", "roles")
     g = _load_grid(cfg)
     roles = load_roles(g, cfg.roles)
@@ -335,12 +333,12 @@ def paths_cmd(config_path, out_dir):
     if not roles.candidate_sources:
         raise ConfigError("no candidate sources declared in the roles file")
 
+    steps = bayes.observation_steps(schedule, observations)
+
     out = _outdir(cfg)
-    t = schedule.transition_time
     path_sets = []
     rows = []
-    for idx, o in enumerate(observations, start=1):
-        k = o.steps(t)
+    for idx, (o, k) in enumerate(zip(observations, steps), start=1):
         ps = paths.most_probable_path(schedule, roles.candidate_sources, o.target_label, k)
         path_sets.append(ps)
         features = []

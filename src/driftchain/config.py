@@ -7,7 +7,7 @@ so a run directory can be moved or copied wholesale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -15,10 +15,20 @@ from .errors import ConfigError
 from .grid import GridCovering, build_grid, load_wet_mask
 from .ingest import DEFAULT_EPOCH
 
+
+def _input_file(text: str) -> Path:
+    """Path of an input file, which ``RunConfig`` requires to exist."""
+    return Path(text)
+
+
+#: Each run key and the parser of its text.  Path values resolve against
+#: the directory of the config file they come from.
 _RUN_KEYS = {
-    "grid", "trajectories", "roles", "observations", "lag_days", "crash_date",
-    "season_exponent", "eigen_tol", "eigen_max_iter", "seed", "out_dir",
-    "basin_threshold", "cpi_level", "window_steps",
+    "grid": _input_file, "trajectories": _input_file, "roles": _input_file,
+    "observations": _input_file, "out_dir": Path, "lag_days": float,
+    "crash_date": date.fromisoformat, "season_exponent": int, "eigen_max_iter": int,
+    "seed": int, "window_steps": int, "eigen_tol": float, "basin_threshold": float,
+    "cpi_level": float,
 }
 
 _GRID_KEYS = {"lon_min", "lon_max", "lat_min", "lat_max", "cell_size", "wet_mask"}
@@ -70,9 +80,11 @@ class RunConfig:
             raise ConfigError("window_steps must be nonnegative")
         if self.eigen_tol <= 0 or self.eigen_max_iter < 1:
             raise ConfigError("eigen_tol must be positive and eigen_max_iter >= 1")
-        for name in ("grid", "trajectories", "roles", "observations"):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for name, parse in _RUN_KEYS.items():
             p = getattr(self, name)
-            if p is not None and not Path(p).is_file():
+            if parse is _input_file and p is not None and not Path(p).is_file():
                 raise ConfigError(f"{name} file does not exist: {p}")
 
     def require(self, *names: str) -> None:
@@ -106,39 +118,27 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     """Parse a run config file; keyword overrides (from CLI flags) win.
 
     Overrides valued None are ignored so flags can default to
-    "not given".
+    "not given"; string overrides go through the key's parser, and
+    their paths stay relative to the working directory.
     """
     path = Path(path)
-    raw = _parse_kv(path, _RUN_KEYS)
-    base = path.parent
+    raw = _parse_kv(path, set(_RUN_KEYS))
     kwargs: dict = {}
     try:
-        for key in ("grid", "trajectories", "roles", "observations"):
+        for key, parse in _RUN_KEYS.items():
             if key in raw:
-                kwargs[key] = base / raw[key]
-        if "out_dir" in raw:
-            kwargs["out_dir"] = base / raw["out_dir"]
-        if "lag_days" in raw:
-            kwargs["lag_days"] = float(raw["lag_days"])
-        if "crash_date" in raw:
-            kwargs["crash_date"] = date.fromisoformat(raw["crash_date"])
-        for key in ("season_exponent", "eigen_max_iter", "seed", "window_steps"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        for key in ("eigen_tol", "basin_threshold", "cpi_level"):
-            if key in raw:
-                kwargs[key] = float(raw[key])
+                value = parse(raw[key])
+                kwargs[key] = path.parent / value if isinstance(value, Path) else value
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    cfg = RunConfig(**kwargs)
-    live = {k: v for k, v in overrides.items() if v is not None}
-    if live:
-        for key in ("grid", "trajectories", "roles", "observations", "out_dir"):
-            if key in live:
-                live[key] = Path(live[key])
-        cfg = replace(cfg, **live)
-    return cfg
+    try:
+        for key, value in overrides.items():
+            if value is not None:
+                kwargs[key] = _RUN_KEYS[key](value) if isinstance(value, str) else value
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return RunConfig(**kwargs)
 
 
 def load_grid_config(path: str | Path) -> GridCovering:

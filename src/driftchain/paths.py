@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .errors import UnreachableTargetError
 from .grid import GridCovering
-from .schedule import ChainSchedule
+from .schedule import SeasonalSchedule
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +101,7 @@ class _EdgeLayout:
 
 
 def most_probable_path(
-    schedule: ChainSchedule,
+    schedule: SeasonalSchedule,
     sources,
     b: int,
     n_steps: int,
@@ -123,15 +123,13 @@ def most_probable_path(
     if n_steps < 1:
         raise ValueError("path length must be at least 1 step")
     n = schedule.n_grid_states
-    if not 1 <= b <= schedule.n_targets:
-        raise ValueError(f"target label {b} outside 1..{schedule.n_targets}")
+    target_col = schedule.target_state(b)  # raises for a label outside 1..M
     src = np.unique(np.asarray(list(sources), dtype=np.int64))
     if src.size == 0:
         raise ValueError("at least one source state is required")
     if src.min() < 0 or src.max() >= n:
         raise ValueError("sources must be grid states")
 
-    target_col = schedule.target_state(b)
     layouts: dict[tuple[int, bool], _EdgeLayout] = {}
     steps: list[_EdgeLayout] = []
     for k in range(n_steps):

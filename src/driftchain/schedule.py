@@ -1,14 +1,8 @@
-"""Step-indexed matrix schedules for nonautonomous chain evolution.
+"""The step-indexed chain schedule for nonautonomous evolution.
 
 Forward evolution from the crash date needs the matrix *governing each
-step*: either one fixed augmented chain (autonomous) or the seasonal
-chain picked by the calendar date at which the step starts.  Both
-schedule flavors expose the same small interface consumed by the
-absorption and path modules:
-
-- ``matrix_for_step(k)``: augmented matrix applied between times kT and (k+1)T,
-- ``season_label(k)``: label of that matrix,
-- absorbing-state bookkeeping delegated to a representative chain.
+step*: the seasonal chain picked by the calendar date at which the step
+starts.  A time-homogeneous model is the same chain in every season.
 """
 
 from __future__ import annotations
@@ -19,63 +13,12 @@ from datetime import date
 import scipy.sparse as sparse
 
 from .absorb import AugmentedChain
+from .grid import StateRoles
 from .ingest import DEFAULT_EPOCH, Season, season_of_day
 
 
-class ChainSchedule:
-    """Interface shared by autonomous and seasonal schedules."""
-
-    chain: AugmentedChain  # representative chain (state layout, roles)
-
-    def matrix_for_step(self, k: int) -> sparse.csr_matrix:
-        raise NotImplementedError
-
-    def season_label(self, k: int) -> str:
-        raise NotImplementedError
-
-    @property
-    def transition_time(self) -> float:
-        return self.chain.transition_time
-
-    @property
-    def n_states(self) -> int:
-        return self.chain.n_states
-
-    @property
-    def n_grid_states(self) -> int:
-        return self.chain.n_grid_states
-
-    @property
-    def n_targets(self) -> int:
-        return self.chain.n_targets
-
-    @property
-    def cemetery(self) -> int:
-        return self.chain.cemetery
-
-    def target_state(self, label: int) -> int:
-        return self.chain.target_state(label)
-
-    @property
-    def roles(self):
-        return self.chain.roles
-
-
 @dataclass(frozen=True)
-class AutonomousSchedule(ChainSchedule):
-    """Every step uses the same augmented chain."""
-
-    chain: AugmentedChain
-
-    def matrix_for_step(self, k: int) -> sparse.csr_matrix:
-        return self.chain.matrix
-
-    def season_label(self, k: int) -> str:
-        return self.chain.label
-
-
-@dataclass(frozen=True)
-class SeasonalSchedule(ChainSchedule):
+class SeasonalSchedule:
     """Seasonal chains selected by the calendar date each step starts on.
 
     Step k covers days [kT, (k+1)T) after ``start_date``; the season of
@@ -100,8 +43,36 @@ class SeasonalSchedule(ChainSchedule):
                 raise ValueError("seasonal chains must share the state roles")
 
     @property
-    def chain(self) -> AugmentedChain:  # type: ignore[override]
+    def chain(self) -> AugmentedChain:
+        """The W chain; every chain shares its layout, roles and transition time."""
         return self.chains[Season.W]
+
+    @property
+    def transition_time(self) -> float:
+        return self.chain.transition_time
+
+    @property
+    def n_states(self) -> int:
+        return self.chain.n_states
+
+    @property
+    def n_grid_states(self) -> int:
+        return self.chain.n_grid_states
+
+    @property
+    def n_targets(self) -> int:
+        return self.chain.n_targets
+
+    @property
+    def cemetery(self) -> int:
+        return self.chain.cemetery
+
+    @property
+    def roles(self) -> StateRoles:
+        return self.chain.roles
+
+    def target_state(self, label: int) -> int:
+        return self.chain.target_state(label)
 
     def season_of_step(self, k: int) -> Season:
         if k < 0:
@@ -112,4 +83,4 @@ class SeasonalSchedule(ChainSchedule):
         return self.chains[self.season_of_step(k)].matrix
 
     def season_label(self, k: int) -> str:
-        return self.season_of_step(k).value
+        return self.chains[self.season_of_step(k)].label

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import GridCovering, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
-from .schedule import ChainSchedule
+from .schedule import SeasonalSchedule
 
 _ROW_TOL = 1e-12
 
@@ -63,6 +63,8 @@ class SyntheticSpec:
             validate_kernel(k, str(season))
         if self.n_drifters < 0:
             raise ConfigError("n_drifters must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.sample_interval_days) and self.sample_interval_days > 0):
             raise ConfigError("sample interval must be positive and finite")
         if not math.isfinite(self.duration_days):
@@ -275,7 +277,7 @@ def write_tracks_csv(tracks: list[SimulatedTrack], path: str | Path) -> None:
 
 
 def sample_observations(
-    schedule: ChainSchedule,
+    schedule: SeasonalSchedule,
     source: int,
     count: int,
     seed: int = 0,

@@ -9,7 +9,7 @@ from scipy import sparse
 from driftchain.absorb import augment
 from driftchain.grid import StateRoles, build_grid
 from driftchain.ingest import Season
-from driftchain.schedule import AutonomousSchedule, SeasonalSchedule
+from driftchain.schedule import SeasonalSchedule
 from driftchain.ulam import TransitionMatrix
 
 from oracles import random_substochastic
@@ -55,7 +55,8 @@ def chain_dense(chain) -> np.ndarray:
 
 
 def autonomous(a, roles, transition_time=5.0):
-    return AutonomousSchedule(make_chain(a, roles, transition_time))
+    """Time-homogeneous schedule: the same chain in every season."""
+    return SeasonalSchedule(chains=dict.fromkeys(Season, make_chain(a, roles, transition_time)))
 
 
 def seasonal(mats, roles, transition_time=5.0, start_date=None):

@@ -237,6 +237,7 @@ class TestSynth:
         ({"duration_days": float("nan")}, "duration_days must be finite"),
         ({"duration_days": float("inf")}, "duration_days must be finite"),
         ({"max_observation_steps": 0}, "max_observation_steps must be at least 1"),
+        ({"seed": -4}, "seed must be nonnegative, got -4"),
     ])
     def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
         spec_path = tmp_path / "spec.json"
@@ -244,6 +245,15 @@ class TestSynth:
         r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
         assert message in all_output(r)
+        assert not (tmp_path / "a").exists()
+
+    def test_negative_seed_flag_rejected_before_writing(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a"),
+                    "--seed", "-1"])
+        assert r.exit_code == 2
+        assert "seed must be nonnegative, got -1" in all_output(r)
         assert not (tmp_path / "a").exists()
 
     def test_no_observations_file_when_none_requested(self, bare_case):
@@ -377,6 +387,32 @@ class TestOutOfRangeInputs:
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert "days_since_crash must be positive and finite" in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("command", ["bayes", "paths"])
+    def test_unknown_target_label_rejected(self, copy, command):
+        # the case's chains have one debris target
+        (copy / "observations.csv").write_text(
+            "target_label,days_since_crash,name\n1,50,ok\n2,50,far\n", encoding="utf-8")
+        before = snapshot(copy)
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert "observation 'far' targets label 2, but the chain has 1 targets" in all_output(r)
+        assert snapshot(copy) == before
+
+    def test_invalid_crash_date_flag_rejected(self, copy):
+        before = snapshot(copy)
+        r = invoke(["build", "--config", str(copy / "run.cfg"), "--crash-date", "2014-13-01"])
+        assert r.exit_code == 2
+        assert "crash_date: month must be in 1..12" in all_output(r)
+        assert snapshot(copy) == before
+
+    def test_negative_seed_rejected(self, copy):
+        set_keys(copy / "run.cfg", seed=-3)
+        before = snapshot(copy)
+        r = invoke(["spectral", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert "seed must be nonnegative, got -3" in all_output(r)
         assert snapshot(copy) == before
 
     @pytest.mark.parametrize("mass", ["nan", "inf"])

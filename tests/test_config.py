@@ -63,6 +63,15 @@ class TestRunConfig:
         assert cfg.seed == 9
         assert cfg.out_dir == Path("out")
 
+    def test_string_overrides_parsed_like_file_values(self, tmp_path):
+        write_inputs(tmp_path)
+        cfg_path = write_config(tmp_path, "grid = grid.cfg\n")
+        cfg = load_config(cfg_path, out_dir="elsewhere", crash_date="2014-07-01")
+        assert cfg.out_dir == Path("elsewhere")
+        assert cfg.crash_date == date(2014, 7, 1)
+        with pytest.raises(ConfigError, match="crash_date: month must be in 1..12"):
+            load_config(cfg_path, crash_date="2014-13-01")
+
     def test_unknown_and_duplicate_keys(self, tmp_path):
         bad = write_config(tmp_path, "wavelength = 5\n")
         with pytest.raises(ConfigError):
@@ -101,6 +110,8 @@ class TestRunConfig:
             RunConfig(window_steps=-1)
         with pytest.raises(ConfigError):
             RunConfig(eigen_tol=0.0)
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -3"):
+            RunConfig(seed=-3)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["lag_days", "eigen_tol", "basin_threshold"])

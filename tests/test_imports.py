@@ -36,6 +36,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_every_export_resolves():
+    import driftchain
+
+    assert [name for name in driftchain.__all__ if not hasattr(driftchain, name)] == []
+
+
 def test_scan_finds_unused_names():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from a.b import c, d as e\nimport x.y\nnp.zeros(c)\nx.y.z()\n")

@@ -13,13 +13,14 @@ from scipy import sparse
 from driftchain.absorb import AugmentedChain
 from driftchain.errors import UnreachableTargetError
 from driftchain.grid import build_grid
+from driftchain.ingest import Season
 from driftchain.paths import (
     common_source_report,
     most_probable_path,
     path_to_geojson,
     unconstrained_best_path,
 )
-from driftchain.schedule import AutonomousSchedule
+from driftchain.schedule import SeasonalSchedule
 
 
 def pipeline_schedule():
@@ -178,7 +179,8 @@ class TestConstrainedPath:
             matrix=sparse.csr_matrix(m), roles=make_roles(3, sticky={2: 0.4}, debris=(2,)),
             transition_time=5.0, label="W",
         )
-        ps = most_probable_path(AutonomousSchedule(chain), sources=[0], b=1, n_steps=2)
+        sched = SeasonalSchedule(chains=dict.fromkeys(Season, chain))
+        ps = most_probable_path(sched, sources=[0], b=1, n_steps=2)
         assert ps.best.states == (0, 1, 4)
         assert ps.best.step_log_probs == (np.log(0.5), np.log(0.4))
 

@@ -28,6 +28,16 @@ class TestAutonomous:
         assert sched.n_grid_states == 2
         assert sched.cemetery == 2
 
+    def test_pooled_chain_keeps_its_label_and_matrix(self):
+        # One chain in every season: each step reports the chain's own
+        # label, and the one matrix object (paths caches layouts by id).
+        roles = make_roles(2, leaky=(0, 1))
+        chain = make_chain(0.5 * np.eye(2), roles, label="pooled")
+        sched = SeasonalSchedule(chains=dict.fromkeys(Season, chain), start_date=date(2014, 3, 8))
+        assert sched.season_of_step(23) is Season.S
+        assert sched.season_label(23) == "pooled"
+        assert all(sched.matrix_for_step(k) is chain.matrix for k in range(72))
+
     def test_delegated_properties(self):
         roles = make_roles(3, sticky={1: 0.5}, debris=(1,))
         sched = autonomous(0.8 * np.eye(3), roles)

@@ -333,6 +333,10 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             sample_pairs(kernel, 10)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            toy_spec(seed=-1)
+
     def test_grid_mismatch_rejected(self):
         spec = toy_spec(bounds=(40.0, 44.0, -30.0, -29.0))
         with pytest.raises(ConfigError):
