@@ -35,7 +35,14 @@ from .ingest import (
     parse_trajectories,
     season_split,
 )
-from .paths import PathResult, PathSet, most_probable_path, path_to_geojson, unconstrained_best_path
+from .paths import (
+    PathResult,
+    PathSet,
+    most_probable_path,
+    most_probable_paths,
+    path_to_geojson,
+    unconstrained_best_path,
+)
 from .schedule import SeasonalSchedule
 from .spectral import (
     BasinResult,
@@ -71,8 +78,8 @@ __all__ = [
     "load_wet_mask",
     "Season", "Trajectory", "TransitionPairs", "extract_pairs",
     "parse_trajectories", "season_split",
-    "PathResult", "PathSet", "most_probable_path", "path_to_geojson",
-    "unconstrained_best_path",
+    "PathResult", "PathSet", "most_probable_path", "most_probable_paths",
+    "path_to_geojson", "unconstrained_best_path",
     "SeasonalSchedule",
     "BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
     "dominant_eigs", "retention_time", "zonal_profile",

@@ -334,13 +334,11 @@ def paths_cmd(config_path, out_dir):
         raise ConfigError("no candidate sources declared in the roles file")
 
     steps = bayes.observation_steps(schedule, observations)
-
+    targets = [(o.target_label, k) for o, k in zip(observations, steps)]
+    path_sets = paths.most_probable_paths(schedule, roles.candidate_sources, targets)
     out = _outdir(cfg)
-    path_sets = []
     rows = []
-    for idx, (o, k) in enumerate(zip(observations, steps), start=1):
-        ps = paths.most_probable_path(schedule, roles.candidate_sources, o.target_label, k)
-        path_sets.append(ps)
+    for idx, ps in enumerate(path_sets, start=1):
         features = []
         for source, res in zip(ps.sources, ps.results):
             feat = paths.path_to_geojson(res, g)
@@ -350,16 +348,16 @@ def paths_cmd(config_path, out_dir):
         doc = {
             "type": "FeatureCollection",
             "features": features,
-            "name": f"target_{o.target_label}_obs_{idx}",
+            "name": f"target_{ps.target_label}_obs_{idx}",
         }
-        (out / f"paths_obs{idx}_target{o.target_label}.geojson").write_text(
+        (out / f"paths_obs{idx}_target{ps.target_label}.geojson").write_text(
             json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
         )
         if ps.best is None:
-            rows.append(f"{idx},{o.target_label},{k},,")
+            rows.append(f"{idx},{ps.target_label},{ps.n_steps},,")
         else:
             rows.append(
-                f"{idx},{o.target_label},{k},{ps.best.source},{_fmt(ps.best.log_prob)}"
+                f"{idx},{ps.target_label},{ps.n_steps},{ps.best.source},{_fmt(ps.best.log_prob)}"
             )
 
     report = paths.common_source_report(path_sets)

@@ -49,13 +49,17 @@ class GridCovering:
     #: State per (lon_index, lat_index) with one trailing OUT_OF_DOMAIN row
     #: and column, so a cell index of -1 looks up OUT_OF_DOMAIN.
     _state_table: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (lon_index, lat_index) of each state, one row per state.
+    _boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = np.full((self.n_lon + 1, self.n_lat + 1), OUT_OF_DOMAIN, dtype=np.int64)
         boxes = np.array(self.active_boxes, dtype=np.int64).reshape(-1, 2)
         table[boxes[:, 0], boxes[:, 1]] = np.arange(len(boxes))
         table.flags.writeable = False
+        boxes.flags.writeable = False
         object.__setattr__(self, "_state_table", table)
+        object.__setattr__(self, "_boxes", boxes)
 
     @property
     def n_states(self) -> int:
@@ -78,6 +82,14 @@ class GridCovering:
             self.lon_min + (ix + 0.5) * self.cell_size,
             self.lat_min + (iy + 0.5) * self.cell_size,
         )
+
+    def box_centers(self, states) -> np.ndarray:
+        """(lon, lat) box centers of many states, one row each, as `box_center`."""
+        ix, iy = self._boxes[np.asarray(states, dtype=np.int64)].T
+        return np.column_stack((
+            self.lon_min + (ix + 0.5) * self.cell_size,
+            self.lat_min + (iy + 0.5) * self.cell_size,
+        ))
 
     def box_corners(self, state: int) -> list[tuple[float, float]]:
         """Counterclockwise (lon, lat) corners of a state's box."""

@@ -72,8 +72,9 @@ class _EdgeLayout:
 
     target_col None keeps edges into grid states (intermediate step);
     otherwise only edges into that single column are kept.  Edges are
-    sorted by column, then by row, so the first edge of a column that
-    attains its best score has the smallest predecessor row.
+    sorted by column, then by row.  Slot s holds the s-th edge of every
+    column with more than s in-edges; ``cols`` lists the columns by
+    in-degree, descending, so slot s covers a prefix of them.
     """
 
     def __init__(self, matrix, n_grid: int, target_col: int | None):
@@ -87,17 +88,152 @@ class _EdgeLayout:
         cols = cols[order]
         head = np.ones(cols.size, dtype=bool)
         head[1:] = cols[1:] != cols[:-1]
-        self.starts = np.flatnonzero(head)  # first edge of each column
-        self.cols = cols[self.starts]
-        self.seg = np.cumsum(head) - 1  # column position of each edge
-        self.edge_ids = np.arange(cols.size, dtype=np.int32)[:, None]
+        starts = np.flatnonzero(head)  # first edge of each column
+        degree = np.diff(starts, append=cols.size)
+        by_degree = np.argsort(-degree, kind="stable")
+        self.cols = cols[starts[by_degree]]
+        self.starts = starts[by_degree].astype(np.int32)
+        degree = degree[by_degree]
+        self.slots = []
+        for s in range(degree.max(initial=1)):
+            e = self.starts[:np.count_nonzero(degree > s)] + s
+            self.slots.append((self.rows[e], self.logs[e][:, None]))
 
     def step(self, v: np.ndarray):
-        """Best score per (column, source) and the index of the edge attaining it."""
-        scores = v[self.rows] + self.logs[:, None]
-        best = np.maximum.reduceat(scores, self.starts, axis=0)
-        hit = np.where(scores == best[self.seg], self.edge_ids, self.rows.size)
-        return best, np.minimum.reduceat(hit, self.starts, axis=0)
+        """Best score per (column, source) and the index of the edge attaining it.
+
+        Slots are visited in row order and only a strictly larger score
+        replaces the best, so the smallest row wins a tie; a column whose
+        scores are all -inf keeps its first edge.
+        """
+        (rows, logs), *rest = self.slots
+        best = v[rows]
+        best += logs
+        slot = np.zeros(best.shape, dtype=np.int32)
+        for s, (rows, logs) in enumerate(rest, start=1):
+            scores = v[rows]
+            scores += logs
+            m = rows.size
+            better = scores > best[:m]
+            np.copyto(best[:m], scores, where=better)
+            slot[:m][better] = s
+        return best, self.starts[:, None] + slot
+
+
+def most_probable_paths(
+    schedule: SeasonalSchedule,
+    sources,
+    targets,
+) -> list[PathSet]:
+    """Most probable exactly-K-step paths from each source, for many targets.
+
+    ``targets`` is a sequence of (label b, K) pairs; the result holds one
+    PathSet per pair, in the same order.  Intermediate absorption is
+    excluded: before the final step the walker must stay among the grid
+    states, and only the last transition enters the target's absorbing
+    state.  Infeasible sources yield None entries.
+
+    The targets share one start date and one set of sources, so one
+    forward max-product pass of max K - 1 intermediate steps serves them
+    all: a ``paths`` run makes one pass, not one per observation.  It
+    carries every source at once (a value column per source) and
+    keeps, per step, state and source, the index of the winning edge,
+    which costs S*(K_max - 1)*n*4 bytes.  When the pass reaches step K - 1
+    of a target it takes that target's final step into its absorbing
+    state, and every path is traced back through the shared back-pointers.
+    A step's temporaries are columns x sources.  Log-probabilities are
+    summed left to right along the path.  Ties are broken
+    deterministically: an intermediate step goes to the smallest
+    predecessor row, the final step to the smallest row entering the
+    target, and ``best`` to the smallest source.
+    """
+    targets = list(targets)
+    if not targets:
+        raise ValueError("at least one target is required")
+    target_cols = []
+    for b, k in targets:
+        if k < 1:
+            raise ValueError("path length must be at least 1 step")
+        target_cols.append(schedule.target_state(b))  # raises for a label outside 1..M
+    n = schedule.n_grid_states
+    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+    if src.size == 0:
+        raise ValueError("at least one source state is required")
+    if src.min() < 0 or src.max() >= n:
+        raise ValueError("sources must be grid states")
+
+    k_max = max(k for _, k in targets)
+    due: dict[int, list[int]] = {}
+    for i, (_, k) in enumerate(targets):
+        due.setdefault(k - 1, []).append(i)
+    layouts: dict[tuple[int, int | None], _EdgeLayout] = {}
+
+    def layout(k: int, target_col: int | None) -> _EdgeLayout:
+        m = schedule.matrix_for_step(k)
+        key = (id(m), target_col)
+        if key not in layouts:
+            layouts[key] = _EdgeLayout(m, n, target_col)
+        return layouts[key]
+
+    v = np.full((n, src.size), -np.inf)
+    v[src, np.arange(src.size)] = 0.0
+    back = np.full((k_max - 1, n, src.size), -1, dtype=np.int32)
+    middle: list[_EdgeLayout] = []
+    finals = {}
+    for k in range(k_max):
+        for i in due.get(k, ()):
+            lay = layout(k, target_cols[i])
+            finals[i] = (lay, *lay.step(v))  # at most one column: the target
+        if k == k_max - 1:
+            break
+        lay = layout(k, None)
+        middle.append(lay)
+        best, back[k, lay.cols] = lay.step(v)
+        v = np.full_like(v, -np.inf)
+        v[lay.cols] = best
+
+    labels = tuple(schedule.season_label(k) for k in range(k_max))
+    path_sets = []
+    for i, ((b, n_steps), target_col) in enumerate(zip(targets, target_cols)):
+        last, best, win = finals[i]
+        steps = [*middle[:n_steps - 1], last]
+        results: list[PathResult | None] = [None] * src.size
+        ok = np.flatnonzero(np.isfinite(best).any(axis=0))
+        if ok.size:
+            seq = np.empty((n_steps + 1, ok.size), dtype=np.int64)
+            step_logs = np.empty((n_steps, ok.size))
+            seq[-1] = target_col
+            edge = win[0, ok]
+            for k in range(n_steps - 1, -1, -1):
+                seq[k] = steps[k].rows[edge]
+                step_logs[k] = steps[k].logs[edge]
+                if k:
+                    edge = back[k - 1, seq[k], ok]
+            landing = int(schedule.roles.debris[b - 1])
+            for j, s in enumerate(ok):
+                results[s] = PathResult(
+                    states=tuple(int(x) for x in seq[:, j]),
+                    log_prob=float(best[0, s]),
+                    step_log_probs=tuple(float(x) for x in step_logs[:, j]),
+                    season_labels=labels[:n_steps],
+                    target=int(target_col),
+                    target_label=b,
+                    landing_state=landing,
+                )
+        best_path = None
+        for s, r in zip(src, results):
+            if r is None:
+                log.info("no feasible %d-step path from state %d to target %d", n_steps, s, b)
+            elif best_path is None or r.log_prob > best_path.log_prob:
+                best_path = r
+        path_sets.append(PathSet(
+            target_label=b,
+            n_steps=n_steps,
+            sources=tuple(int(s) for s in src),
+            results=tuple(results),
+            best=best_path,
+        ))
+    return path_sets
 
 
 def most_probable_path(
@@ -108,84 +244,12 @@ def most_probable_path(
 ) -> PathSet:
     """Most probable exactly-K-step paths from each source into target b.
 
-    Intermediate absorption is excluded: before the final step the walker
-    must stay among the grid states, and only the last transition enters
-    the target's absorbing state.  Infeasible sources yield None entries.
-
-    One forward max-product pass carries every source at once (a value
-    column per source) and keeps, per step, state and source, the index
-    of the winning edge, which costs S*K*n*4 bytes.  Log-probabilities are
-    summed left to right along the path.  Ties are broken deterministically:
-    an intermediate step goes to the smallest predecessor row, the final
-    step to the smallest row entering the target, and ``best`` to the
-    smallest source.
+    The one-target call of `most_probable_paths`, which states the DP, its
+    cost and its tie rules.  A ``paths`` run calls that once for all its
+    observations, so the DP makes one pass per run, not one per
+    observation.
     """
-    if n_steps < 1:
-        raise ValueError("path length must be at least 1 step")
-    n = schedule.n_grid_states
-    target_col = schedule.target_state(b)  # raises for a label outside 1..M
-    src = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if src.size == 0:
-        raise ValueError("at least one source state is required")
-    if src.min() < 0 or src.max() >= n:
-        raise ValueError("sources must be grid states")
-
-    layouts: dict[tuple[int, bool], _EdgeLayout] = {}
-    steps: list[_EdgeLayout] = []
-    for k in range(n_steps):
-        final = k == n_steps - 1
-        m = schedule.matrix_for_step(k)
-        key = (id(m), final)
-        if key not in layouts:
-            layouts[key] = _EdgeLayout(m, n, target_col if final else None)
-        steps.append(layouts[key])
-    labels = tuple(schedule.season_label(k) for k in range(n_steps))
-
-    v = np.full((n, src.size), -np.inf)
-    v[src, np.arange(src.size)] = 0.0
-    back = np.full((n_steps - 1, n, src.size), -1, dtype=np.int32)
-    for k, lay in enumerate(steps[:-1]):
-        best, back[k, lay.cols] = lay.step(v)
-        v = np.full_like(v, -np.inf)
-        v[lay.cols] = best
-    best, win = steps[-1].step(v)  # at most one column: the target
-
-    results: list[PathResult | None] = [None] * src.size
-    ok = np.flatnonzero(np.isfinite(best).any(axis=0))
-    if ok.size:
-        seq = np.empty((n_steps + 1, ok.size), dtype=np.int64)
-        step_logs = np.empty((n_steps, ok.size))
-        seq[-1] = target_col
-        edge = win[0, ok]
-        for k in range(n_steps - 1, -1, -1):
-            seq[k] = steps[k].rows[edge]
-            step_logs[k] = steps[k].logs[edge]
-            if k:
-                edge = back[k - 1, seq[k], ok]
-        landing = int(schedule.roles.debris[b - 1])
-        for j, i in enumerate(ok):
-            results[i] = PathResult(
-                states=tuple(int(s) for s in seq[:, j]),
-                log_prob=float(best[0, i]),
-                step_log_probs=tuple(float(x) for x in step_logs[:, j]),
-                season_labels=labels,
-                target=int(target_col),
-                target_label=b,
-                landing_state=landing,
-            )
-    best_path = None
-    for s, r in zip(src, results):
-        if r is None:
-            log.info("no feasible %d-step path from state %d to target %d", n_steps, s, b)
-        elif best_path is None or r.log_prob > best_path.log_prob:
-            best_path = r
-    return PathSet(
-        target_label=b,
-        n_steps=n_steps,
-        sources=tuple(int(s) for s in src),
-        results=tuple(results),
-        best=best_path,
-    )
+    return most_probable_paths(schedule, sources, [(b, n_steps)])[0]
 
 
 def unconstrained_best_path(p, source: int, target: int, label: str | None = None) -> PathResult:
@@ -263,17 +327,11 @@ def path_to_geojson(p: PathResult | None, g: GridCovering) -> dict:
             "geometry": {"type": "LineString", "coordinates": []},
             "properties": {"error": "no feasible path"},
         }
-    coords = []
-    steps = []
-    for k, s in enumerate(p.states):
-        if s < g.n_states:
-            lon, lat = g.box_center(s)
-        elif p.landing_state is not None:
-            lon, lat = g.box_center(p.landing_state)
-        else:
-            continue
-        coords.append([lon, lat])
-        steps.append(k)
+    states = np.array(p.states)
+    absorbed = -1 if p.landing_state is None else p.landing_state
+    boxes = np.where(states < g.n_states, states, absorbed)
+    steps = np.flatnonzero(boxes >= 0)
+    coords = g.box_centers(boxes[steps]).tolist()
     props = {
         "log_prob": p.log_prob,
         "n_steps": p.n_steps,
@@ -281,7 +339,7 @@ def path_to_geojson(p: PathResult | None, g: GridCovering) -> dict:
         "target": p.target,
         "target_label": p.target_label,
         "states": list(p.states),
-        "step_indices": steps,
+        "step_indices": steps.tolist(),
         "step_log_probs": list(p.step_log_probs),
         "season_labels": list(p.season_labels),
     }

@@ -446,3 +446,73 @@ def dense_row_pairs(kernels, n_pairs: int, seed: int):
         pos = int(np.sum(u[i] >= cum))
         ends[i] = pos if pos < n else -1
     return starts, ends, season_idx
+
+
+def reduceat_best_paths(schedule, sources, b: int, n_steps: int):
+    """Per-observation most-probable-path DP with segmented reductions.
+
+    The forward max-product pass of the earlier package, one call per
+    target: each step scores every edge for every source, takes
+    ``np.maximum.reduceat`` over each column's edges and
+    ``np.minimum.reduceat`` over the indices of the edges that attain it,
+    so ties go to the smallest row.  Returns the fields of a ``PathSet``
+    as plain tuples: (target_label, n_steps, sources, results, best), each
+    result (states, log_prob, step_log_probs, season_labels, target,
+    target_label, landing_state) or None.
+    """
+    n = schedule.n_grid_states
+    target_col = schedule.target_state(b)
+    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+
+    def layout(matrix, final: bool):
+        coo = matrix.tocoo()
+        mask = (coo.row < n) & (coo.data > 0)
+        mask &= (coo.col == target_col) if final else (coo.col < n)
+        rows, cols, data = coo.row[mask], coo.col[mask], coo.data[mask]
+        order = np.lexsort((rows, cols))
+        rows, logs, cols = rows[order], np.log(data[order]), cols[order]
+        head = np.ones(cols.size, dtype=bool)
+        head[1:] = cols[1:] != cols[:-1]
+        starts = np.flatnonzero(head)
+        return rows, logs, starts, cols[starts], np.cumsum(head) - 1
+
+    def step(lay, v):
+        rows, logs, starts, _, seg = lay
+        scores = v[rows] + logs[:, None]
+        best = np.maximum.reduceat(scores, starts, axis=0)
+        edge_ids = np.arange(rows.size)[:, None]
+        hit = np.where(scores == best[seg], edge_ids, rows.size)
+        return best, np.minimum.reduceat(hit, starts, axis=0)
+
+    steps = [layout(schedule.matrix_for_step(k), k == n_steps - 1) for k in range(n_steps)]
+    labels = tuple(schedule.season_label(k) for k in range(n_steps))
+    v = np.full((n, src.size), -np.inf)
+    v[src, np.arange(src.size)] = 0.0
+    back = np.full((n_steps - 1, n, src.size), -1, dtype=np.int64)
+    for k, lay in enumerate(steps[:-1]):
+        best, back[k, lay[3]] = step(lay, v)
+        v = np.full_like(v, -np.inf)
+        v[lay[3]] = best
+    best, win = step(steps[-1], v)  # at most one column: the target
+
+    results = []
+    for i, feasible in enumerate(np.isfinite(best).any(axis=0)):
+        if not feasible:
+            results.append(None)
+            continue
+        seq = [target_col]
+        step_logs = []
+        edge = win[0, i]
+        for k in range(n_steps - 1, -1, -1):
+            rows, logs = steps[k][0], steps[k][1]
+            seq.append(int(rows[edge]))
+            step_logs.append(float(logs[edge]))
+            if k:
+                edge = back[k - 1, rows[edge], i]
+        results.append((tuple(reversed(seq)), float(best[0, i]), tuple(reversed(step_logs)),
+                        labels, int(target_col), b, int(schedule.roles.debris[b - 1])))
+    best_path = None
+    for r in results:
+        if r is not None and (best_path is None or r[1] > best_path[1]):
+            best_path = r
+    return b, n_steps, tuple(int(s) for s in src), tuple(results), best_path

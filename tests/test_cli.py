@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftchain import spectral, ulam
+from driftchain import cli, paths, spectral, ulam
 from driftchain.cli import main
+from driftchain.config import load_config
 
 from oracles import dense_power_product
 
@@ -563,6 +564,30 @@ class TestPaths:
     def test_requires_observations(self, bare_case):
         r = invoke(["paths", "--config", str(bare_case / "run.cfg")])
         assert r.exit_code == 2
+
+    def test_repeated_out_of_order_observations_match_single_calls(self, copy):
+        # K = 95, 55, 95 at 5 days a step: one shared pass serves all three.
+        (copy / "observations.csv").write_text(
+            "target_label,days_since_crash,name\n1,475,a\n1,275,b\n1,475,c\n",
+            encoding="utf-8")
+        r = invoke(["paths", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 0, all_output(r)
+        cfg = load_config(copy / "run.cfg")
+        g, sched = cli._load_grid(cfg), cli._load_schedule(cfg)
+        sources = sched.roles.candidate_sources
+        _, rows = read_csv(copy / "paths_summary.csv")
+        assert [row[:3] for row in rows] == [["1", "1", "95"], ["2", "1", "55"], ["3", "1", "95"]]
+        for i, row in enumerate(rows, start=1):
+            ps = paths.most_probable_path(sched, sources, 1, int(row[2]))
+            assert row[3:] == [str(ps.best.source), cli.FMT % ps.best.log_prob]
+            features = []
+            for source, res in zip(ps.sources, ps.results):
+                feat = paths.path_to_geojson(res, g)
+                feat["properties"].update(is_best=res is ps.best, source_state=source)
+                features.append(feat)
+            doc = json.loads((copy / f"paths_obs{i}_target1.geojson").read_text(encoding="utf-8"))
+            assert doc == {"type": "FeatureCollection", "features": features,
+                           "name": f"target_1_obs_{i}"}
 
 
 class TestEvolve:

@@ -1,3 +1,6 @@
+import dataclasses
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from oracles import (
     enumerate_best_constrained,
     enumerate_best_unconstrained,
     random_substochastic,
+    reduceat_best_paths,
 )
 
 from scipy import sparse
@@ -15,8 +19,10 @@ from driftchain.errors import UnreachableTargetError
 from driftchain.grid import build_grid
 from driftchain.ingest import Season
 from driftchain.paths import (
+    _EdgeLayout,
     common_source_report,
     most_probable_path,
+    most_probable_paths,
     path_to_geojson,
     unconstrained_best_path,
 )
@@ -34,6 +40,22 @@ def pipeline_schedule():
     )
     roles = make_roles(3, sticky={2: 0.5}, debris=(2,), candidates=(0, 1))
     return autonomous(a, roles)
+
+
+def hand_schedule(m, roles):
+    """The same hand-built augmented chain in every season."""
+    chain = AugmentedChain(matrix=sparse.csr_matrix(m), roles=roles, transition_time=5.0,
+                           label="W")
+    return SeasonalSchedule(chains=dict.fromkeys(Season, chain))
+
+
+def bits(x):
+    """A PathSet, or the oracle's tuple of its fields, with floats as hex strings."""
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    if isinstance(x, tuple):
+        return tuple(bits(y) for y in x)
+    return x.hex() if isinstance(x, float) else x
 
 
 class TestConstrainedPath:
@@ -231,6 +253,95 @@ class TestConstrainedPath:
             most_probable_path(sched, [7], b=1, n_steps=2)
         with pytest.raises(ValueError):
             most_probable_path(sched, [], b=1, n_steps=2)
+
+
+class TestManyTargets:
+    def assert_batch_matches(self, sched, sources, targets):
+        """The batch equals, field for field and bitwise, every single-target
+        call and the per-observation reduceat DP."""
+        batch = most_probable_paths(sched, sources, targets)
+        assert len(batch) == len(targets)
+        for ps, (b, k) in zip(batch, targets):
+            assert (ps.target_label, ps.n_steps) == (b, k)
+            assert bits(ps) == bits(most_probable_path(sched, sources, b, k))
+            assert bits(ps) == bits(reduceat_best_paths(sched, sources, b, k))
+        return batch
+
+    def test_matches_single_calls_and_reduceat_dp(self):
+        rng = np.random.default_rng(1973)
+        for _ in range(240):
+            n = int(rng.integers(2, 7))
+            mats = {lbl: random_substochastic(rng, n, min_row=0.4,
+                                              density=float(rng.uniform(0.3, 0.9)))
+                    for lbl in ("W", "S", "SF")}
+            roles = random_roles(rng, n, max_targets=3)
+            start = date(2014, 1, 1) + timedelta(days=int(rng.integers(365)))
+            sched = seasonal(mats, roles, transition_time=float(rng.choice([5.0, 30.0])),
+                             start_date=start)
+            targets = [(int(rng.integers(1, len(roles.debris) + 1)), int(rng.integers(1, 9)))
+                       for _ in range(int(rng.integers(1, 6)))]
+            if rng.random() < 0.3:
+                targets.append(targets[0])
+            sources = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            self.assert_batch_matches(sched, sources, targets)
+
+    def test_repeats_short_and_out_of_order_targets(self):
+        sched = pipeline_schedule()
+        targets = [(1, 4), (1, 1), (1, 3), (1, 4), (1, 2)]
+        batch = self.assert_batch_matches(sched, [0, 1], targets)
+        assert [ps.n_steps for ps in batch] == [4, 1, 3, 4, 2]
+        assert batch[1].results == (None, None)  # one step cannot land from 0 or 1
+        assert batch[2].results[0].states == (0, 1, 2, 4)
+        assert batch[0].best.season_labels == ("W",) * 4
+        assert batch[2].best.season_labels == ("W",) * 3
+        assert bits(batch[0]) == bits(batch[3])
+
+    def test_target_without_in_edges_and_unreachable_target(self):
+        # Grid 0..2, cemetery 3, targets 4 and 5.  Only box 2 beaches, into
+        # target 1, so the final step into target 2 has no edges at all; and
+        # from box 0 target 1 needs at least three steps.
+        m = np.zeros((6, 6))
+        m[0, 0] = m[0, 1] = 0.5
+        m[1, 1] = m[1, 2] = 0.5
+        m[2, 2], m[2, 3], m[2, 4] = 0.25, 0.25, 0.5
+        m[3, 3] = m[4, 4] = m[5, 5] = 1.0
+        roles = make_roles(3, sticky={1: 0.5, 2: 0.5}, debris=(2, 1))
+        sched = hand_schedule(m, roles)
+        lay = _EdgeLayout(sched.matrix_for_step(0), 3, sched.target_state(2))
+        best, edge = lay.step(np.zeros((3, 2)))
+        assert best.shape == edge.shape == (0, 2)
+        targets = [(2, 3), (1, 3), (1, 2), (2, 1), (1, 1)]
+        batch = self.assert_batch_matches(sched, [0], targets)
+        assert [ps.best is None for ps in batch] == [True, False, True, True, True]
+        assert batch[1].best.states == (0, 1, 2, 4)
+
+    def test_slot_ties_go_to_smallest_row(self):
+        # Grid 0..4, cemetery 5, target 6.  Column 4 has five in-edges and
+        # columns 1..3 one each, so slot order (4, 1, 2, 3) differs from
+        # column order.  Rows 1, 2 and 3 tie into column 4 after the -inf
+        # edge from row 0, and tie again into the target.
+        m = np.zeros((7, 7))
+        m[0, 1:6] = 0.25, 0.25, 0.25, 0.125, 0.125
+        m[1:4, 4], m[1:4, 5], m[1:4, 6] = 0.5, 0.25, 0.25
+        m[4, 4], m[4, 5], m[4, 6] = 0.75, 0.125, 0.125
+        m[5, 5] = m[6, 6] = 1.0
+        sched = hand_schedule(m, make_roles(5, sticky={4: 0.125}, debris=(4,)))
+        lay = _EdgeLayout(sched.matrix_for_step(0), 5, None)
+        assert lay.cols.tolist() == [4, 1, 2, 3]
+        two, three = self.assert_batch_matches(sched, [0], [(1, 2), (1, 3)])
+        assert two.best.states == (0, 1, 6)
+        assert three.best.states == (0, 1, 4, 6)
+        assert two.best.step_log_probs == (np.log(0.25), np.log(0.25))
+        assert three.best.step_log_probs == (np.log(0.25), np.log(0.5), np.log(0.125))
+
+    def test_validation(self):
+        sched = pipeline_schedule()
+        with pytest.raises(ValueError):
+            most_probable_paths(sched, [0], [])
+        with pytest.raises(ValueError):
+            most_probable_paths(sched, [0], [(1, 3), (1, 0)])
+        with pytest.raises(ValueError):
+            most_probable_paths(sched, [0], [(1, 3), (2, 3)])
 
 
 class TestUnconstrainedPath:
