@@ -8,7 +8,7 @@ accumulate (spectral analysis), where did observed debris come from
 most probable paths).
 """
 
-from .absorb import AugmentedChain, absorption_split, add_beaching, add_cemetery, augment
+from .absorb import AugmentedChain, absorption_split, augment
 from .bayes import (
     Observation,
     PosteriorResult,
@@ -68,7 +68,7 @@ from .ulam import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedChain", "absorption_split", "add_beaching", "add_cemetery", "augment",
+    "AugmentedChain", "absorption_split", "augment",
     "Observation", "PosteriorResult", "absorption_cdf", "estimate_source",
     "first_absorption_pmf", "joint_likelihood", "load_observations", "posterior",
     "sticky_fit_map",

@@ -1,12 +1,16 @@
 """Closure of a substochastic chain with absorbing states.
 
-Two augmentation stages turn the row-substochastic transition matrix into
-a fully stochastic absorbing chain:
+One pass turns the row-substochastic transition matrix into a fully
+stochastic absorbing chain.  In each grid row, in this order:
 
-1. a cemetery state collects each row's missing mass (domain exits), and
-2. beaching: every sticky coastal row is damped by its per-step landing
-   probability ell; the landed mass goes to the cemetery, except at debris
-   sites, where it goes to that site's own absorbing target state.
+1. the row's missing mass (its deficit, the domain exits) goes to a
+   cemetery state;
+2. a sticky coastal row is scaled by 1 - ell, its per-step landing
+   probability ell, cemetery entry included;
+3. the landed mass ell goes to the cemetery, except at debris sites,
+   where it goes to that site's own absorbing target state;
+
+and the cemetery and target states get diagonal 1.
 
 State layout of the augmented chain (0-based): grid states ``0..N-1``,
 cemetery ``N``, target states ``N+m`` for labels ``m = 1..M``.
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConfigError, NumericalError
-from .grid import StateRoles
+from .grid import ROLE_KINDS, StateRoles, roles_from_records
 from .ulam import TransitionMatrix, _parse_triplets, _split_header, _write_triplets
 
 log = logging.getLogger(__name__)
@@ -96,14 +100,22 @@ class AugmentedChain:
         return range(self.n_grid_states, self.n_states)
 
 
-def add_cemetery(tm: TransitionMatrix, roles: StateRoles) -> sparse.csr_matrix:
-    """Append the cemetery state N collecting each row's deficit.
+def augment(tm: TransitionMatrix, roles: StateRoles) -> AugmentedChain:
+    """Close ``tm`` into the absorbing chain, in one pass over its entries.
 
-    Every positive row deficit is routed to column N so the result is
-    exactly stochastic; a material deficit on a row that is not declared
-    leaky (and has samples) is logged, since it usually means the role
-    file disagrees with the trajectory data.  Empty rows send all their
-    mass to the cemetery.
+    Each grid row i takes its deficit 1 - row sum in the cemetery column
+    (an empty row sends all its mass there); a sticky row is then scaled
+    by 1 - ell(i), cemetery entry included, and its landed mass ell(i)
+    goes to the cemetery, or at a debris site to the site's own target
+    state(s), split equally when several target labels share one box.
+    The cemetery and target states are absorbing.  Transition time and
+    label come from ``tm``.
+
+    A deficit below -1e-12 raises NumericalError, as does a row of the
+    result that does not sum to 1; smaller negative deficits are clipped
+    to 0.  A material deficit on a sampled row that is not declared leaky
+    is logged, since it usually means the role file disagrees with the
+    trajectory data.
     """
     n = tm.n_states
     roles.check_states(n)
@@ -114,108 +126,42 @@ def add_cemetery(tm: TransitionMatrix, roles: StateRoles) -> sparse.csr_matrix:
         )
     deficit = np.clip(raw, 0.0, None)
 
-    sampled = np.ones(n, dtype=bool)
-    if tm.row_counts is not None:
-        sampled = tm.row_counts > 0
-    undeclared = [
-        int(i)
-        for i in np.flatnonzero((deficit > _UNDECLARED_DEFICIT_WARN) & sampled)
-        if i not in roles.leaky
-    ]
-    if undeclared:
+    sampled = np.ones(n, dtype=bool) if tm.row_counts is None else tm.row_counts > 0
+    leaky = np.zeros(n, dtype=bool)
+    leaky[list(roles.leaky)] = True
+    undeclared = np.flatnonzero((deficit > _UNDECLARED_DEFICIT_WARN) & sampled & ~leaky)
+    if undeclared.size:
         log.warning(
             "%d rows outside the declared leaky set have deficits > %g "
             "(first few: %s)",
-            len(undeclared), _UNDECLARED_DEFICIT_WARN, undeclared[:5],
+            undeclared.size, _UNDECLARED_DEFICIT_WARN, undeclared[:5].tolist(),
         )
 
+    ell = np.zeros(n)
+    ell[list(roles.sticky)] = list(roles.sticky.values())
+    scale = 1.0 - ell
+    debris = np.asarray(roles.debris, dtype=np.int64)
+    landed = ell.copy()  # the landed mass the cemetery takes: none at debris sites
+    landed[debris] = 0.0
+    to_cemetery = np.flatnonzero((deficit > 0) | (landed > 0))
+    total = n + 1 + roles.n_targets
+    sinks = np.arange(n, total)  # the cemetery, then the targets
+
     coo = tm.matrix.tocoo()
-    extra = np.flatnonzero(deficit > 0)
-    rows = np.concatenate([coo.row, extra, [n]])
-    cols = np.concatenate([coo.col, np.full(len(extra), n), [n]])
-    vals = np.concatenate([coo.data, deficit[extra], [1.0]])
-    out = sparse.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
-def add_beaching(
-    pc: sparse.csr_matrix,
-    roles: StateRoles,
-    *,
-    source: TransitionMatrix,
-) -> AugmentedChain:
-    """Apply the beaching augmentation to a cemetery-closed (N+1) matrix.
-
-    Each sticky row i is scaled by (1 - ell(i)), cemetery column included;
-    the landed mass ell(i) then goes to the cemetery for a non-debris row
-    and to the row's own target state(s) for a debris row (split equally
-    when several target labels share one box).  Target states are
-    absorbing.  Transition time and label come from ``source``.
-    """
-    pc = sparse.csr_matrix(pc)
-    n1 = pc.shape[0]
-    if pc.shape[0] != pc.shape[1]:
-        raise ValueError(f"expected a square matrix, got {pc.shape}")
-    n = n1 - 1
-    roles.check_states(n)
-    m_targets = roles.n_targets
-    total = n1 + m_targets
-
-    scale = np.ones(n1)
-    for i, ell in roles.sticky.items():
-        scale[i] = 1.0 - ell
-
-    coo = pc.tocoo()
-    rows = [coo.row]
-    cols = [coo.col]
-    vals = [coo.data * scale[coo.row]]
-
-    debris_states = set(roles.debris)
-    beach_rows, beach_cols, beach_vals = [], [], []
-    for i, ell in roles.sticky.items():
-        if i in debris_states:
-            labels = roles.targets_of(i)
-            for m in labels:
-                beach_rows.append(i)
-                beach_cols.append(n + m)
-                beach_vals.append(ell / len(labels))
-        else:
-            beach_rows.append(i)
-            beach_cols.append(n)
-            beach_vals.append(ell)
-    for m in range(1, m_targets + 1):
-        beach_rows.append(n + m)
-        beach_cols.append(n + m)
-        beach_vals.append(1.0)
-
-    rows.append(np.asarray(beach_rows, dtype=np.int64))
-    cols.append(np.asarray(beach_cols, dtype=np.int64))
-    vals.append(np.asarray(beach_vals, dtype=float))
-    full = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    ).tocsr()
-    full.sum_duplicates()
-    full.sort_indices()
-
-    sums = np.asarray(full.sum(axis=1)).ravel()
-    worst = np.abs(sums - 1.0).max()
-    if worst > _ROW_SUM_TOL:
-        raise NumericalError(f"augmented row sums deviate from 1 by {worst:.3e}")
-
-    return AugmentedChain(
-        matrix=full,
-        roles=roles,
-        transition_time=float(source.transition_time),
-        label=source.label,
-    )
-
-
-def augment(tm: TransitionMatrix, roles: StateRoles) -> AugmentedChain:
-    """Full closure: cemetery then beaching, in that fixed order."""
-    return add_beaching(add_cemetery(tm, roles), roles, source=tm)
+    rows = np.concatenate([coo.row, to_cemetery, debris, sinks])
+    cols = np.concatenate([coo.col, np.full(to_cemetery.size, n), sinks[1:], sinks])
+    vals = np.concatenate([
+        coo.data * scale[coo.row],
+        deficit[to_cemetery] * scale[to_cemetery] + landed[to_cemetery],
+        ell[debris] / np.bincount(debris, minlength=n)[debris],
+        np.ones(sinks.size),
+    ])
+    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
+    try:
+        return AugmentedChain(matrix=matrix, roles=roles,
+                              transition_time=float(tm.transition_time), label=tm.label)
+    except ValueError as exc:
+        raise NumericalError(f"augmented chain: {exc}") from None
 
 
 def absorption_split(chain: AugmentedChain) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -276,44 +222,32 @@ def load_chain(path: str | Path) -> AugmentedChain:
     except ValueError:
         raise ConfigError(f"{path}: missing [roles] appendix") from None
     rows, cols, vals = _parse_triplets(body[:split_at], path, body_start + 1, total)
-    roles = _parse_roles_appendix(body[split_at + 1:], m, path)
+    first = body_start + split_at + 2
+    roles = roles_from_records(_appendix_records(body[split_at + 1:], first, path), path)
+    if roles.n_targets != m:
+        raise ConfigError(f"{path}: {roles.n_targets} debris records, header n_targets {m}")
     matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
     matrix.sort_indices()
     try:
         return AugmentedChain(matrix=matrix, roles=roles, transition_time=t, label=label)
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_roles_appendix(lines: list[str], m_targets: int, path) -> StateRoles:
-    leaky: set[int] = set()
-    sticky: dict[int, float] = {}
-    debris: dict[int, int] = {}
-    sources: list[int] = []
-    for line in lines:
+def _appendix_records(lines: list[str], first_line: int, path):
+    """Role records of the `[roles]` appendix, one `kind,state[,value]` line each.
+
+    ``first_line`` is the 1-based file line number of ``lines[0]``.
+    """
+    for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        kind = parts[0]
+        kind, *fields = line.split(",")
         try:
-            if kind == "leaky" and len(parts) == 2:
-                leaky.add(int(parts[1]))
-            elif kind == "sticky" and len(parts) == 3:
-                sticky[int(parts[1])] = float(parts[2])
-            elif kind == "debris" and len(parts) == 3:
-                debris[int(parts[2])] = int(parts[1])
-            elif kind == "source" and len(parts) == 2:
-                sources.append(int(parts[1]))
-            else:
+            if kind not in ROLE_KINDS or len(fields) != 1 + ROLE_KINDS[kind]:
                 raise ValueError
+            state = int(fields[0])
         except ValueError:
-            raise ConfigError(f"{path}: malformed roles line {line!r}") from None
-    if sorted(debris) != list(range(1, m_targets + 1)):
-        raise ConfigError(f"{path}: debris labels must cover 1..{m_targets}")
-    return StateRoles(
-        leaky=frozenset(leaky),
-        sticky=sticky,
-        debris=tuple(debris[k] for k in range(1, m_targets + 1)),
-        candidate_sources=tuple(sources),
-    )
+            raise ConfigError(f"{path}:{lineno}: malformed roles line {line!r}") from None
+        yield f"{path}:{lineno}", kind, state, fields[1] if len(fields) == 2 else None

@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 from . import absorb, bayes, paths, spectral, synth, ulam
 from .config import SEASON_BLOCK_DAYS, RunConfig, load_config, load_grid_config
 from .errors import ConfigError, NumericalError
-from .grid import GridCovering, StateRoles, load_roles
+from .grid import GridCovering, load_roles
 from .ingest import Season, extract_pairs, parse_trajectories, season_split
 from .schedule import SeasonalSchedule
 
@@ -123,12 +123,11 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 
 @main.command()
 @config_options
-@click.option("--lag-days", default=None, type=float, help="Override the transition time.")
 @click.option("--crash-date", default=None, type=str, help="Override the time origin (ISO date).")
 @handle_errors
-def build(config_path, out_dir, lag_days, crash_date):
+def build(config_path, out_dir, crash_date):
     """Estimate seasonal matrices, augment them with absorbing states, save."""
-    cfg = load_config(config_path, out_dir=out_dir, lag_days=lag_days, crash_date=crash_date)
+    cfg = load_config(config_path, out_dir=out_dir, crash_date=crash_date)
     cfg.require("grid", "trajectories", "roles")
     g = _load_grid(cfg)
     roles = load_roles(g, cfg.roles)
@@ -458,23 +457,23 @@ def synth_cmd(spec_path, out_dir, seed):
     run = RunConfig(lag_days=lag, crash_date=spec.start_date, seed=spec.seed,
                     season_exponent=round(SEASON_BLOCK_DAYS / lag))
     g = spec.grid()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     tracks = synth.simulate_tracks(spec)
-    synth.write_tracks_csv(tracks, out / "trajectories.csv")
-    synth.write_grid_config(spec, out / "grid.cfg")
-    synth.write_roles_csv(spec, g, out / "roles.csv")
-
+    # Sampled before any write, as no walk may beach; its seeded stream is
+    # its own, so the tracks do not depend on it.
     sampled = None
     obs_rows: list = list(spec.observations)
     if spec.sample_observations > 0:
-        schedule = _truth_schedule(spec)
         sampled = synth.sample_observations(
-            schedule, spec.source_state, spec.sample_observations,
+            _truth_schedule(spec), spec.source_state, spec.sample_observations,
             seed=spec.seed, max_steps=spec.max_observation_steps,
         )
         obs_rows += sampled
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    synth.write_tracks_csv(tracks, out / "trajectories.csv")
+    synth.write_grid_config(spec, out / "grid.cfg")
+    synth.write_roles_csv(spec, g, out / "roles.csv")
     if obs_rows:
         synth.write_observations_csv(obs_rows, spec.sample_interval_days,
                                      out / "observations.csv")
@@ -484,12 +483,7 @@ def synth_cmd(spec_path, out_dir, seed):
 
 
 def _truth_schedule(spec) -> SeasonalSchedule:
-    roles = StateRoles(
-        leaky=frozenset(spec.leaky),
-        sticky=dict(spec.sticky),
-        debris=tuple(spec.debris),
-        candidate_sources=tuple(spec.candidate_sources),
-    )
+    roles = spec.roles()
     chains = {}
     for season in Season:
         tm = ulam.TransitionMatrix(

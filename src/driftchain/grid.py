@@ -181,20 +181,57 @@ class StateRoles:
     def n_targets(self) -> int:
         return len(self.debris)
 
-    def targets_of(self, state: int) -> tuple[int, ...]:
-        """Target labels (1-based) hosted by a debris state."""
-        return tuple(m + 1 for m, s in enumerate(self.debris) if s == state)
-
-    def max_state(self) -> int:
-        states: set[int] = set(self.leaky) | set(self.sticky) | set(self.debris)
-        states.update(self.candidate_sources)
-        return max(states) if states else -1
-
     def check_states(self, n_states: int) -> None:
         """Raise if any referenced state falls outside 0..n_states-1."""
-        top = self.max_state()
-        if top >= n_states:
-            raise ConfigError(f"role references state {top} but chain has {n_states} states")
+        states = {*self.leaky, *self.sticky, *self.debris, *self.candidate_sources}
+        bad = [s for s in states if not 0 <= s < n_states]
+        if bad:
+            raise ConfigError(f"role references state {max(bad)} but chain has "
+                              f"{n_states} states")
+
+
+#: Each role record kind and the number of value fields after its state:
+#: a sticky record gives the land fraction, a debris record the target label.
+ROLE_KINDS = {"leaky": 0, "sticky": 1, "debris": 1, "source": 0}
+
+
+def roles_from_records(records: Iterable[tuple[str, str, int, str | None]],
+                       path) -> StateRoles:
+    """The one rule that turns role records into validated StateRoles.
+
+    Each record is ``(where, kind, state, value)``: ``where`` (`path:line`)
+    opens its error messages, ``kind`` is a key of ROLE_KINDS, and
+    ``value`` is the text of the land fraction or target label (None for
+    leaky and source records).  A state may carry each kind once, a debris
+    label may appear once, and the labels must be exactly 1..M; the source
+    record order is the candidate order used for posterior intervals.
+    """
+    seen: dict[str, dict] = {kind: {} for kind in ROLE_KINDS}
+    for where, kind, state, value in records:
+        try:
+            if kind == "debris":
+                key, item = int(value), state
+            else:
+                key, item = state, float(value) if kind == "sticky" else None
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if key in seen[kind]:
+            what = f"label {key}" if kind == "debris" else "record"
+            raise ConfigError(f"{where}: duplicate {kind} {what}")
+        seen[kind][key] = item
+
+    labels = sorted(seen["debris"])
+    if labels != list(range(1, len(labels) + 1)):
+        raise ConfigError(f"{path}: debris target labels must be exactly 1..M, got {labels}")
+    try:
+        return StateRoles(
+            leaky=frozenset(seen["leaky"]),
+            sticky=seen["sticky"],
+            debris=tuple(seen["debris"][m] for m in labels),
+            candidate_sources=tuple(seen["source"]),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_grid(
@@ -266,68 +303,34 @@ def load_roles(g: GridCovering, path: str | Path) -> StateRoles:
     """Parse the sectioned roles file into validated StateRoles.
 
     Records are `leaky: ix,iy`, `sticky: ix,iy,ell`, `debris: ix,iy,m` and
-    `source: ix,iy`.  Debris records define the target labels m, which must
-    cover 1..M exactly once each; the source record order defines the
-    candidate ordering used for posterior intervals.
+    `source: ix,iy`, read by :func:`roles_from_records`.
     """
-    leaky: set[int] = set()
-    sticky: dict[int, float] = {}
-    debris_by_label: dict[int, int] = {}
-    sources: list[int] = []
+    return roles_from_records(_role_file_records(g, path), path)
 
+
+def _role_file_records(g: GridCovering, path: str | Path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             kind, _, rest = line.partition(":")
             kind = kind.strip().lower()
             fields = [f.strip() for f in rest.split(",")]
-            want = 2 if kind in ("leaky", "source") else 3
-            if kind not in ("leaky", "sticky", "debris", "source"):
-                raise ConfigError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            if kind not in ROLE_KINDS:
+                raise ConfigError(f"{where}: unknown record kind {kind!r}")
+            want = 2 + ROLE_KINDS[kind]
             if len(fields) != want:
-                raise ConfigError(f"{path}:{lineno}: {kind} record needs {want} fields")
+                raise ConfigError(f"{where}: {kind} record needs {want} fields")
             try:
-                state = _role_state(g, fields[0], fields[1], path, lineno)
-                if kind == "leaky":
-                    if state in leaky:
-                        raise ConfigError(f"{path}:{lineno}: duplicate leaky record")
-                    leaky.add(state)
-                elif kind == "sticky":
-                    if state in sticky:
-                        raise ConfigError(f"{path}:{lineno}: duplicate sticky record")
-                    sticky[state] = float(fields[2])
-                elif kind == "debris":
-                    label = int(fields[2])
-                    if label in debris_by_label:
-                        raise ConfigError(f"{path}:{lineno}: duplicate debris label {label}")
-                    debris_by_label[label] = state
-                else:
-                    if state in sources:
-                        raise ConfigError(f"{path}:{lineno}: duplicate source record")
-                    sources.append(state)
+                box = (int(fields[0]), int(fields[1]))
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-
-    labels = sorted(debris_by_label)
-    if labels != list(range(1, len(labels) + 1)):
-        raise ConfigError(f"{path}: debris target labels must be exactly 1..M, got {labels}")
-    debris = tuple(debris_by_label[m] for m in labels)
-    return StateRoles(
-        leaky=frozenset(leaky),
-        sticky=sticky,
-        debris=debris,
-        candidate_sources=tuple(sources),
-    )
-
-
-def _role_state(g: GridCovering, ix_field: str, iy_field: str, path, lineno: int) -> int:
-    box = (int(ix_field), int(iy_field))
-    state = g.state_of_box(box)
-    if state == OUT_OF_DOMAIN:
-        raise ConfigError(f"{path}:{lineno}: box {box} is not an active box")
-    return state
+                raise ConfigError(f"{where}: {exc}") from None
+            state = g.state_of_box(box)
+            if state == OUT_OF_DOMAIN:
+                raise ConfigError(f"{where}: box {box} is not an active box")
+            yield where, kind, state, fields[2] if want == 3 else None
 
 
 def _iter_csv_rows(path: str | Path) -> Iterable[tuple[int, list[str]]]:

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .bayes import Observation
 from .errors import ConfigError
-from .grid import GridCovering, build_grid
+from .grid import GridCovering, StateRoles, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import SeasonalSchedule
 
@@ -32,7 +33,9 @@ class SyntheticSpec:
     over the grid's states; row deficits are exit probabilities.  Role
     and observation entries use state indices; ``sample_observations``
     requests that many simulated debris discoveries from the true source
-    instead of explicit ones.
+    instead of explicit ones.  Roles, the source state and explicit
+    observations are checked here, so `synth` rejects a spec whose files
+    a later command would reject before it writes any of them.
     """
 
     bounds: tuple[float, float, float, float]
@@ -74,10 +77,40 @@ class SyntheticSpec:
                 raise ConfigError("sample_observations requires source_state")
             if self.max_observation_steps < 1:
                 raise ConfigError("max_observation_steps must be at least 1 to sample observations")
+            if not self.debris:
+                raise ConfigError("sample_observations requires at least one debris state")
+        for name in ("leaky", "candidate_sources"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigError(f"{name} repeats a state")
+        self.roles().check_states(self.n_states)
+        if self.source_state is not None and not 0 <= self.source_state < self.n_states:
+            raise ConfigError(
+                f"source_state {self.source_state} outside 0..{self.n_states - 1}"
+            )
+        for i, row in enumerate(self.observations, start=1):
+            try:
+                obs = Observation(int(row["target_label"]), float(row["days_since_crash"]))
+            except KeyError as exc:
+                raise ConfigError(f"explicit observation {i} lacks {exc}") from None
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"explicit observation {i}: {exc}") from None
+            if obs.target_label > len(self.debris):
+                raise ConfigError(
+                    f"explicit observation {i} targets label {obs.target_label}, "
+                    f"but the spec has {len(self.debris)} debris states"
+                )
 
     @property
     def n_states(self) -> int:
         return next(iter(self.kernels.values())).shape[0]
+
+    def roles(self) -> StateRoles:
+        return StateRoles(
+            leaky=frozenset(self.leaky),
+            sticky=dict(self.sticky),
+            debris=tuple(self.debris),
+            candidate_sources=tuple(self.candidate_sources),
+        )
 
     def grid(self) -> GridCovering:
         g = build_grid(self.bounds, self.cell_size)

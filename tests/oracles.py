@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 
 def dense_dominant_pair(a: np.ndarray):
@@ -259,6 +260,61 @@ def per_step_sticky_mass(schedule, c: int, n_steps: int) -> np.ndarray:
         mass[k] = f[states] * ells
         f = schedule.matrix_for_step(k - 1).T @ f
     return mass
+
+
+def two_stage_augment(tm, roles):
+    """The absorbing closure in the two stages of the earlier package.
+
+    Stage one appends the cemetery column N with each row's clipped
+    deficit and builds an (N+1)-state CSR; stage two scales each sticky row
+    of it by 1 - ell, adds the landed mass ell to the cemetery (or splits
+    it over a debris box's target columns N+m) and the absorbing target
+    diagonals, and sums duplicate entries in a second COO -> CSR pass.
+    Returns (matrix, roles, transition_time, label).
+    """
+    n = tm.n_states
+    deficit = np.clip(1.0 - np.asarray(tm.matrix.sum(axis=1)).ravel(), 0.0, None)
+    coo = tm.matrix.tocoo()
+    extra = np.flatnonzero(deficit > 0)
+    rows = np.concatenate([coo.row, extra, [n]])
+    cols = np.concatenate([coo.col, np.full(len(extra), n), [n]])
+    vals = np.concatenate([coo.data, deficit[extra], [1.0]])
+    pc = sparse.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
+    pc.sum_duplicates()
+    pc.sort_indices()
+
+    scale = np.ones(n + 1)
+    for i, ell in roles.sticky.items():
+        scale[i] = 1.0 - ell
+    coo = pc.tocoo()
+    rows, cols, vals = [coo.row], [coo.col], [coo.data * scale[coo.row]]
+    beach_rows, beach_cols, beach_vals = [], [], []
+    for i, ell in roles.sticky.items():
+        if i in roles.debris:
+            labels = [m + 1 for m, s in enumerate(roles.debris) if s == i]
+            for m in labels:
+                beach_rows.append(i)
+                beach_cols.append(n + m)
+                beach_vals.append(ell / len(labels))
+        else:
+            beach_rows.append(i)
+            beach_cols.append(n)
+            beach_vals.append(ell)
+    for m in range(1, roles.n_targets + 1):
+        beach_rows.append(n + m)
+        beach_cols.append(n + m)
+        beach_vals.append(1.0)
+    rows.append(np.asarray(beach_rows, dtype=np.int64))
+    cols.append(np.asarray(beach_cols, dtype=np.int64))
+    vals.append(np.asarray(beach_vals, dtype=float))
+    total = n + 1 + roles.n_targets
+    full = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(total, total),
+    ).tocsr()
+    full.sum_duplicates()
+    full.sort_indices()
+    return full, roles, float(tm.transition_time), tm.label
 
 
 def random_substochastic(rng: np.random.Generator, n: int,

@@ -1,14 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from conftest import chain_dense, dense_tm, make_chain, make_roles, random_roles
-from oracles import mc_first_absorption, random_substochastic
+from oracles import mc_first_absorption, random_substochastic, two_stage_augment
 
 from driftchain.absorb import (
     AugmentedChain,
     absorption_split,
-    add_cemetery,
     augment,
     load_chain,
     save_chain,
@@ -20,8 +21,7 @@ class TestCemetery:
     def test_deficit_routed_to_cemetery(self):
         a = np.array([[0.6, 0.0], [0.0, 0.0]])
         roles = make_roles(2, leaky=(0, 1))
-        pc = add_cemetery(dense_tm(a), roles)
-        full = pc.toarray()
+        full = chain_dense(augment(dense_tm(a), roles))
         assert full.shape == (3, 3)
         assert full[0].tolist() == [0.6, 0.0, 0.4]
         assert full[1].tolist() == [0.0, 0.0, 1.0]  # empty row dies immediately
@@ -30,26 +30,88 @@ class TestCemetery:
 
     def test_stochastic_rows_untouched(self):
         a = np.array([[0.5, 0.5], [1.0, 0.0]])
-        pc = add_cemetery(dense_tm(a), make_roles(2))
-        assert pc[0, 2] == 0.0
-        assert pc[1, 2] == 0.0
+        chain = augment(dense_tm(a), make_roles(2))
+        assert chain.matrix[0, 2] == 0.0
+        assert chain.matrix[1, 2] == 0.0
+        assert chain_dense(chain)[:2, :2].tolist() == a.tolist()
 
     def test_negative_deficit_beyond_tolerance_rejected(self):
         tm = dense_tm(np.array([[0.7, 0.3], [0.0, 1.0]]))
         tm.matrix.data *= 1.0 + 1e-9  # simulate upstream roundoff damage
         with pytest.raises(NumericalError):
-            add_cemetery(tm, make_roles(2))
+            augment(tm, make_roles(2))
 
     def test_roundoff_deficit_clipped_to_zero(self):
         tm = dense_tm(np.array([[0.3, 0.7 + 2e-13], [0.0, 1.0]]))
-        pc = add_cemetery(tm, make_roles(2))
-        assert pc[0, 2] == 0.0  # no negative mass invented
+        chain = augment(tm, make_roles(2))
+        assert chain.matrix[0, 2] == 0.0  # no negative mass invented
 
     def test_deficit_on_unlisted_row_warns(self, caplog):
         a = np.array([[0.5, 0.0], [0.5, 0.5]])
         with caplog.at_level("WARNING", logger="driftchain.absorb"):
-            add_cemetery(dense_tm(a), make_roles(2, leaky=(1,)))
+            augment(dense_tm(a), make_roles(2, leaky=(1,)))
         assert "declared leaky" in caplog.text
+        assert "(first few: [0])" in caplog.text
+
+
+def random_instance(rng):
+    """A transition matrix and roles drawn across augmentation's corner cases.
+
+    Rows are either dyadic (eighths, so a full row sums to exactly 1 and
+    leaves a zero deficit) or random floats; some rows are empty, with or
+    without row counts that mark them unsampled.  Debris labels are drawn
+    with replacement from the sticky states, so labels often share a box,
+    and there are none when no state is sticky.
+    """
+    n = int(rng.integers(1, 9))
+    if rng.random() < 0.5:
+        a = np.array([rng.multinomial(int(rng.integers(0, 9)), np.full(n, 1 / n)) / 8.0
+                      for _ in range(n)])
+    else:
+        a = random_substochastic(rng, n, min_row=rng.uniform(0.0, 1.0),
+                                 density=rng.uniform(0.2, 1.0))
+    a[rng.random(n) < 0.2] = 0.0
+    counts = None
+    if rng.random() < 0.5:
+        counts = np.where(a.sum(axis=1) > 0, rng.integers(1, 50, size=n), 0)
+    tm = dense_tm(a, transition_time=float(rng.choice([2.5, 5.0, 7.5])),
+                  label=str(rng.choice(["W", "S", "SF", "pooled"])), row_counts=counts)
+
+    sticky_states = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    sticky = {int(s): float(rng.integers(1, 8) / 8 if rng.random() < 0.5
+                            else rng.uniform(0.01, 0.99)) for s in sticky_states}
+    n_targets = int(rng.integers(0, 4)) if sticky else 0
+    debris = tuple(int(rng.choice(list(sticky))) for _ in range(n_targets))
+    leaky = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    roles = make_roles(n, leaky=leaky.tolist(), sticky=sticky, debris=debris)
+    return tm, roles
+
+
+class TestOnePass:
+    def test_bitwise_equal_to_two_stage_closure(self, caplog):
+        rng = np.random.default_rng(2019)
+        seen = dict.fromkeys(["zero_deficit", "colocated", "no_targets",
+                              "counts_none", "empty_unsampled"], 0)
+        for _ in range(1200):
+            tm, roles = random_instance(rng)
+            with caplog.at_level("ERROR", logger="driftchain.absorb"):
+                chain = augment(tm, roles)
+            want, want_roles, want_time, want_label = two_stage_augment(tm, roles)
+            assert chain.matrix.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                got, ref = getattr(chain.matrix, attr), getattr(want, attr)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
+            assert chain.roles is want_roles
+            assert chain.transition_time == want_time and chain.label == want_label
+
+            sums = tm.row_sums()
+            seen["zero_deficit"] += bool((sums == 1.0).any())
+            seen["colocated"] += len(set(roles.debris)) < roles.n_targets
+            seen["no_targets"] += roles.n_targets == 0
+            seen["counts_none"] += tm.row_counts is None
+            seen["empty_unsampled"] += tm.row_counts is not None and bool(
+                (tm.row_counts == 0).any())
+        assert min(seen.values()) >= 50, seen
 
 
 class TestBeaching:
@@ -207,3 +269,50 @@ class TestChainRoundTrip:
         path.write_text("# transition-matrix v1\nn_states 2\ni,j,value\n")
         with pytest.raises(ConfigError):
             load_chain(path)
+
+
+class TestChainRolesAppendix:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        roles = make_roles(5, leaky=(0, 2), sticky={1: 0.25, 4: 0.75}, debris=(1, 4),
+                           candidates=(3, 0))
+        path = tmp_path / "chain.txt"
+        save_chain(make_chain(random_substochastic(np.random.default_rng(5), 5), roles), path)
+        return path
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("source,3\n", "source,3\nsource,3\n", "duplicate source record"),
+        ("leaky,2\n", "leaky,2\nleaky,2\n", "duplicate leaky record"),
+        ("sticky,4,0.75\n", "sticky,4,0.75\nsticky,4,0.5\n", "duplicate sticky record"),
+        ("debris,4,2\n", "debris,4,2\ndebris,1,2\n", "duplicate debris label 2"),
+        ("source,3\n", "source,x\n", "malformed roles line 'source,x'"),
+        ("source,3\n", "source,3,1\n", "malformed roles line 'source,3,1'"),
+        ("sticky,4,0.75\n", "sticky,4\n", "malformed roles line 'sticky,4'"),
+        ("source,3\n", "swimmer,3\n", "malformed roles line 'swimmer,3'"),
+        ("sticky,4,0.75\n", "sticky,4,x\n", "could not convert string to float"),
+    ], ids=["dup-source", "dup-leaky", "dup-sticky", "dup-label", "bad-state", "extra-field",
+            "missing-field", "unknown-kind", "bad-ell"])
+    def test_bad_record_names_its_line(self, saved, old, new, message):
+        text = saved.read_text(encoding="utf-8")
+        saved.write_text(text.replace(old, new), encoding="utf-8")
+        lines = saved.read_text(encoding="utf-8").splitlines()
+        lineno = len(lines) - lines[::-1].index(new.splitlines()[-1])  # last occurrence
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{saved}:{lineno}: ')}") as exc:
+            load_chain(saved)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("debris,4,2\n", "debris,4,3\n", "debris target labels must be exactly 1..M, got [1, 3]"),
+        ("debris,4,2\n", "", "1 debris records, header n_targets 2"),
+        ("debris,4,2\n", "debris,4,2\ndebris,4,3\n", "3 debris records, header n_targets 2"),
+        ("source,3\n", "source,5\n", "role references state 5 but chain has 5 states"),
+        ("source,3\n", "source,-1\n", "role references state -1 but chain has 5 states"),
+        ("sticky,4,0.75\n", "", "debris states not marked sticky: [4]"),
+    ], ids=["label-gap", "too-few-labels", "too-many-labels", "state-too-big", "negative-state",
+            "debris-not-sticky"])
+    def test_inconsistent_roles_name_the_path(self, saved, old, new, message):
+        text = saved.read_text(encoding="utf-8")
+        saved.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(saved))}: ") as exc:
+            load_chain(saved)
+        assert message in str(exc.value)

@@ -239,6 +239,20 @@ class TestSynth:
         ({"duration_days": float("inf")}, "duration_days must be finite"),
         ({"max_observation_steps": 0}, "max_observation_steps must be at least 1"),
         ({"seed": -4}, "seed must be nonnegative, got -4"),
+        ({"sticky": {"3": 1.5}}, "land fraction for state 3 must lie strictly in (0, 1)"),
+        ({"sticky": {"2": 0.5}}, "debris states not marked sticky: [3]"),
+        ({"candidate_sources": [0, 9]}, "role references state 9 but chain has 4 states"),
+        ({"leaky": [1, 1]}, "leaky repeats a state"),
+        ({"source_state": 9}, "source_state 9 outside 0..3"),
+        ({"observations": [{"days_since_crash": 30.0}]},
+         "explicit observation 1 lacks 'target_label'"),
+        ({"observations": [{"target_label": 2, "days_since_crash": 30.0}]},
+         "explicit observation 1 targets label 2, but the spec has 1 debris states"),
+        ({"observations": [{"target_label": 1, "days_since_crash": "nan"}]},
+         "days_since_crash must be positive and finite, got nan"),
+        ({"sticky": {}, "debris": []}, "sample_observations requires at least one debris state"),
+        # the debris box is three steps from the source, so no walk beaches
+        ({"max_observation_steps": 1}, "source 0: no beaching in 1000 consecutive walks"),
     ])
     def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
         spec_path = tmp_path / "spec.json"
@@ -319,10 +333,6 @@ class TestBuild:
         assert op.transition_time == 360.0
         np.testing.assert_allclose(op @ np.eye(4), dense_annual(case), atol=1e-13)
 
-    def test_lag_override_must_tile_seasons(self, case):
-        r = invoke(["build", "--config", str(case / "run.cfg"), "--lag-days", "7"])
-        assert r.exit_code == 2
-
     def test_missing_config_file(self, tmp_path):
         r = invoke(["build", "--config", str(tmp_path / "nope.cfg")])
         assert r.exit_code == 2
@@ -332,8 +342,9 @@ class TestNonFiniteSettings:
     """NaN and infinite settings exit 2 before any artifact is written."""
 
     def test_nan_lag_rejected(self, copy):
+        set_keys(copy / "run.cfg", lag_days="nan")
         before = {p.name: p.read_bytes() for p in copy.iterdir()}
-        r = invoke(["build", "--config", str(copy / "run.cfg"), "--lag-days", "nan"])
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert "lag_days must be finite" in all_output(r)
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
@@ -673,14 +684,14 @@ class TestEvolve:
 class TestMalformedTriplets:
     @pytest.fixture()
     def corrupt(self, case, tmp_path):
-        """Copy of the built case with one triplet line of a file replaced."""
+        """Copy of the built case with the line after ``after`` in a file replaced."""
 
-        def make(name, entry="3,x,0.5"):
+        def make(name, entry="3,x,0.5", after="i,j,value\n"):
             copy = tmp_path / "case"
             shutil.copytree(case, copy)
             path = copy / name
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            lineno = lines.index("i,j,value\n") + 2
+            lineno = lines.index(after) + 2
             lines[lineno - 1] = entry + "\n"
             path.write_text("".join(lines), encoding="utf-8")
             return copy, f"{name}:{lineno}"
@@ -699,6 +710,12 @@ class TestMalformedTriplets:
     def test_chain_exits_2(self, corrupt, command):
         copy, where = corrupt("chain_W.txt")
         r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert where in all_output(r)
+
+    def test_chain_roles_appendix_exits_2(self, corrupt):
+        copy, where = corrupt("chain_W.txt", entry="sticky,3,x", after="[roles]\n")
+        r = invoke(["bayes", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert where in all_output(r)
 

@@ -173,7 +173,6 @@ def test_roles_validation():
         StateRoles(leaky=frozenset(), sticky={}, debris=(2,), candidate_sources=())
     roles = make_roles(4, sticky={1: 0.3}, debris=(1, 1))
     assert roles.n_targets == 2
-    assert roles.targets_of(1) == (1, 2)
     roles.check_states(4)
     with pytest.raises(ConfigError):
         roles.check_states(1)
@@ -195,6 +194,26 @@ def test_load_roles_file(tmp_path, square_grid):
     assert roles.debris == (5,)
     # Source order follows the file, not the state numbering.
     assert roles.candidate_sources == (15, 12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("swimmer: 0,0\n", "1: unknown record kind 'swimmer'"),
+    ("sticky: 0,0\n", "1: sticky record needs 3 fields"),
+    ("leaky: 0,x\n", "1: invalid literal for int() with base 10: 'x'"),
+    ("leaky: 0,0\nsticky: 9,9,0.5\n", "2: box (9, 9) is not an active box"),
+    ("sticky: 0,0,x\n", "1: could not convert string to float: 'x'"),
+    ("leaky: 0,0\nleaky: 0,0\n", "2: duplicate leaky record"),
+    ("sticky: 0,0,0.5\nsticky: 0,0,0.25\n", "2: duplicate sticky record"),
+    ("sticky: 0,0,0.5\ndebris: 0,0,1\ndebris: 0,0,1\n", "3: duplicate debris label 1"),
+    ("source: 1,1\n# a comment\nsource: 1,1\n", "3: duplicate source record"),
+], ids=["kind", "fields", "box-int", "dry-box", "ell", "dup-leaky", "dup-sticky", "dup-label",
+        "dup-source"])
+def test_load_roles_errors_name_their_line(tmp_path, square_grid, text, message):
+    path = tmp_path / "roles.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_roles(square_grid, path)
+    assert str(exc.value) == f"{path}:{message}"
 
 
 def test_load_roles_rejects_dry_and_bad_rows(tmp_path, square_grid):
