@@ -61,6 +61,9 @@ class AugmentedChain:
                 f"matrix of shape {m.shape} too small for {self.roles.n_targets} targets"
             )
         self.roles.check_states(n)
+        # NaN fails every comparison below, so it is rejected on its own.
+        if not np.isfinite(m.data).all():
+            raise ValueError("augmented matrix entries must be finite")
         if m.nnz:
             lo, hi = m.data.min(), m.data.max()
             if lo < 0 or hi > 1 + _ROW_SUM_TOL:

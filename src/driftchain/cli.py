@@ -100,7 +100,7 @@ def _chain_path(cfg: RunConfig, season: Season) -> Path:
     return cfg.out_dir / f"chain_{season.value}.txt"
 
 
-def _load_schedule(cfg: RunConfig) -> SeasonalSchedule:
+def _load_schedule(cfg: RunConfig, g: GridCovering) -> SeasonalSchedule:
     chains = {}
     for season in Season:
         p = _chain_path(cfg, season)
@@ -108,10 +108,13 @@ def _load_schedule(cfg: RunConfig) -> SeasonalSchedule:
             raise ConfigError(f"missing {p}; run `driftchain build` first")
         chains[season] = absorb.load_chain(p)
     try:
-        return SeasonalSchedule(chains=chains, start_date=cfg.crash_date)
+        schedule = SeasonalSchedule(chains=chains, start_date=cfg.crash_date)
     except ValueError as exc:
         # chain files from different runs mixed in one output directory
         raise ConfigError(str(exc)) from None
+    if schedule.n_grid_states != g.n_states:
+        raise ConfigError("chain files do not match the configured grid")
+    return schedule
 
 
 def _load_grid(cfg: RunConfig) -> GridCovering:
@@ -123,11 +126,10 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 
 @main.command()
 @config_options
-@click.option("--crash-date", default=None, type=str, help="Override the time origin (ISO date).")
 @handle_errors
-def build(config_path, out_dir, crash_date):
+def build(config_path, out_dir):
     """Estimate seasonal matrices, augment them with absorbing states, save."""
-    cfg = load_config(config_path, out_dir=out_dir, crash_date=crash_date)
+    cfg = load_config(config_path, out_dir)
     cfg.require("grid", "trajectories", "roles")
     g = _load_grid(cfg)
     roles = load_roles(g, cfg.roles)
@@ -177,14 +179,12 @@ def build(config_path, out_dir, crash_date):
 
 @main.command("spectral")
 @config_options
-@click.option("--basin-threshold", default=None, type=float,
-              help="Right-eigenvector level defining the basin (default 0.5).")
 @click.option("--k-eigs", default=2, type=click.IntRange(min=1), show_default=True,
               help="Number of eigenpairs to compute.")
 @handle_errors
-def spectral_cmd(config_path, out_dir, basin_threshold, k_eigs):
+def spectral_cmd(config_path, out_dir, k_eigs):
     """Eigenpairs, basin of attraction, and retention time of the annual map."""
-    cfg = load_config(config_path, out_dir=out_dir, basin_threshold=basin_threshold)
+    cfg = load_config(config_path, out_dir)
     g = _load_grid(cfg)
     op = _load_annual(cfg)
     if op.n_states != g.n_states:
@@ -263,18 +263,13 @@ def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResul
 
 @main.command("bayes")
 @config_options
-@click.option("--cpi-level", default=None, type=float,
-              help="Central posterior interval level (default 0.95).")
-@click.option("--window-steps", default=None, type=int,
-              help="Half-width of the absorption-time matching window, in steps.")
 @handle_errors
-def bayes_cmd(config_path, out_dir, cpi_level, window_steps):
+def bayes_cmd(config_path, out_dir):
     """Posterior over candidate source boxes from the observations file."""
-    cfg = load_config(config_path, out_dir=out_dir, cpi_level=cpi_level,
-                      window_steps=window_steps)
+    cfg = load_config(config_path, out_dir)
     cfg.require("observations")
     g = _load_grid(cfg)
-    schedule = _load_schedule(cfg)
+    schedule = _load_schedule(cfg, g)
     observations = bayes.load_observations(cfg.observations)
     result = bayes.estimate_source(
         schedule, observations, grid=g,
@@ -323,10 +318,10 @@ def bayes_cmd(config_path, out_dir, cpi_level, window_steps):
 @handle_errors
 def paths_cmd(config_path, out_dir):
     """Most probable fixed-length paths from candidates to each observed target."""
-    cfg = load_config(config_path, out_dir=out_dir)
+    cfg = load_config(config_path, out_dir)
     cfg.require("observations")
     g = _load_grid(cfg)
-    schedule = _load_schedule(cfg)
+    schedule = _load_schedule(cfg, g)
     observations = bayes.load_observations(cfg.observations)
     roles = schedule.roles
     if not roles.candidate_sources:
@@ -388,7 +383,7 @@ def paths_cmd(config_path, out_dir):
 @handle_errors
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
-    cfg = load_config(config_path, out_dir=out_dir)
+    cfg = load_config(config_path, out_dir)
     # One step of the annual operator is one year, applied factor by factor.
     step = _load_annual(cfg) if label == "annual" else _load_matrix(cfg, label).matrix
     n = step.shape[0]

@@ -95,8 +95,9 @@ class RunConfig:
             )
 
 
-def _parse_kv(path: str | Path, allowed: set[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_kv(path: str | Path, allowed: set[str]) -> dict[str, tuple[int, str]]:
+    """Each key's line number and value text."""
+    values: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -110,34 +111,32 @@ def _parse_kv(path: str | Path, allowed: set[str]) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
+            values[key] = (lineno, value.strip())
     return values
 
 
-def load_config(path: str | Path, **overrides) -> RunConfig:
-    """Parse a run config file; keyword overrides (from CLI flags) win.
+def _parse_value(path: Path, raw: dict[str, tuple[int, str]], key: str, parse):
+    """``key``'s text parsed; a malformed value names its line and key."""
+    lineno, text = raw[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
 
-    Overrides valued None are ignored so flags can default to
-    "not given"; string overrides go through the key's parser, and
-    their paths stay relative to the working directory.
+
+def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfig:
+    """Parse a run config file; ``out_dir``, if given, replaces its output directory.
+
+    ``out_dir`` stays relative to the working directory.
     """
     path = Path(path)
     raw = _parse_kv(path, set(_RUN_KEYS))
     kwargs: dict = {}
-    try:
-        for key, parse in _RUN_KEYS.items():
-            if key in raw:
-                value = parse(raw[key])
-                kwargs[key] = path.parent / value if isinstance(value, Path) else value
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    try:
-        for key, value in overrides.items():
-            if value is not None:
-                kwargs[key] = _RUN_KEYS[key](value) if isinstance(value, str) else value
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    for key in raw:
+        value = _parse_value(path, raw, key, _RUN_KEYS[key])
+        kwargs[key] = path.parent / value if isinstance(value, Path) else value
+    if out_dir is not None:
+        kwargs["out_dir"] = Path(out_dir)
     return RunConfig(**kwargs)
 
 
@@ -149,15 +148,10 @@ def load_grid_config(path: str | Path) -> GridCovering:
                if k not in raw]
     if missing:
         raise ConfigError(f"{path}: missing grid keys: {', '.join(missing)}")
-    try:
-        bounds = (
-            float(raw["lon_min"]), float(raw["lon_max"]),
-            float(raw["lat_min"]), float(raw["lat_max"]),
-        )
-        cell = float(raw["cell_size"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    bounds = tuple(_parse_value(path, raw, k, float)
+                   for k in ("lon_min", "lon_max", "lat_min", "lat_max"))
+    cell = _parse_value(path, raw, "cell_size", float)
     wet = None
     if "wet_mask" in raw:
-        wet = load_wet_mask(path.parent / raw["wet_mask"])
+        wet = load_wet_mask(path.parent / raw["wet_mask"][1])
     return build_grid(bounds, cell, wet_mask=wet)

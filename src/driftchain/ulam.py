@@ -51,6 +51,9 @@ class TransitionMatrix:
             raise ValueError(f"transition matrix must be square, got {m.shape}")
         if self.label not in VALID_LABELS:
             raise ValueError(f"unknown season label {self.label!r}")
+        # NaN fails every comparison below, so it is rejected on its own.
+        if not np.isfinite(m.data).all():
+            raise ValueError("transition matrix entries must be finite")
         if m.nnz and m.data.min() < 0:
             raise ValueError("transition matrix entries must be nonnegative")
         sums = self.row_sums()

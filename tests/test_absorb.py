@@ -208,6 +208,12 @@ class TestChainValidation:
         with pytest.raises(ValueError):
             AugmentedChain(matrix=m, roles=roles, transition_time=5.0, label="W")
 
+    def test_non_finite_entry_rejected(self):
+        # NaN fails the range and row-sum checks alike, so it needs its own
+        m = sparse.csr_matrix(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            AugmentedChain(matrix=m, roles=make_roles(1), transition_time=5.0, label="W")
+
 
 class TestAbsorptionStructure:
     def test_split_shapes(self):

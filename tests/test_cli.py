@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from driftchain import cli, paths, spectral, ulam
 from driftchain.cli import main
-from driftchain.config import load_config
+from driftchain.config import _RUN_KEYS, load_config
 
 from oracles import dense_power_product
 
@@ -338,6 +338,30 @@ class TestBuild:
         assert r.exit_code == 2
 
 
+class TestRunSettingsSource:
+    """Each command reads its run settings from `run.cfg` alone; `--out` is the one override."""
+
+    def test_no_flag_restates_a_run_key(self):
+        restated = []
+        for name, command in main.commands.items():
+            if not any(p.name == "config_path" for p in command.params):
+                continue  # `synth` writes run.cfg but does not read it
+            for param in command.params:
+                spelled = {param.name} | {o.lstrip("-").replace("-", "_") for o in param.opts}
+                if param.name != "out_dir" and spelled & _RUN_KEYS.keys():
+                    restated.append(f"{name} {'/'.join(param.opts)}")
+        assert restated == []
+
+    @pytest.mark.parametrize("command, flag", [
+        ("build", "--crash-date"), ("spectral", "--basin-threshold"),
+        ("bayes", "--cpi-level"), ("bayes", "--window-steps"),
+    ])
+    def test_run_key_flag_is_unknown(self, command, flag):
+        r = invoke([command, "--config", "run.cfg", flag, "1"])
+        assert r.exit_code == 2
+        assert f"No such option '{flag}'" in all_output(r)
+
+
 class TestNonFiniteSettings:
     """NaN and infinite settings exit 2 before any artifact is written."""
 
@@ -357,11 +381,6 @@ class TestNonFiniteSettings:
         assert r.exit_code == 2
         assert f"{key} must be finite" in all_output(r)
 
-    def test_nan_basin_threshold_flag_rejected(self, copy):
-        r = invoke(["spectral", "--config", str(copy / "run.cfg"), "--basin-threshold", "nan"])
-        assert r.exit_code == 2
-        assert "basin_threshold must be finite" in all_output(r)
-
     @pytest.mark.parametrize("key, value", [("cell_size", "nan"), ("lon_max", "inf")])
     def test_non_finite_grid_rejected(self, copy, key, value):
         set_keys(copy / "grid.cfg", **{key: value})
@@ -376,9 +395,9 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize("threshold", ["1", "5"])
     def test_threshold_that_empties_the_basin_rejected(self, copy, threshold):
         # right vectors peak at exactly 1, so no state exceeds 1 or more
+        set_keys(copy / "run.cfg", basin_threshold=threshold)
         before = snapshot(copy)
-        r = invoke(["spectral", "--config", str(copy / "run.cfg"),
-                    "--basin-threshold", threshold])
+        r = invoke(["spectral", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert "basin_threshold must be below 1" in all_output(r)
         assert snapshot(copy) == before
@@ -413,10 +432,22 @@ class TestOutOfRangeInputs:
         assert snapshot(copy) == before
 
     def test_invalid_crash_date_flag_rejected(self, copy):
+        set_keys(copy / "run.cfg", crash_date="2014-13-01")
         before = snapshot(copy)
-        r = invoke(["build", "--config", str(copy / "run.cfg"), "--crash-date", "2014-13-01"])
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert "crash_date: month must be in 1..12" in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("command", ["bayes", "paths"])
+    @pytest.mark.parametrize("lon_max", ["42", "48"])
+    def test_chains_that_do_not_match_the_grid_rejected(self, copy, command, lon_max):
+        # the chains were built on 4 boxes; the grid now has 2 or 8
+        set_keys(copy / "grid.cfg", lon_max=lon_max)
+        before = snapshot(copy)
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert "chain files do not match the configured grid" in all_output(r)
         assert snapshot(copy) == before
 
     def test_negative_seed_rejected(self, copy):
@@ -584,7 +615,8 @@ class TestPaths:
         r = invoke(["paths", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 0, all_output(r)
         cfg = load_config(copy / "run.cfg")
-        g, sched = cli._load_grid(cfg), cli._load_schedule(cfg)
+        g = cli._load_grid(cfg)
+        sched = cli._load_schedule(cfg, g)
         sources = sched.roles.candidate_sources
         _, rows = read_csv(copy / "paths_summary.csv")
         assert [row[:3] for row in rows] == [["1", "1", "95"], ["2", "1", "55"], ["3", "1", "95"]]
@@ -681,12 +713,17 @@ class TestEvolve:
         assert r.exit_code == 2
 
 
+MALFORMED = "3,x,0.5"
+# A malformed triplet line, and a well-formed one whose NaN value parses.
+ENTRIES = [pytest.param(MALFORMED, id="malformed"), pytest.param("0,1,nan", id="nan")]
+
+
 class TestMalformedTriplets:
     @pytest.fixture()
     def corrupt(self, case, tmp_path):
         """Copy of the built case with the line after ``after`` in a file replaced."""
 
-        def make(name, entry="3,x,0.5", after="i,j,value\n"):
+        def make(name, entry=MALFORMED, after="i,j,value\n"):
             copy = tmp_path / "case"
             shutil.copytree(case, copy)
             path = copy / name
@@ -699,19 +736,22 @@ class TestMalformedTriplets:
         return make
 
     @pytest.mark.parametrize("args", [["spectral"], ["evolve", "--state", "0"]])
-    def test_annual_matrix_exits_2(self, corrupt, args):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_annual_matrix_exits_2(self, corrupt, args, entry):
         # both read the annual operator's seasonal factors
-        copy, where = corrupt("matrix_W.txt")
+        copy, where = corrupt("matrix_W.txt", entry)
         r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
         assert r.exit_code == 2
-        assert where in all_output(r)
+        # a NaN entry parses, so the error names the file but not the line
+        assert (where if entry == MALFORMED else "matrix_W.txt: ") in all_output(r)
 
     @pytest.mark.parametrize("command", ["bayes", "paths"])
-    def test_chain_exits_2(self, corrupt, command):
-        copy, where = corrupt("chain_W.txt")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_chain_exits_2(self, corrupt, command, entry):
+        copy, where = corrupt("chain_W.txt", entry)
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
-        assert where in all_output(r)
+        assert (where if entry == MALFORMED else "chain_W.txt: ") in all_output(r)
 
     def test_chain_roles_appendix_exits_2(self, corrupt):
         copy, where = corrupt("chain_W.txt", entry="sticky,3,x", after="[roles]\n")

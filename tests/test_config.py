@@ -58,19 +58,28 @@ class TestRunConfig:
 
     def test_overrides_win_but_none_ignored(self, tmp_path):
         write_inputs(tmp_path)
-        cfg_path = write_config(tmp_path, "grid = grid.cfg\nseed = 1\n")
-        cfg = load_config(cfg_path, seed=9, out_dir=None)
-        assert cfg.seed == 9
-        assert cfg.out_dir == Path("out")
+        cfg_path = write_config(tmp_path, "grid = grid.cfg\nout_dir = results\n")
+        assert load_config(cfg_path, out_dir=None).out_dir == tmp_path / "results"
+        assert load_config(cfg_path, out_dir=tmp_path / "x").out_dir == tmp_path / "x"
 
     def test_string_overrides_parsed_like_file_values(self, tmp_path):
         write_inputs(tmp_path)
         cfg_path = write_config(tmp_path, "grid = grid.cfg\n")
-        cfg = load_config(cfg_path, out_dir="elsewhere", crash_date="2014-07-01")
+        cfg = load_config(cfg_path, out_dir="elsewhere")
+        # a path given to the loader stays relative to the working directory
         assert cfg.out_dir == Path("elsewhere")
-        assert cfg.crash_date == date(2014, 7, 1)
-        with pytest.raises(ConfigError, match="crash_date: month must be in 1..12"):
-            load_config(cfg_path, crash_date="2014-13-01")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("crash_date", "2014-13-01", "month must be in 1..12"),
+        ("seed", "x1", "invalid literal for int() with base 10: 'x1'"),
+        ("eigen_tol", "tiny", "could not convert string to float: 'tiny'"),
+    ], ids=["date", "int", "float"])
+    def test_malformed_value_names_line_and_key(self, tmp_path, key, value, message):
+        write_inputs(tmp_path)
+        cfg_path = write_config(tmp_path, f"grid = grid.cfg\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg_path)
+        assert str(err.value) == f"{cfg_path}:2: {key}: {message}"
 
     def test_unknown_and_duplicate_keys(self, tmp_path):
         bad = write_config(tmp_path, "wavelength = 5\n")
@@ -140,6 +149,14 @@ class TestGridConfig:
         )
         g = load_grid_config(tmp_path / "grid.cfg")
         assert g.n_states == 1
+
+    def test_malformed_value_names_line_and_key(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("lon_min = 40\nlon_max = east\nlat_min = -31\nlat_max = -30\n"
+                        "cell_size = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_grid_config(path)
+        assert str(err.value) == f"{path}:2: lon_max: could not convert string to float: 'east'"
 
     def test_missing_keys_rejected(self, tmp_path):
         (tmp_path / "grid.cfg").write_text("lon_min = 0\n")

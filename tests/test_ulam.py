@@ -338,3 +338,9 @@ def test_transition_matrix_invariants():
             label="W",
             row_counts=None,
         )
+
+
+def test_non_finite_entry_rejected():
+    # NaN fails the sign and row-sum checks alike, so it needs its own
+    with pytest.raises(ValueError, match="entries must be finite"):
+        dense_tm(np.array([[0.5, np.nan], [0.0, 0.5]]))
