@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sparse
 
+from .csr import Csr
 from .errors import ConfigError, NumericalError
-from .grid import ROLE_KINDS, StateRoles, roles_from_records
-from .ulam import TransitionMatrix, _parse_triplets, _split_header, _write_triplets
+from .grid import ROLE_KINDS, GridCovering, StateRoles, roles_from_records
+from .ulam import TransitionMatrix, _check_grid, _parse_triplets, _split_header, _write_triplets
 
 log = logging.getLogger(__name__)
 
@@ -42,17 +42,19 @@ _UNDECLARED_DEFICIT_WARN = 1e-9
 class AugmentedChain:
     """Row-stochastic absorbing chain over N grid states plus 1+M sinks.
 
-    ``matrix`` has shape (N+1+M, N+1+M); ``roles`` assigns the grid
-    states their leaky, sticky, debris and candidate-source roles.
+    ``matrix`` has shape (N+1+M, N+1+M) and may be given as anything
+    :meth:`Csr.of` takes; it is held as a :class:`Csr`.  ``roles`` assigns
+    the grid states their leaky, sticky, debris and candidate-source roles.
     """
 
-    matrix: sparse.csr_matrix
+    matrix: Csr
     roles: StateRoles
     transition_time: float
     label: str
 
     def __post_init__(self):
-        m = self.matrix
+        m = Csr.of(self.matrix)
+        object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"augmented matrix must be square, got {m.shape}")
         n = m.shape[0] - 1 - self.roles.n_targets
@@ -68,7 +70,7 @@ class AugmentedChain:
             lo, hi = m.data.min(), m.data.max()
             if lo < 0 or hi > 1 + _ROW_SUM_TOL:
                 raise ValueError(f"entries outside [0, 1]: min={lo}, max={hi}")
-        sums = np.asarray(m.sum(axis=1)).ravel()
+        sums = m.row_sums()
         worst = np.abs(sums - 1.0).max() if sums.size else 0.0
         if worst > _ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by {worst:.3e}")
@@ -150,16 +152,18 @@ def augment(tm: TransitionMatrix, roles: StateRoles) -> AugmentedChain:
     total = n + 1 + roles.n_targets
     sinks = np.arange(n, total)  # the cemetery, then the targets
 
-    coo = tm.matrix.tocoo()
-    rows = np.concatenate([coo.row, to_cemetery, debris, sinks])
-    cols = np.concatenate([coo.col, np.full(to_cemetery.size, n), sinks[1:], sinks])
+    grid_rows, grid_cols, grid_vals = tm.matrix.triplets()
+    rows = np.concatenate([grid_rows, to_cemetery, debris, sinks])
+    cols = np.concatenate([grid_cols, np.full(to_cemetery.size, n), sinks[1:], sinks])
     vals = np.concatenate([
-        coo.data * scale[coo.row],
+        grid_vals * scale[grid_rows],
         deficit[to_cemetery] * scale[to_cemetery] + landed[to_cemetery],
         ell[debris] / np.bincount(debris, minlength=n)[debris],
         np.ones(sinks.size),
     ])
-    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
+    # Each (row, column) pair occurs once: grid entries stay below column n,
+    # and each target label has its own column.
+    matrix = Csr.from_entries(rows, cols, vals, (total, total))
     try:
         return AugmentedChain(matrix=matrix, roles=roles,
                               transition_time=float(tm.transition_time), label=tm.label)
@@ -167,11 +171,12 @@ def augment(tm: TransitionMatrix, roles: StateRoles) -> AugmentedChain:
         raise NumericalError(f"augmented chain: {exc}") from None
 
 
-def absorption_split(chain: AugmentedChain) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+def absorption_split(chain: AugmentedChain):
     """Split into the transient block Q and the absorption block R.
 
     Q holds transitions among the N grid states; R holds their transitions
     into the cemetery (column 0) and the M target states (columns 1..M).
+    Both are ``scipy.sparse.csr_matrix``.
     """
     n = chain.n_grid_states
     q = chain.matrix[:n, :n].tocsr()
@@ -179,8 +184,13 @@ def absorption_split(chain: AugmentedChain) -> tuple[sparse.csr_matrix, sparse.c
     return q, r
 
 
-def save_chain(chain: AugmentedChain, path: str | Path) -> None:
-    """Write the augmented chain: matrix triplets plus a role appendix."""
+def save_chain(chain: AugmentedChain, path: str | Path,
+               grid: GridCovering | None = None) -> None:
+    """Write the augmented chain: matrix triplets plus a role appendix.
+
+    With ``grid``, a `grid` header line records the bounds and cell size
+    the chain was built on, for :func:`load_chain` to check.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# augmented-chain v1\n")
         fh.write(f"n_states {chain.n_states}\n")
@@ -188,6 +198,8 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
         fh.write(f"n_targets {chain.n_targets}\n")
         fh.write(f"transition_time_days {chain.transition_time:.17g}\n")
         fh.write(f"label {chain.label}\n")
+        if grid is not None:
+            fh.write(f"grid {grid.bounds_text()}\n")
         fh.write("i,j,value\n")
         _write_triplets(fh, chain.matrix)
         fh.write("[roles]\n")
@@ -201,11 +213,17 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
             fh.write(f"source,{i}\n")
 
 
-def load_chain(path: str | Path) -> AugmentedChain:
-    """Read a chain written by :func:`save_chain`."""
+def load_chain(path: str | Path,
+               grid: tuple[GridCovering, str | Path] | None = None) -> AugmentedChain:
+    """Read a chain written by :func:`save_chain`.
+
+    ``grid`` is the grid the chain must belong to and the file it was
+    configured in, as for :func:`ulam.load_matrix`.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header, body_start = _split_header(lines, "# augmented-chain v1", path)
+    _check_grid(header, path, grid, "chain files")
     body = lines[body_start:]
     try:
         total = int(header["n_states"])
@@ -229,10 +247,9 @@ def load_chain(path: str | Path) -> AugmentedChain:
     roles = roles_from_records(_appendix_records(body[split_at + 1:], first, path), path)
     if roles.n_targets != m:
         raise ConfigError(f"{path}: {roles.n_targets} debris records, header n_targets {m}")
-    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
-    matrix.sort_indices()
     try:
-        return AugmentedChain(matrix=matrix, roles=roles, transition_time=t, label=label)
+        return AugmentedChain(matrix=Csr.from_entries(rows, cols, vals, (total, total)),
+                              roles=roles, transition_time=t, label=label)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy.sparse as sparse
 
 from . import absorb, bayes, paths, spectral, synth, ulam
 from .config import SEASON_BLOCK_DAYS, RunConfig, load_config, load_grid_config
@@ -79,16 +78,18 @@ def _matrix_path(cfg: RunConfig, label: str) -> Path:
     return cfg.out_dir / f"matrix_{label}.txt"
 
 
-def _load_matrix(cfg: RunConfig, label: str) -> ulam.TransitionMatrix:
+def _load_matrix(cfg: RunConfig, g: GridCovering | None, label: str) -> ulam.TransitionMatrix:
+    """The seasonal matrix `build` wrote; with ``g``, it must have been built on that grid."""
     path = _matrix_path(cfg, label)
     if not path.is_file():
         raise ConfigError(f"missing {path}; run `driftchain build` first")
-    return ulam.load_matrix(path)
+    return ulam.load_matrix(path, grid=None if g is None else (g, cfg.grid))
 
 
-def _load_annual(cfg: RunConfig) -> ulam.AnnualOperator:
+def _load_annual(cfg: RunConfig, g: GridCovering | None) -> ulam.AnnualOperator:
     """The annual operator over the seasonal matrices that `build` wrote."""
-    w, s, sf = (_load_matrix(cfg, season.value) for season in (Season.W, Season.S, Season.SF))
+    w, s, sf = (_load_matrix(cfg, g, season.value)
+                for season in (Season.W, Season.S, Season.SF))
     try:
         return ulam.annual_operator(w, s, sf, exponent=cfg.season_exponent)
     except ValueError as exc:
@@ -106,7 +107,7 @@ def _load_schedule(cfg: RunConfig, g: GridCovering) -> SeasonalSchedule:
         p = _chain_path(cfg, season)
         if not p.is_file():
             raise ConfigError(f"missing {p}; run `driftchain build` first")
-        chains[season] = absorb.load_chain(p)
+        chains[season] = absorb.load_chain(p, grid=(g, cfg.grid))
     try:
         schedule = SeasonalSchedule(chains=chains, start_date=cfg.crash_date)
     except ValueError as exc:
@@ -154,7 +155,7 @@ def build(config_path, out_dir):
     for season in Season:
         tm = ulam.estimate(by_season[season], g.n_states, cfg.lag_days, season.value)
         tms[season] = tm
-        ulam.save_matrix(tm, _matrix_path(cfg, season.value))
+        ulam.save_matrix(tm, _matrix_path(cfg, season.value), grid=g)
         sums = tm.row_sums()
         lines += [
             f"pairs_{season.value} {len(by_season[season])}",
@@ -168,7 +169,7 @@ def build(config_path, out_dir):
 
     for season in Season:
         chain = absorb.augment(tms[season], roles)
-        absorb.save_chain(chain, _chain_path(cfg, season))
+        absorb.save_chain(chain, _chain_path(cfg, season), grid=g)
 
     report_path = out / "build_report.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -186,7 +187,7 @@ def spectral_cmd(config_path, out_dir, k_eigs):
     """Eigenpairs, basin of attraction, and retention time of the annual map."""
     cfg = load_config(config_path, out_dir)
     g = _load_grid(cfg)
-    op = _load_annual(cfg)
+    op = _load_annual(cfg, g)
     if op.n_states != g.n_states:
         raise ConfigError("seasonal matrices do not match the configured grid")
 
@@ -384,8 +385,9 @@ def paths_cmd(config_path, out_dir):
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
     cfg = load_config(config_path, out_dir)
+    g = None if cfg.grid is None else _load_grid(cfg)
     # One step of the annual operator is one year, applied factor by factor.
-    step = _load_annual(cfg) if label == "annual" else _load_matrix(cfg, label).matrix
+    step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
     n = step.shape[0]
 
     if (initial_state is None) == (initial_csv is None):
@@ -482,7 +484,7 @@ def _truth_schedule(spec) -> SeasonalSchedule:
     chains = {}
     for season in Season:
         tm = ulam.TransitionMatrix(
-            matrix=sparse.csr_matrix(spec.kernels[season]),
+            matrix=spec.kernels[season],
             transition_time=spec.sample_interval_days,
             label=season.value,
         )

@@ -65,6 +65,11 @@ class GridCovering:
     def n_states(self) -> int:
         return len(self.active_boxes)
 
+    def bounds_text(self) -> str:
+        """Bounds and cell size at 17 significant digits, as chain files record them."""
+        return " ".join(f"{key}={getattr(self, key):.17g}"
+                        for key in ("lon_min", "lon_max", "lat_min", "lat_max", "cell_size"))
+
     def state_of_box(self, box: BoxId) -> int:
         """State index of an active box, or OUT_OF_DOMAIN for a dry box."""
         ix, iy = box

@@ -15,8 +15,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from .csr import Csr
 from .errors import UnreachableTargetError
 from .grid import GridCovering
 from .schedule import SeasonalSchedule
@@ -77,11 +77,11 @@ class _EdgeLayout:
     in-degree, descending, so slot s covers a prefix of them.
     """
 
-    def __init__(self, matrix, n_grid: int, target_col: int | None):
-        coo = matrix.tocoo()
-        mask = (coo.row < n_grid) & (coo.data > 0)
-        mask &= (coo.col < n_grid) if target_col is None else (coo.col == target_col)
-        rows, cols, data = coo.row[mask], coo.col[mask], coo.data[mask]
+    def __init__(self, matrix: Csr, n_grid: int, target_col: int | None):
+        rows, cols, data = matrix.triplets()
+        mask = (rows < n_grid) & (data > 0)
+        mask &= (cols < n_grid) if target_col is None else (cols == target_col)
+        rows, cols, data = rows[mask], cols[mask], data[mask]
         order = np.lexsort((rows, cols))
         self.rows = rows[order]
         self.logs = np.log(data[order])
@@ -260,8 +260,7 @@ def unconstrained_best_path(p, source: int, target: int, label: str | None = Non
     improvements update.  Raises UnreachableTargetError when no positive-
     probability route exists.
     """
-    mat = getattr(p, "matrix", p)
-    mat = mat.tocsr() if sparse.issparse(mat) else sparse.csr_matrix(np.asarray(mat))
+    mat = Csr.of(getattr(p, "matrix", p))
     n = mat.shape[0]
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("source and target must be valid states")

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-import scipy.sparse as sparse
-
 from .absorb import AugmentedChain
+from .csr import Csr
 from .grid import StateRoles
 from .ingest import DEFAULT_EPOCH, Season, season_of_day
 
@@ -79,7 +78,7 @@ class SeasonalSchedule:
             raise ValueError("step index must be nonnegative")
         return season_of_day(k * self.transition_time, self.start_date)
 
-    def matrix_for_step(self, k: int) -> sparse.csr_matrix:
+    def matrix_for_step(self, k: int) -> Csr:
         return self.chains[self.season_of_step(k)].matrix
 
     def season_label(self, k: int) -> str:

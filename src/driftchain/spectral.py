@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
+from .csr import Csr
 from .grid import GridCovering, states_by_latitude_row
 from .ulam import AnnualOperator
 
@@ -88,7 +88,7 @@ class _Restricted:
     for bit.
     """
 
-    op: AnnualOperator | sparse.spmatrix
+    op: AnnualOperator | Csr
     members: np.ndarray
 
     @property
@@ -109,10 +109,7 @@ def _as_operator(p):
     """``p`` itself if it is an operator applied factor by factor, else its CSR matrix."""
     if isinstance(p, (AnnualOperator, _Restricted)):
         return p
-    m = getattr(p, "matrix", p)
-    if sparse.issparse(m):
-        return m.tocsr()
-    return sparse.csr_matrix(np.asarray(m, dtype=float))
+    return Csr.of(getattr(p, "matrix", p))
 
 
 def _start_block(n: int, width: int, seed: int) -> np.ndarray:

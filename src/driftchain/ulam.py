@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
+from .csr import Csr
 from .errors import ConfigError
-from .grid import OUT_OF_DOMAIN
+from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
 from .textio import is_plain, read_rows
 
@@ -37,16 +37,18 @@ class TransitionMatrix:
     ``row_counts`` holds the number of lag-T samples per row for estimated
     matrices and is None for derived (composed) ones.  Rows without samples
     stay structurally empty; downstream augmentation treats them as fully
-    leaky.  Treat instances as immutable.
+    leaky.  ``matrix`` may be given as anything :meth:`Csr.of` takes and
+    is held as a :class:`Csr`.  Treat instances as immutable.
     """
 
-    matrix: sparse.csr_matrix
+    matrix: Csr
     transition_time: float
     label: str
     row_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        m = self.matrix
+        m = Csr.of(self.matrix)
+        object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got {m.shape}")
         if self.label not in VALID_LABELS:
@@ -67,7 +69,7 @@ class TransitionMatrix:
         return self.matrix.shape[0]
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return self.matrix.row_sums()
 
     def deficits(self) -> np.ndarray:
         """Per-row missing mass 1 - row sum (out-of-domain leakage)."""
@@ -107,18 +109,12 @@ def estimate(
 
     row_counts = np.bincount(frm, minlength=n_states).astype(np.int64)
     keep = to != OUT_OF_DOMAIN
-    counts = sparse.coo_matrix(
-        (np.ones(keep.sum(), dtype=float), (frm[keep], to[keep])),
-        shape=(n_states, n_states),
-    ).tocsr()
-    counts.sum_duplicates()
-    denom = np.repeat(row_counts, np.diff(counts.indptr))
-    counts.data /= denom
-    counts.eliminate_zeros()
-    counts.sort_indices()
-
+    keys, counts = np.unique(frm[keep].astype(np.int64) * n_states + to[keep],
+                             return_counts=True)
+    rows = keys // n_states
     tm = TransitionMatrix(
-        matrix=counts,
+        matrix=Csr.from_entries(rows, keys % n_states, counts / row_counts[rows],
+                                (n_states, n_states)),
         transition_time=float(transition_time),
         label=label,
         row_counts=row_counts,
@@ -145,15 +141,16 @@ def compose_annual(
     composite advances one 360-day year.
     """
     op = annual_operator(p_w, p_s, p_sf, exponent)
-    annual = sparse.csr_matrix(op @ np.eye(op.n_states))
+    annual = Csr.of(op @ np.eye(op.n_states))
     # Products of substochastic factors are substochastic up to roundoff;
     # clamp stray ulps so the row-sum invariant holds exactly.
-    sums = np.asarray(annual.sum(axis=1)).ravel()
+    sums = annual.row_sums()
     bad = sums > 1.0
     if bad.any():
         scale = np.ones_like(sums)
         scale[bad] = 1.0 / sums[bad]
-        annual = sparse.diags(scale).dot(annual).tocsr()
+        annual = Csr(annual.indptr, annual.indices,
+                     annual.data * np.repeat(scale, np.diff(annual.indptr)), annual.shape)
     return TransitionMatrix(
         matrix=annual,
         transition_time=op.transition_time,
@@ -175,7 +172,7 @@ class AnnualOperator:
     distribution one year per step.
     """
 
-    factors: tuple[sparse.spmatrix, ...]
+    factors: tuple[Csr, ...]
     exponent: int
     transition_time: float
 
@@ -224,7 +221,7 @@ def annual_operator(
 
 
 def propagate(f: np.ndarray,
-              matrices: Iterable[sparse.spmatrix | AnnualOperator]) -> Iterator[np.ndarray]:
+              matrices: Iterable[Csr | AnnualOperator]) -> Iterator[np.ndarray]:
     """Yield ``f``, then ``f`` after each matrix in turn: f, f P_0, f P_0 P_1, ...
 
     The one loop that steps a distribution.  A 2-D ``f`` evolves one
@@ -315,13 +312,19 @@ def markov_test(
     return rows
 
 
-def save_matrix(tm: TransitionMatrix, path: str | Path) -> None:
-    """Write the matrix in the text triplet format (bit-exact round trip)."""
+def save_matrix(tm: TransitionMatrix, path: str | Path, grid: GridCovering | None = None) -> None:
+    """Write the matrix in the text triplet format (bit-exact round trip).
+
+    With ``grid``, a `grid` header line records the bounds and cell size
+    the matrix was estimated on, for :func:`load_matrix` to check.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# transition-matrix v1\n")
         fh.write(f"n_states {tm.n_states}\n")
         fh.write(f"transition_time_days {tm.transition_time:.17g}\n")
         fh.write(f"label {tm.label}\n")
+        if grid is not None:
+            fh.write(f"grid {grid.bounds_text()}\n")
         if tm.row_counts is None:
             fh.write("row_counts none\n")
         else:
@@ -335,22 +338,26 @@ def save_matrix(tm: TransitionMatrix, path: str | Path) -> None:
 _WRITE_CHUNK = 1 << 16
 
 
-def _write_triplets(fh, matrix: sparse.spmatrix) -> None:
+def _write_triplets(fh, matrix: Csr) -> None:
     """Write one `i,j,value` line per entry, in row-major order."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    for a in range(0, len(order), _WRITE_CHUNK):
+    rows, cols, vals = matrix.triplets()
+    for a in range(0, len(vals), _WRITE_CHUNK):
         b = a + _WRITE_CHUNK
         fh.writelines(f"{i},{j},{v:.17g}\n" for i, j, v in
                       zip(rows[a:b].tolist(), cols[a:b].tolist(), vals[a:b].tolist()))
 
 
-def load_matrix(path: str | Path) -> TransitionMatrix:
-    """Read a matrix written by :func:`save_matrix`."""
+def load_matrix(path: str | Path,
+                grid: tuple[GridCovering, str | Path] | None = None) -> TransitionMatrix:
+    """Read a matrix written by :func:`save_matrix`.
+
+    ``grid`` is the grid the matrix must belong to and the file it was
+    configured in; see :func:`_check_grid`.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header, body_start = _split_header(lines, "# transition-matrix v1", path)
+    _check_grid(header, path, grid, "seasonal matrices")
     try:
         n = int(header["n_states"])
         t = float(header["transition_time_days"])
@@ -364,10 +371,9 @@ def load_matrix(path: str | Path) -> TransitionMatrix:
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed header ({exc})") from None
     rows, cols, vals = _parse_triplets(lines[body_start:], path, body_start + 1, n)
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    m.sort_indices()
     try:
-        return TransitionMatrix(matrix=m, transition_time=t, label=label, row_counts=row_counts)
+        return TransitionMatrix(matrix=Csr.from_entries(rows, cols, vals, (n, n)),
+                                transition_time=t, label=label, row_counts=row_counts)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -385,6 +391,23 @@ def _split_header(lines: list[str], magic: str, path) -> tuple[dict[str, str], i
     raise ConfigError(f"{path}: missing i,j,value section")
 
 
+def _check_grid(header: dict[str, str], path, grid: tuple[GridCovering, str | Path] | None,
+                what: str) -> None:
+    """Reject a file whose `grid` header line records other bounds or cell size.
+
+    ``grid`` is the grid the file must belong to and the file it was
+    configured in, or None for no check; a file without the line (one
+    saved without ``grid``) is not checked either.
+    """
+    if grid is None or "grid" not in header:
+        return
+    g, source = grid
+    if header["grid"] != g.bounds_text():
+        raise ConfigError(f"{what} do not match the configured grid: {path} was built on "
+                          f"{header['grid']}, but {source} gives {g.bounds_text()}; "
+                          "rerun `driftchain build`")
+
+
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
@@ -393,8 +416,8 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     """Parse `i,j,value` lines up to the first blank, `#` or `[` line.
 
     ``first_line`` is the 1-based file line number of ``entries[0]``.  A
-    malformed line, or an index outside 0..n_states-1, raises ConfigError
-    naming its path and line.
+    malformed line, an index outside 0..n_states-1, or an (i, j) pair
+    given twice raises ConfigError naming its path and line.
     """
     parsed = None
     if is_plain("\n".join(entries)):
@@ -408,6 +431,15 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     if outside.size:
         raise ConfigError(f"{path}:{first_line + outside[0]}: matrix index outside "
                           f"0..{n_states - 1} in {entries[outside[0]].strip()!r}")
+    # Files are written in row-major order, so this sort finds one run.
+    keys = rows * n_states + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        later = repeats.min()
+        earlier = order[np.searchsorted(keys[order], keys[later])]
+        raise ConfigError(f"{path}: lines {first_line + earlier} and {first_line + later} "
+                          f"both give entry ({rows[later]}, {cols[later]})")
     return rows, cols, parsed["v"]
 
 

@@ -273,8 +273,8 @@ def two_stage_augment(tm, roles):
     Returns (matrix, roles, transition_time, label).
     """
     n = tm.n_states
-    deficit = np.clip(1.0 - np.asarray(tm.matrix.sum(axis=1)).ravel(), 0.0, None)
-    coo = tm.matrix.tocoo()
+    deficit = np.clip(1.0 - np.asarray(tm.matrix.tocsr().sum(axis=1)).ravel(), 0.0, None)
+    coo = tm.matrix.tocsr().tocoo()
     extra = np.flatnonzero(deficit > 0)
     rows = np.concatenate([coo.row, extra, [n]])
     cols = np.concatenate([coo.col, np.full(len(extra), n), [n]])
@@ -315,6 +315,26 @@ def two_stage_augment(tm, roles):
     full.sum_duplicates()
     full.sort_indices()
     return full, roles, float(tm.transition_time), tm.label
+
+
+def scipy_csr(rows, cols, vals, shape) -> sparse.csr_matrix:
+    """CSR by scipy's COO path: duplicates summed, columns sorted in each row."""
+    m = sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+def scipy_estimate(from_state, to_state, n_states: int) -> sparse.csr_matrix:
+    """Ulam counting as the earlier package did it, through scipy's COO path."""
+    row_counts = np.bincount(from_state, minlength=n_states).astype(np.int64)
+    keep = to_state >= 0
+    counts = scipy_csr(from_state[keep], to_state[keep], np.ones(keep.sum()),
+                       (n_states, n_states))
+    counts.data /= np.repeat(row_counts, np.diff(counts.indptr))
+    counts.eliminate_zeros()
+    counts.sort_indices()
+    return counts
 
 
 def random_substochastic(rng: np.random.Generator, n: int,
@@ -521,7 +541,7 @@ def reduceat_best_paths(schedule, sources, b: int, n_steps: int):
     src = np.unique(np.asarray(list(sources), dtype=np.int64))
 
     def layout(matrix, final: bool):
-        coo = matrix.tocoo()
+        coo = matrix.tocsr().tocoo()
         mask = (coo.row < n) & (coo.data > 0)
         mask &= (coo.col == target_col) if final else (coo.col < n)
         rows, cols, data = coo.row[mask], coo.col[mask], coo.data[mask]

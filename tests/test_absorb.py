@@ -178,7 +178,7 @@ class TestBeaching:
             a = random_substochastic(rng, n, min_row=0.2)
             roles = random_roles(rng, n)
             chain = make_chain(a, roles)
-            sums = np.asarray(chain.matrix.sum(axis=1)).ravel()
+            sums = np.asarray(chain.matrix.tocsr().sum(axis=1)).ravel()
             assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_source_metadata_carried(self):

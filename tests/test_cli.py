@@ -8,7 +8,11 @@ documented exit codes (0 ok, 2 config error, 3 numerical failure).
 
 import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +454,19 @@ class TestOutOfRangeInputs:
         assert "chain files do not match the configured grid" in all_output(r)
         assert snapshot(copy) == before
 
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0"]])
+    def test_grid_moved_after_build_rejected(self, copy, args):
+        # the same 4 boxes as built, one degree east: the box count cannot tell
+        set_keys(copy / "grid.cfg", lon_min=41, lon_max=45)
+        before = snapshot(copy)
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        built = "matrix_W.txt" if args[0] in ("spectral", "evolve") else "chain_W.txt"
+        assert f"{built} was built on lon_min=40 lon_max=44 " in all_output(r)
+        assert "grid.cfg gives lon_min=41 lon_max=45 " in all_output(r)
+        assert snapshot(copy) == before
+
     def test_negative_seed_rejected(self, copy):
         set_keys(copy / "run.cfg", seed=-3)
         before = snapshot(copy)
@@ -761,12 +778,81 @@ class TestMalformedTriplets:
 
     @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
                                                ("chain_W.txt", "bayes")])
+    def test_repeated_entry_exits_2(self, case, corrupt, name, command):
+        # the second entry line repeats the first one's (i, j); the earlier reader summed them
+        lines = (case / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        first = lines.index("i,j,value\n") + 1
+        i, j, _ = lines[first].split(",")
+        copy, _ = corrupt(name, entry=f"{i},{j},0.25", after=lines[first])
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{name}: lines {first + 1} and {first + 2} both give entry ({i}, {j})" \
+            in all_output(r)
+
+    @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
+                                               ("chain_W.txt", "bayes")])
+    def test_nan_in_place_of_a_value_exits_2(self, case, corrupt, name, command):
+        # ENTRIES' "0,1,nan" repeats entry (0, 1), so it stops at the repeat rule;
+        # here NaN replaces the first entry's value and no (i, j) repeats
+        lines = (case / name).read_text(encoding="utf-8").splitlines()
+        i, j, _ = lines[lines.index("i,j,value") + 1].split(",")
+        copy, _ = corrupt(name, entry=f"{i},{j},nan")
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{name}: " in all_output(r) and "entries must be finite" in all_output(r)
+
+    @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
+                                               ("chain_W.txt", "bayes")])
     def test_negative_entry_exits_2(self, corrupt, name, command):
         # row 0 has no other entry in column 3, so the parsed value stays negative
         copy, _ = corrupt(name, entry="0,3,-0.5")
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert name in all_output(r)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs one command in a fresh interpreter, then reports whether scipy was loaded.
+IMPORTS_SCIPY = """
+import sys
+from driftchain.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+print("scipy" in sys.modules)
+"""
+
+
+def scipy_loaded(*args) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    r = subprocess.run([sys.executable, "-c", IMPORTS_SCIPY, *args], env=env,
+                       capture_output=True, text=True, check=True)
+    return r.stdout.splitlines()[-1] == "True"
+
+
+class TestStartUp:
+    """Only the commands that multiply by a matrix (spectral, bayes, evolve) load scipy."""
+
+    def test_package_import_leaves_scipy_out(self):
+        assert not scipy_loaded("--help")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        r = subprocess.run([sys.executable, "-c",
+                            "import sys, driftchain; print('scipy' in sys.modules)"],
+                           env=env, capture_output=True, text=True, check=True)
+        assert r.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command, loads", [("build", False), ("paths", False),
+                                                ("spectral", True)])
+    def test_only_products_load_scipy(self, copy, command, loads):
+        assert scipy_loaded(command, "--config", str(copy / "run.cfg")) is loads
+
+    def test_synth_leaves_scipy_out(self, case, tmp_path):
+        assert not scipy_loaded("synth", "--spec", str(case.parent / "spec.json"),
+                                "--out", str(tmp_path / "synth"))
 
 
 class TestDeterminism:

@@ -1,0 +1,114 @@
+"""The numpy CSR builders against scipy's COO -> CSR path, array for array.
+
+Each builder must give the dtype and the bytes of ``indptr``, ``indices``
+and ``data`` that scipy gives for the same entries, so that products,
+row sums and the written files stay bit for bit what they were.  The
+absorbing closure is checked the same way in ``test_absorb.TestOnePass``.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from conftest import make_roles
+from oracles import random_substochastic, scipy_csr, scipy_estimate
+
+from driftchain.absorb import augment, load_chain, save_chain
+from driftchain.csr import Csr
+from driftchain.grid import OUT_OF_DOMAIN
+from driftchain.ingest import TransitionPairs
+from driftchain.ulam import TransitionMatrix, estimate, load_matrix, save_matrix
+
+
+def assert_same_arrays(got: Csr, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+def random_pairs(rng, n):
+    """Lag pairs with empty rows, rows whose every pair left, and repeated keys."""
+    size = int(rng.integers(0, 40 * n))
+    live = rng.choice(n, size=max(1, n // 2), replace=False)  # other rows stay empty
+    frm = rng.choice(live, size=size)
+    to = rng.integers(0, min(n, 3), size=size) + rng.integers(0, n, size=size) // 3
+    to = np.minimum(to, n - 1)
+    to[rng.random(size) < 0.2] = OUT_OF_DOMAIN
+    if live.size > 1:
+        to[frm == live[0]] = OUT_OF_DOMAIN  # a sampled row with no entry
+    return TransitionPairs(frm, to, np.zeros(size), np.zeros(size, dtype=np.int8))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_estimate_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 if seed < 4 else int(rng.integers(2, 60))
+    pairs = random_pairs(rng, n)
+    tm = estimate(pairs, n, 5.0, "W")
+    assert_same_arrays(tm.matrix, scipy_estimate(pairs.from_state, pairs.to_state, n))
+
+
+def shuffled_body(path, rng):
+    """Rewrite a saved file with its entry lines in random order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index("i,j,value") + 1
+    stop = lines.index("[roles]") if "[roles]" in lines else len(lines)
+    body = lines[start:stop]
+    rng.shuffle(body)
+    path.write_text("\n".join(lines[:start] + body + lines[stop:]) + "\n", encoding="utf-8")
+    return np.loadtxt(body, delimiter=",", ndmin=2) if body else np.empty((0, 3))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_load_matrix_and_chain_match_scipy(tmp_path, seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(1, 30))
+    a = random_substochastic(rng, n, min_row=0.5, density=rng.uniform(0.05, 1.0))
+    a[rng.random(n) < 0.2] = 0.0
+    tm = TransitionMatrix(matrix=a, transition_time=5.0, label="S")
+    sticky = {int(s): 0.25 for s in rng.choice(n, size=min(n, 2), replace=False)}
+    chain = augment(tm, make_roles(n, leaky=range(n), sticky=sticky, debris=list(sticky)))
+    for save, load, record in ((save_matrix, load_matrix, tm), (save_chain, load_chain, chain)):
+        path = tmp_path / f"{save.__name__}.txt"
+        save(record, path)
+        ijv = shuffled_body(path, rng)
+        back = load(path)
+        want = scipy_csr(ijv[:, 0].astype(int), ijv[:, 1].astype(int), ijv[:, 2],
+                         record.matrix.shape)
+        assert_same_arrays(back.matrix, want)
+        assert_same_arrays(back.matrix, record.matrix)
+
+
+def test_dense_and_scipy_inputs_match_scipy():
+    rng = np.random.default_rng(7)
+    a = random_substochastic(rng, 12, density=0.3)
+    want = sparse.csr_matrix(a)
+    assert_same_arrays(Csr.of(a), want)
+    assert_same_arrays(Csr.of(want), want)
+    # unsorted columns and a repeated entry are summed and sorted, as scipy does
+    messy = sparse.csr_matrix((np.array([0.25, 0.5, 0.125]), np.array([2, 0, 2]),
+                               np.array([0, 3, 3])), shape=(2, 3))
+    assert_same_arrays(Csr.of(messy), scipy_csr([0, 0, 0], [2, 0, 2], [0.25, 0.5, 0.125],
+                                                (2, 3)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_products_and_reductions_bitwise_equal_to_scipy(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(1, 80))
+    pairs = random_pairs(rng, n)
+    m = estimate(pairs, n, 5.0, "W").matrix
+    ref = scipy_estimate(pairs.from_state, pairs.to_state, n)
+    for x in (rng.random(n), rng.random((n, 5))):
+        assert (m @ x).tobytes() == (ref @ x).tobytes()
+        assert (m.T @ x).tobytes() == (ref.T @ x).tobytes()
+    assert m.row_sums().tobytes() == np.asarray(ref.sum(axis=1)).ravel().tobytes()
+    assert np.array_equal(m.toarray(), ref.toarray())
+    assert np.array_equal(m.diagonal(), ref.diagonal())
+    rows, cols, vals = m.triplets()
+    coo = ref.tocoo()
+    assert rows.tolist() == coo.row.tolist() and cols.tolist() == coo.col.tolist()
+    assert vals.tobytes() == coo.data.tobytes()
+    assert m.nnz == ref.nnz
+    assert m.tocsr() is m.tocsr()  # one scipy matrix per record, made once

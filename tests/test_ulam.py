@@ -8,7 +8,7 @@ from conftest import dense_tm, seasonal_tms
 from oracles import dense_power_product, random_substochastic
 
 from driftchain.errors import ConfigError
-from driftchain.grid import OUT_OF_DOMAIN
+from driftchain.grid import OUT_OF_DOMAIN, build_grid
 from driftchain.ingest import SEASONS, Season, TransitionPairs
 from driftchain.synth import sample_pairs
 from driftchain.ulam import (
@@ -324,6 +324,35 @@ class TestRoundTrip:
         path.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"m.txt:{len(text) - 1}: "):
             load_matrix(path)
+
+
+    def test_repeated_entry_names_both_lines(self, tmp_path):
+        # The earlier reader summed a repeat into one entry; save_matrix never writes one.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        text = path.read_text(encoding="utf-8").splitlines()
+        text.append("0,1,0.25")  # entry (0, 1) is on the line before the last
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        first, again = len(text) - 2, len(text)
+        with pytest.raises(ConfigError,
+                           match=fr"m.txt: lines {first} and {again} both give entry \(0, 1\)"):
+            load_matrix(path)
+
+    def test_grid_line_checked_when_a_grid_is_given(self, tmp_path):
+        built = build_grid((40.0, 42.0, -30.0, -29.0), cell_size=1.0)
+        moved = build_grid((41.0, 43.0, -30.0, -29.0), cell_size=1.0)
+        tm = dense_tm(np.eye(2) * 0.5)
+        with_line, without = tmp_path / "with.txt", tmp_path / "without.txt"
+        save_matrix(tm, with_line, grid=built)
+        save_matrix(tm, without)
+        assert "grid lon_min=40 lon_max=42 lat_min=-30 lat_max=-29 cell_size=1\n" \
+            in with_line.read_text(encoding="utf-8")
+        load_matrix(with_line, grid=(built, "grid.cfg"))
+        load_matrix(with_line)
+        load_matrix(without, grid=(moved, "grid.cfg"))
+        with pytest.raises(ConfigError, match="with.txt was built on lon_min=40 .* but "
+                                              "grid.cfg gives lon_min=41 "):
+            load_matrix(with_line, grid=(moved, "grid.cfg"))
 
 
 def test_transition_matrix_invariants():
