@@ -26,8 +26,8 @@ import numpy as np
 
 from .csr import Csr
 from .errors import ConfigError, NumericalError
-from .grid import ROLE_KINDS, GridCovering, StateRoles, roles_from_records
-from .ulam import TransitionMatrix, _check_grid, _parse_triplets, _split_header, _write_triplets
+from .grid import ROLE_KINDS, StateRoles, roles_from_records
+from .ulam import TransitionMatrix, _parse_triplets, _split_header, _write_triplets
 
 log = logging.getLogger(__name__)
 
@@ -184,12 +184,10 @@ def absorption_split(chain: AugmentedChain):
     return q, r
 
 
-def save_chain(chain: AugmentedChain, path: str | Path,
-               grid: GridCovering | None = None) -> None:
+def save_chain(chain: AugmentedChain, path: str | Path) -> None:
     """Write the augmented chain: matrix triplets plus a role appendix.
 
-    With ``grid``, a `grid` header line records the bounds and cell size
-    the chain was built on, for :func:`load_chain` to check.
+    No command writes chains; `bayes` and `paths` build theirs at load.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# augmented-chain v1\n")
@@ -198,8 +196,6 @@ def save_chain(chain: AugmentedChain, path: str | Path,
         fh.write(f"n_targets {chain.n_targets}\n")
         fh.write(f"transition_time_days {chain.transition_time:.17g}\n")
         fh.write(f"label {chain.label}\n")
-        if grid is not None:
-            fh.write(f"grid {grid.bounds_text()}\n")
         fh.write("i,j,value\n")
         _write_triplets(fh, chain.matrix)
         fh.write("[roles]\n")
@@ -213,17 +209,11 @@ def save_chain(chain: AugmentedChain, path: str | Path,
             fh.write(f"source,{i}\n")
 
 
-def load_chain(path: str | Path,
-               grid: tuple[GridCovering, str | Path] | None = None) -> AugmentedChain:
-    """Read a chain written by :func:`save_chain`.
-
-    ``grid`` is the grid the chain must belong to and the file it was
-    configured in, as for :func:`ulam.load_matrix`.
-    """
+def load_chain(path: str | Path) -> AugmentedChain:
+    """Read a chain written by :func:`save_chain`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header, body_start = _split_header(lines, "# augmented-chain v1", path)
-    _check_grid(header, path, grid, "chain files")
     body = lines[body_start:]
     try:
         total = int(header["n_states"])

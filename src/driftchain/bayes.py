@@ -64,7 +64,7 @@ class Observation:
 
 
 def load_observations(path: str | Path) -> list[Observation]:
-    """Read a `target_label,days_since_crash,name` CSV."""
+    """Read a `target_label,days_since_crash,name` CSV; a bad row's error names `path:line`."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -85,7 +85,10 @@ def load_observations(path: str | Path) -> list[Observation]:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed observation row") from None
             name = row[2].strip() if len(row) > 2 else ""
-            out.append(Observation(target_label=label, days_since_crash=days, name=name))
+            try:
+                out.append(Observation(target_label=label, days_since_crash=days, name=name))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not out:
         raise ConfigError(f"{path}: no observations")
     return out

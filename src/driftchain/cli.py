@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import sys
+from datetime import date
 from pathlib import Path
 
 import click
@@ -23,7 +24,7 @@ import numpy as np
 from . import absorb, bayes, paths, spectral, synth, ulam
 from .config import SEASON_BLOCK_DAYS, RunConfig, load_config, load_grid_config
 from .errors import ConfigError, NumericalError
-from .grid import GridCovering, load_roles
+from .grid import GridCovering, StateRoles, load_roles
 from .ingest import Season, extract_pairs, parse_trajectories, season_split
 from .schedule import SeasonalSchedule
 
@@ -83,7 +84,12 @@ def _load_matrix(cfg: RunConfig, g: GridCovering | None, label: str) -> ulam.Tra
     path = _matrix_path(cfg, label)
     if not path.is_file():
         raise ConfigError(f"missing {path}; run `driftchain build` first")
-    return ulam.load_matrix(path, grid=None if g is None else (g, cfg.grid))
+    tm = ulam.load_matrix(path, grid=None if g is None else (g, cfg.grid))
+    if g is not None and tm.n_states != g.n_states:
+        raise ConfigError(f"seasonal matrices do not match the configured grid: {path} has "
+                          f"{tm.n_states} states, but {cfg.grid} gives {g.n_states}; "
+                          "rerun `driftchain build`")
+    return tm
 
 
 def _load_annual(cfg: RunConfig, g: GridCovering | None) -> ulam.AnnualOperator:
@@ -97,25 +103,24 @@ def _load_annual(cfg: RunConfig, g: GridCovering | None) -> ulam.AnnualOperator:
         raise ConfigError(str(exc)) from None
 
 
-def _chain_path(cfg: RunConfig, season: Season) -> Path:
-    return cfg.out_dir / f"chain_{season.value}.txt"
+def _absorbing_schedule(tms: dict[Season, ulam.TransitionMatrix], roles: StateRoles,
+                        start_date: date) -> SeasonalSchedule:
+    """Each season's matrix closed with ``roles`` into its absorbing chain."""
+    return SeasonalSchedule(chains={season: absorb.augment(tm, roles)
+                                    for season, tm in tms.items()},
+                            start_date=start_date)
 
 
 def _load_schedule(cfg: RunConfig, g: GridCovering) -> SeasonalSchedule:
-    chains = {}
-    for season in Season:
-        p = _chain_path(cfg, season)
-        if not p.is_file():
-            raise ConfigError(f"missing {p}; run `driftchain build` first")
-        chains[season] = absorb.load_chain(p, grid=(g, cfg.grid))
+    """The absorbing chains over `build`'s matrices and the roles file as it reads now."""
+    cfg.require("roles")
+    tms = {season: _load_matrix(cfg, g, season.value) for season in Season}
+    roles = load_roles(g, cfg.roles)
     try:
-        schedule = SeasonalSchedule(chains=chains, start_date=cfg.crash_date)
+        return _absorbing_schedule(tms, roles, cfg.crash_date)
     except ValueError as exc:
-        # chain files from different runs mixed in one output directory
+        # matrix files from different runs mixed in one output directory
         raise ConfigError(str(exc)) from None
-    if schedule.n_grid_states != g.n_states:
-        raise ConfigError("chain files do not match the configured grid")
-    return schedule
 
 
 def _load_grid(cfg: RunConfig) -> GridCovering:
@@ -129,17 +134,15 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @config_options
 @handle_errors
 def build(config_path, out_dir):
-    """Estimate seasonal matrices, augment them with absorbing states, save."""
+    """Estimate the seasonal matrices and write them with a build report."""
     cfg = load_config(config_path, out_dir)
-    cfg.require("grid", "trajectories", "roles")
+    cfg.require("grid", "trajectories")
     g = _load_grid(cfg)
-    roles = load_roles(g, cfg.roles)
     trajectories, report = parse_trajectories(cfg.trajectories)
     pairs = extract_pairs(trajectories, g, cfg.lag_days, epoch=cfg.crash_date)
     by_season = season_split(pairs)
 
     out = _outdir(cfg)
-    tms = {}
     lines = [
         "# build report",
         f"n_states {g.n_states}",
@@ -154,7 +157,6 @@ def build(config_path, out_dir):
     ]
     for season in Season:
         tm = ulam.estimate(by_season[season], g.n_states, cfg.lag_days, season.value)
-        tms[season] = tm
         ulam.save_matrix(tm, _matrix_path(cfg, season.value), grid=g)
         sums = tm.row_sums()
         lines += [
@@ -167,13 +169,8 @@ def build(config_path, out_dir):
 
     lines.append(f"annual_transition_days {_fmt(4 * cfg.season_exponent * cfg.lag_days)}")
 
-    for season in Season:
-        chain = absorb.augment(tms[season], roles)
-        absorb.save_chain(chain, _chain_path(cfg, season), grid=g)
-
-    report_path = out / "build_report.txt"
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"built {len(tms)} matrices and {len(list(Season))} chains in {out}")
+    (out / "build_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    click.echo(f"built {len(Season)} matrices in {out}")
 
 
 # -------------------------------------------------------------- spectral
@@ -188,8 +185,6 @@ def spectral_cmd(config_path, out_dir, k_eigs):
     cfg = load_config(config_path, out_dir)
     g = _load_grid(cfg)
     op = _load_annual(cfg, g)
-    if op.n_states != g.n_states:
-        raise ConfigError("seasonal matrices do not match the configured grid")
 
     out = _outdir(cfg)
     eigs = spectral.dominant_eigs(op, k=k_eigs, tol=cfg.eigen_tol,
@@ -480,16 +475,11 @@ def synth_cmd(spec_path, out_dir, seed):
 
 
 def _truth_schedule(spec) -> SeasonalSchedule:
-    roles = spec.roles()
-    chains = {}
-    for season in Season:
-        tm = ulam.TransitionMatrix(
-            matrix=spec.kernels[season],
-            transition_time=spec.sample_interval_days,
-            label=season.value,
-        )
-        chains[season] = absorb.augment(tm, roles)
-    return SeasonalSchedule(chains=chains, start_date=spec.start_date)
+    tms = {season: ulam.TransitionMatrix(matrix=spec.kernels[season],
+                                         transition_time=spec.sample_interval_days,
+                                         label=season.value)
+           for season in Season}
+    return _absorbing_schedule(tms, spec.roles(), spec.start_date)
 
 
 def _write_run_config(run: RunConfig, out: Path, with_obs: bool):

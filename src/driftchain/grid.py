@@ -288,20 +288,32 @@ def _checked_count(extent: float, cell: float, axis: str) -> int:
 
 def load_wet_mask(path: str | Path) -> dict[BoxId, bool]:
     """Read a wet mask file with one `lon_index,lat_index,wet{0|1}` line per box."""
-    mask: dict[BoxId, bool] = {}
+    return {box: wet for _, box, wet in _wet_mask_records(path)}
+
+
+def _wet_mask_records(path: str | Path):
+    """Each `(path:line, box, wet)` record of a wet mask file, in file order.
+
+    A malformed line, a wet flag other than 0 or 1, a box given twice and
+    an empty file raise ConfigError; the first three name `path:line`.
+    """
+    first: dict[BoxId, int] = {}
     for lineno, row in _iter_csv_rows(path):
+        where = f"{path}:{lineno}"
         if len(row) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            raise ConfigError(f"{where}: expected 3 fields, got {len(row)}")
         try:
             ix, iy, wet = int(row[0]), int(row[1]), int(row[2])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         if wet not in (0, 1):
-            raise ConfigError(f"{path}:{lineno}: wet flag must be 0 or 1, got {wet}")
-        mask[(ix, iy)] = bool(wet)
-    if not mask:
+            raise ConfigError(f"{where}: wet flag must be 0 or 1, got {wet}")
+        if (ix, iy) in first:
+            raise ConfigError(f"{where}: box {(ix, iy)} repeats line {first[ix, iy]}")
+        first[ix, iy] = lineno
+        yield where, (ix, iy), bool(wet)
+    if not first:
         raise ConfigError(f"{path}: empty wet mask")
-    return mask
 
 
 def load_roles(g: GridCovering, path: str | Path) -> StateRoles:

@@ -352,12 +352,18 @@ def load_matrix(path: str | Path,
     """Read a matrix written by :func:`save_matrix`.
 
     ``grid`` is the grid the matrix must belong to and the file it was
-    configured in; see :func:`_check_grid`.
+    configured in: a `grid` header line that records other bounds or cell
+    size raises ConfigError.  A file without the line (one saved without
+    ``grid``) is not checked.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     header, body_start = _split_header(lines, "# transition-matrix v1", path)
-    _check_grid(header, path, grid, "seasonal matrices")
+    built_on = header.get("grid")
+    if grid is not None and built_on is not None and built_on != grid[0].bounds_text():
+        raise ConfigError(f"seasonal matrices do not match the configured grid: {path} was "
+                          f"built on {built_on}, but {grid[1]} gives "
+                          f"{grid[0].bounds_text()}; rerun `driftchain build`")
     try:
         n = int(header["n_states"])
         t = float(header["transition_time_days"])
@@ -389,23 +395,6 @@ def _split_header(lines: list[str], magic: str, path) -> tuple[dict[str, str], i
         key, _, value = line.partition(" ")
         header[key.strip()] = value.strip()
     raise ConfigError(f"{path}: missing i,j,value section")
-
-
-def _check_grid(header: dict[str, str], path, grid: tuple[GridCovering, str | Path] | None,
-                what: str) -> None:
-    """Reject a file whose `grid` header line records other bounds or cell size.
-
-    ``grid`` is the grid the file must belong to and the file it was
-    configured in, or None for no check; a file without the line (one
-    saved without ``grid``) is not checked either.
-    """
-    if grid is None or "grid" not in header:
-        return
-    g, source = grid
-    if header["grid"] != g.bounds_text():
-        raise ConfigError(f"{what} do not match the configured grid: {path} was built on "
-                          f"{header['grid']}, but {source} gives {g.bounds_text()}; "
-                          "rerun `driftchain build`")
 
 
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

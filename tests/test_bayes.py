@@ -95,10 +95,18 @@ def test_load_observations_rejects_bad_files(tmp_path):
     bad_header.write_text("label,days\n1,5\n")
     with pytest.raises(ConfigError):
         load_observations(bad_header)
-    bad_row = tmp_path / "r.csv"
-    bad_row.write_text("target_label,days_since_crash,name\none,5,x\n")
-    with pytest.raises(ConfigError):
-        load_observations(bad_row)
+    # malformed rows, and rows that parse but are out of range, name their line
+    for row, message in [("one,5,x", "malformed observation row"),
+                         ("0,5,x", "target label must be >= 1, got 0"),
+                         ("1,0,x", "days_since_crash must be positive and finite, got 0.0"),
+                         ("1,-5,x", "days_since_crash must be positive and finite, got -5.0"),
+                         ("1,nan,x", "days_since_crash must be positive and finite, got nan"),
+                         ("1,inf,x", "days_since_crash must be positive and finite, got inf")]:
+        bad_row = tmp_path / "r.csv"
+        bad_row.write_text(f"target_label,days_since_crash,name\n1,5,ok\n\n{row}\n")
+        with pytest.raises(ConfigError) as err:
+            load_observations(bad_row)
+        assert str(err.value) == f"{bad_row}:4: {message}"
 
 
 class TestAbsorptionCurves:

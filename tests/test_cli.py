@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftchain import cli, paths, spectral, ulam
+from driftchain import absorb, cli, paths, spectral, ulam
 from driftchain.cli import main
 from driftchain.config import _RUN_KEYS, load_config
+from driftchain.grid import build_grid, load_roles
 
+from conftest import make_roles, seasonal_tms
 from oracles import dense_power_product
 
 # Dyadic entries so every row sums to exactly 1.0 and the truth kernels
@@ -281,12 +283,23 @@ class TestSynth:
 
 
 class TestBuild:
-    def test_artifacts_and_echo(self, case):
-        for name in ("matrix_W.txt", "matrix_S.txt", "matrix_SF.txt",
-                     "chain_W.txt", "chain_S.txt", "chain_SF.txt", "build_report.txt"):
-            assert (case / name).is_file(), name
-        # spectral and evolve apply the seasonal factors; the product is not written
-        assert not (case / "matrix_annual.txt").exists()
+    def test_artifacts_and_echo(self, bare_case, tmp_path):
+        out = tmp_path / "built"
+        r = invoke(["build", "--config", str(bare_case / "run.cfg"), "--out", str(out)])
+        assert r.exit_code == 0, all_output(r)
+        assert r.output == f"built 3 matrices in {out}\n"
+        # spectral and evolve apply the seasonal factors, and bayes and paths
+        # close them with roles.csv: neither the product nor a chain is written
+        assert sorted(p.name for p in out.iterdir()) == [
+            "build_report.txt", "matrix_S.txt", "matrix_SF.txt", "matrix_W.txt"]
+
+    def test_roles_file_is_not_read(self, copy):
+        before = snapshot(copy)
+        (copy / "roles.csv").write_text("swimmer: 0,0\n", encoding="utf-8")
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 0, all_output(r)
+        for name in ("matrix_W.txt", "matrix_S.txt", "matrix_SF.txt", "build_report.txt"):
+            assert (copy / name).read_bytes() == before[name], name
 
     def test_report_accounting(self, case):
         rep = report_dict(case / "build_report.txt")
@@ -421,7 +434,8 @@ class TestOutOfRangeInputs:
         before = snapshot(copy)
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
-        assert "days_since_crash must be positive and finite" in all_output(r)
+        assert f"observations.csv:2: days_since_crash must be positive and finite, got {days}" \
+            in all_output(r)
         assert snapshot(copy) == before
 
     @pytest.mark.parametrize("command", ["bayes", "paths"])
@@ -446,12 +460,39 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize("command", ["bayes", "paths"])
     @pytest.mark.parametrize("lon_max", ["42", "48"])
     def test_chains_that_do_not_match_the_grid_rejected(self, copy, command, lon_max):
-        # the chains were built on 4 boxes; the grid now has 2 or 8
+        # the matrices the chains close were built on 4 boxes; the grid now has 2 or 8
         set_keys(copy / "grid.cfg", lon_max=lon_max)
         before = snapshot(copy)
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
-        assert "chain files do not match the configured grid" in all_output(r)
+        assert "seasonal matrices do not match the configured grid: " in all_output(r)
+        assert "matrix_W.txt was built on lon_min=40 lon_max=44 " in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0", "--matrix", "W"]])
+    def test_wet_mask_changed_after_build_rejected(self, copy, args):
+        # the same bounds as built, so only the state count can tell
+        (copy / "mask.csv").write_text("0,0,1\n1,0,1\n2,0,1\n3,0,0\n", encoding="utf-8")
+        set_keys(copy / "grid.cfg", wet_mask="mask.csv")
+        before = snapshot(copy)
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert "seasonal matrices do not match the configured grid: " in all_output(r)
+        assert f"matrix_W.txt has 4 states, but {copy / 'grid.cfg'} gives 3" in all_output(r)
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("records, line, message", [
+        ("0,0,1\n1,0,1\n7,5,1\n", 3, "box (7, 5) lies outside the 4 x 1 grid"),
+        ("0,0,1\n3,0,1\n1,0,1\n3,0,0\n", 4, "box (3, 0) repeats line 2"),
+    ], ids=["outside", "repeated"])
+    def test_bad_wet_mask_record_names_its_line(self, copy, records, line, message):
+        (copy / "mask.csv").write_text(records, encoding="utf-8")
+        set_keys(copy / "grid.cfg", wet_mask="mask.csv")
+        before = snapshot(copy)
+        r = invoke(["build", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{copy / 'mask.csv'}:{line}: {message}" in all_output(r)
         assert snapshot(copy) == before
 
     @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
@@ -462,8 +503,7 @@ class TestOutOfRangeInputs:
         before = snapshot(copy)
         r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
         assert r.exit_code == 2
-        built = "matrix_W.txt" if args[0] in ("spectral", "evolve") else "chain_W.txt"
-        assert f"{built} was built on lon_min=40 lon_max=44 " in all_output(r)
+        assert "matrix_W.txt was built on lon_min=40 lon_max=44 " in all_output(r)
         assert "grid.cfg gives lon_min=41 lon_max=45 " in all_output(r)
         assert snapshot(copy) == before
 
@@ -650,6 +690,97 @@ class TestPaths:
                            "name": f"target_1_obs_{i}"}
 
 
+class TestRolesAtRunTime:
+    """`bayes` and `paths` close `build`'s matrices with `roles.csv` as it reads when they run."""
+
+    @staticmethod
+    def edit_roles(case):
+        # move candidate source (1, 0) to (2, 0) and halve the land fraction
+        path = case / "roles.csv"
+        text = path.read_text(encoding="utf-8").replace("source: 1,0", "source: 2,0")
+        path.write_text(text.replace("sticky: 3,0,0.5", "sticky: 3,0,0.25"), encoding="utf-8")
+
+    def test_roles_edited_after_build_take_effect(self, case, tmp_path):
+        edited, rebuilt = tmp_path / "edited", tmp_path / "rebuilt"
+        shutil.copytree(case, edited)
+        shutil.copytree(case, rebuilt)
+        self.edit_roles(edited)
+        self.edit_roles(rebuilt)
+        for directory, commands in ((edited, ["bayes", "paths"]),
+                                    (rebuilt, ["build", "bayes", "paths"])):
+            for command in commands:
+                r = invoke([command, "--config", str(directory / "run.cfg")])
+                assert r.exit_code == 0, all_output(r)
+
+        _, rows = read_csv(edited / "posterior.csv")
+        assert [float(r[1]) for r in rows] == [40.5, 42.5]
+        doc = json.loads((edited / "paths_obs1_target1.geojson").read_text(encoding="utf-8"))
+        assert [f["properties"]["source_state"] for f in doc["features"]] == [0, 2]
+        # the unmoved candidate's likelihood changes with the land fraction alone
+        _, before = read_csv(case / "posterior.csv")
+        assert rows[0][2] != before[0][2]
+        outputs = sorted(p.name for p in rebuilt.glob("paths_*"))
+        assert len(outputs) == 5
+        for name in ["posterior.csv", "bayes_summary.txt", *outputs]:
+            assert (edited / name).read_bytes() == (rebuilt / name).read_bytes(), name
+
+    @staticmethod
+    def chain_file_round_trip(tm, roles, path):
+        absorb.save_chain(absorb.augment(tm, roles), path)
+        return absorb.load_chain(path)
+
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        for key in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, key), getattr(want.matrix, key)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+        assert got.matrix.shape == want.matrix.shape
+        assert got.roles == want.roles
+        assert (got.transition_time, got.label) == (want.transition_time, want.label)
+
+    def test_case_schedule_matches_chain_files(self, case, tmp_path):
+        cfg = load_config(case / "run.cfg")
+        g = cli._load_grid(cfg)
+        sched = cli._load_schedule(cfg, g)
+        roles = load_roles(g, cfg.roles)
+        for season, chain in sched.chains.items():
+            tm = ulam.load_matrix(case / f"matrix_{season.value}.txt")
+            want = self.chain_file_round_trip(tm, roles, tmp_path / f"chain_{season.value}.txt")
+            self.assert_bitwise_equal(chain, want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_schedule_matches_chain_files(self, tmp_path, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(2, 13))
+        g = build_grid((0.0, float(n), 0.0, 1.0), cell_size=1.0)
+        (tmp_path / "grid.cfg").write_text(
+            f"lon_min = 0\nlon_max = {n}\nlat_min = 0\nlat_max = 1\ncell_size = 1\n",
+            encoding="utf-8")
+        tms = seasonal_tms(rng, n, min_row=0.5, density=rng.uniform(0.1, 1.0))
+        for label, tm in tms.items():
+            ulam.save_matrix(tm, tmp_path / f"matrix_{label}.txt", grid=g)
+        sticky = {int(s): float(rng.uniform(0.01, 0.99))
+                  for s in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
+        # debris sites may repeat: co-located targets split the landed mass
+        roles = make_roles(
+            n, leaky=rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist(),
+            sticky=sticky, debris=rng.choice(list(sticky), size=int(rng.integers(0, 4))).tolist(),
+            candidates=rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist())
+        lines = [f"leaky: {s},0" for s in roles.leaky]
+        lines += [f"sticky: {s},0,{ell!r}" for s, ell in roles.sticky.items()]
+        lines += [f"debris: {s},0,{m}" for m, s in enumerate(roles.debris, start=1)]
+        lines += [f"source: {s},0" for s in roles.candidate_sources]
+        (tmp_path / "roles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "run.cfg").write_text("grid = grid.cfg\nroles = roles.csv\nout_dir = .\n",
+                                          encoding="utf-8")
+        cfg = load_config(tmp_path / "run.cfg")
+        sched = cli._load_schedule(cfg, cli._load_grid(cfg))
+        for season, chain in sched.chains.items():
+            want = self.chain_file_round_trip(tms[season.value], roles,
+                                              tmp_path / f"chain_{season.value}.txt")
+            self.assert_bitwise_equal(chain, want)
+
+
 class TestEvolve:
     def test_point_mass_steps(self, case):
         r = invoke(["evolve", "--config", str(case / "run.cfg"),
@@ -765,19 +896,22 @@ class TestMalformedTriplets:
     @pytest.mark.parametrize("command", ["bayes", "paths"])
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_chain_exits_2(self, corrupt, command, entry):
-        copy, where = corrupt("chain_W.txt", entry)
+        # both close the seasonal matrices into their chains at load
+        copy, where = corrupt("matrix_W.txt", entry)
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
-        assert (where if entry == MALFORMED else "chain_W.txt: ") in all_output(r)
+        assert (where if entry == MALFORMED else "matrix_W.txt: ") in all_output(r)
 
-    def test_chain_roles_appendix_exits_2(self, corrupt):
-        copy, where = corrupt("chain_W.txt", entry="sticky,3,x", after="[roles]\n")
-        r = invoke(["bayes", "--config", str(copy / "run.cfg")])
+    @pytest.mark.parametrize("command", ["bayes", "paths"])
+    def test_roles_file_exits_2(self, corrupt, command):
+        # the line after the debris record is the first source record
+        copy, where = corrupt("roles.csv", entry="source: 0,x", after="debris: 3,0,1\n")
+        r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
-        assert where in all_output(r)
+        assert f"{where}: invalid literal for int() with base 10: 'x'" in all_output(r)
 
     @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
-                                               ("chain_W.txt", "bayes")])
+                                               ("matrix_W.txt", "bayes")])
     def test_repeated_entry_exits_2(self, case, corrupt, name, command):
         # the second entry line repeats the first one's (i, j); the earlier reader summed them
         lines = (case / name).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -790,7 +924,7 @@ class TestMalformedTriplets:
             in all_output(r)
 
     @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
-                                               ("chain_W.txt", "bayes")])
+                                               ("matrix_W.txt", "bayes")])
     def test_nan_in_place_of_a_value_exits_2(self, case, corrupt, name, command):
         # ENTRIES' "0,1,nan" repeats entry (0, 1), so it stops at the repeat rule;
         # here NaN replaces the first entry's value and no (i, j) repeats
@@ -802,7 +936,7 @@ class TestMalformedTriplets:
         assert f"{name}: " in all_output(r) and "entries must be finite" in all_output(r)
 
     @pytest.mark.parametrize("name, command", [("matrix_W.txt", "spectral"),
-                                               ("chain_W.txt", "bayes")])
+                                               ("matrix_W.txt", "bayes")])
     def test_negative_entry_exits_2(self, corrupt, name, command):
         # row 0 has no other entry in column 3, so the parsed value stays negative
         copy, _ = corrupt(name, entry="0,3,-0.5")

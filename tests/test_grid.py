@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,15 @@ def test_wet_mask_restricts_states(tmp_path):
     assert g.state_of_box((1, 0)) == OUT_OF_DOMAIN
     assert g.point_to_state(1.5, 0.5) == OUT_OF_DOMAIN
     assert g.point_to_state(1.5, 1.5) == 2
+
+
+def test_repeated_mask_box_rejected(tmp_path):
+    # the last value used to win silently
+    mask_file = tmp_path / "mask.csv"
+    mask_file.write_text("# ix,iy,wet\n0,0,1\n\n0,0,0\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(mask_file))}:4: box \\(0, 0\\) "
+                                          "repeats line 2$"):
+        load_wet_mask(mask_file)
 
 
 def test_all_dry_mask_rejected():

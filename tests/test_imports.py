@@ -5,16 +5,20 @@ No linter ships with the project, so this parses each module with
 ``__init__.py`` re-exports its imports and ``from __future__`` binds
 nothing, so both are exempt.  A second ``test_`` definition in one module
 or class silently replaces the first, so the tests are scanned for those
-too.
+too.  The benchmark scripts under ``bench/`` are not imported by any
+test, so the driftchain names they use are resolved here: deleting a name
+only they need would otherwise pass every other test.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "driftchain").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +79,67 @@ def test_scan_finds_duplicate_tests():
               "class TestX:\n    def test_a(self): pass\n    def test_c(self): pass\n"
               "    def test_c(self): pass\n    def helper(self): pass\n    def helper(self): pass\n")
     assert duplicate_tests(source) == ["line 3: test_a", "line 7: test_c"]
+
+
+def driftchain_names(source: str) -> dict[str, int]:
+    """Each driftchain name a script imports or reads as ``imported.attr``, with its line."""
+    tree = ast.parse(source)
+    imported, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "driftchain":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                names.setdefault(f"{node.module}.{alias.name}", node.lineno)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "driftchain":
+                    imported[alias.asname or alias.name] = alias.name
+                    names.setdefault(alias.name, node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in imported:
+            names.setdefault(f"{imported[node.value.id]}.{node.attr}", node.lineno)
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain on the longest module prefix."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("path", BENCH_SCRIPTS, ids=lambda p: p.name)
+def test_bench_uses_only_existing_names(path):
+    names = driftchain_names(path.read_text(encoding="utf-8"))
+    assert [f"line {line}: {name}" for name, line in names.items() if not resolves(name)] == []
+
+
+def test_bench_scan_finds_traced_names():
+    names = driftchain_names((ROOT / "bench" / "traced.py").read_text(encoding="utf-8"))
+    for name in ("absorb.save_chain", "absorb.load_chain", "ulam.compose_annual",
+                 "ulam.push_forward", "paths.most_probable_path", "spectral._GUARD_VECTORS",
+                 "schedule.SeasonalSchedule", "grid.StateRoles"):
+        assert f"driftchain.{name}" in names, name
+
+
+def test_bench_scan_reports_missing_names():
+    source = ("import driftchain.grid as dg\nfrom driftchain import absorb, gone\n"
+              "from driftchain.ingest import Season\nabsorb.save_chain()\nabsorb.vanished\n"
+              "Season.W\nSeason.Q\ndg.build_grid\nnp.absorb\n")
+    names = driftchain_names(source)
+    assert sorted(names) == sorted([
+        "driftchain.grid", "driftchain.gone", "driftchain.absorb", "driftchain.ingest.Season",
+        "driftchain.absorb.save_chain", "driftchain.absorb.vanished",
+        "driftchain.ingest.Season.W", "driftchain.ingest.Season.Q", "driftchain.grid.build_grid"])
+    assert [name for name in names if not resolves(name)] == [
+        "driftchain.gone", "driftchain.absorb.vanished", "driftchain.ingest.Season.Q"]
