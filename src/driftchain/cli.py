@@ -79,28 +79,24 @@ def _matrix_path(cfg: RunConfig, label: str) -> Path:
     return cfg.out_dir / f"matrix_{label}.txt"
 
 
-def _load_matrix(cfg: RunConfig, g: GridCovering | None, label: str) -> ulam.TransitionMatrix:
-    """The seasonal matrix `build` wrote; with ``g``, it must have been built on that grid."""
+def _load_matrix(cfg: RunConfig, g: GridCovering, label: str) -> ulam.TransitionMatrix:
+    """The seasonal matrix `build` wrote, which must belong to ``g`` and ``cfg``'s lag."""
     path = _matrix_path(cfg, label)
     if not path.is_file():
         raise ConfigError(f"missing {path}; run `driftchain build` first")
-    tm = ulam.load_matrix(path, grid=None if g is None else (g, cfg.grid))
-    if g is not None and tm.n_states != g.n_states:
-        raise ConfigError(f"seasonal matrices do not match the configured grid: {path} has "
-                          f"{tm.n_states} states, but {cfg.grid} gives {g.n_states}; "
-                          "rerun `driftchain build`")
+    tm = ulam.load_matrix(path, grid=(g, cfg.grid))
+    if tm.transition_time != cfg.lag_days:
+        raise ConfigError(f"seasonal matrices do not match the run config: {path} was built "
+                          f"with transition_time_days {_fmt(tm.transition_time)}, but "
+                          f"lag_days is {_fmt(cfg.lag_days)}; rerun `driftchain build`")
     return tm
 
 
-def _load_annual(cfg: RunConfig, g: GridCovering | None) -> ulam.AnnualOperator:
+def _load_annual(cfg: RunConfig, g: GridCovering) -> ulam.AnnualOperator:
     """The annual operator over the seasonal matrices that `build` wrote."""
     w, s, sf = (_load_matrix(cfg, g, season.value)
                 for season in (Season.W, Season.S, Season.SF))
-    try:
-        return ulam.annual_operator(w, s, sf, exponent=cfg.season_exponent)
-    except ValueError as exc:
-        # matrix files from different runs mixed in one output directory
-        raise ConfigError(str(exc)) from None
+    return ulam.annual_operator(w, s, sf, exponent=cfg.season_exponent)
 
 
 def _absorbing_schedule(tms: dict[Season, ulam.TransitionMatrix], roles: StateRoles,
@@ -116,11 +112,7 @@ def _load_schedule(cfg: RunConfig, g: GridCovering) -> SeasonalSchedule:
     cfg.require("roles")
     tms = {season: _load_matrix(cfg, g, season.value) for season in Season}
     roles = load_roles(g, cfg.roles)
-    try:
-        return _absorbing_schedule(tms, roles, cfg.crash_date)
-    except ValueError as exc:
-        # matrix files from different runs mixed in one output directory
-        raise ConfigError(str(exc)) from None
+    return _absorbing_schedule(tms, roles, cfg.crash_date)
 
 
 def _load_grid(cfg: RunConfig) -> GridCovering:
@@ -380,7 +372,7 @@ def paths_cmd(config_path, out_dir):
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
     cfg = load_config(config_path, out_dir)
-    g = None if cfg.grid is None else _load_grid(cfg)
+    g = _load_grid(cfg)
     # One step of the annual operator is one year, applied factor by factor.
     step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
     n = step.shape[0]

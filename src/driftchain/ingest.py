@@ -136,8 +136,8 @@ def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]
     drogued flag other than 0 are dropped when the optional column is
     present.  Raises ConfigError if the header is wrong or no row survives.
 
-    The file is read in blocks of lines.  numpy's C reader parses the plain
-    lines of a block; lines with a quote or other characters, and lines the
+    The file is read in blocks of lines.  numpy's C reader parses a block
+    of plain lines; a block with a quote or other characters, and lines the
     C reader rejects, are tokenised by ``csv`` and converted by ``float()``
     and ``int()`` (:meth:`_Rows.add_row`).  Both paths give the same
     values, so the result equals a row-by-row csv parse.
@@ -204,21 +204,14 @@ class _Rows:
         self.drogued = 0
 
     def add_block(self, block: list[str], rest) -> None:
-        """Parse a block of lines, drawing more from ``rest`` while a quoted field is open."""
+        """Parse a block of lines; one that is not plain goes wholly to the Python row rule."""
         if _plain("".join(block)):
             self._add_plain(block)
             return
-        n = len(block)
-        done = 0
-        for k in range(n):
-            if k < done or _plain(block[k]):
-                continue
-            self._add_plain(block[done:k])
-            # One csv record, drawing more lines while a quoted field is open.
-            reader = csv.reader(chain(map(block.__getitem__, range(k, n)), rest))
+        # Records run on into ``rest`` while a quoted field is open.
+        reader = csv.reader(chain(block, rest))
+        while reader.line_num < len(block):
             self.add_row(next(reader))
-            done = k + reader.line_num
-        self._add_plain(block[done:])
 
     def _add_plain(self, lines: list[str]) -> None:
         """Parse plain lines with the C reader, halving a rejected run."""

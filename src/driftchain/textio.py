@@ -4,8 +4,10 @@
 loop, but it is not a drop-in replacement for ``float()`` and ``int()``:
 it takes the ASCII separators \\x1c-\\x1f as whitespace and reads some
 non-ASCII characters as integer digits.  Callers therefore hand it only
-text that passes :func:`is_plain`, and treat a rejection as "parse these
-lines in Python", never as an error in itself.
+text that passes :func:`is_plain`.  What a rejection means is the
+caller's: in a matrix or chain file every entry line must pass, so it is
+an error naming the first rejected line (``ulam``); in a trajectory file
+it only sends those lines to the Python row rule (``ingest``).
 """
 
 from __future__ import annotations

@@ -352,9 +352,10 @@ def load_matrix(path: str | Path,
     """Read a matrix written by :func:`save_matrix`.
 
     ``grid`` is the grid the matrix must belong to and the file it was
-    configured in: a `grid` header line that records other bounds or cell
-    size raises ConfigError.  A file without the line (one saved without
-    ``grid``) is not checked.
+    configured in: a state count other than the grid's, or a `grid` header
+    line that records other bounds or cell size, raises ConfigError.  A
+    file without the line (one saved without ``grid``) has only its state
+    count checked.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -376,6 +377,10 @@ def load_matrix(path: str | Path,
         raise ConfigError(f"{path}: missing header field {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed header ({exc})") from None
+    if grid is not None and n != grid[0].n_states:
+        raise ConfigError(f"seasonal matrices do not match the configured grid: {path} has "
+                          f"{n} states, but {grid[1]} gives {grid[0].n_states}; "
+                          "rerun `driftchain build`")
     rows, cols, vals = _parse_triplets(lines[body_start:], path, body_start + 1, n)
     try:
         return TransitionMatrix(matrix=Csr.from_entries(rows, cols, vals, (n, n)),
@@ -402,19 +407,23 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 def _parse_triplets(entries: list[str], path, first_line: int,
                     n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse `i,j,value` lines up to the first blank, `#` or `[` line.
+    """Parse `i,j,value` lines, each of which must be one entry.
 
     ``first_line`` is the 1-based file line number of ``entries[0]``.  A
-    malformed line, an index outside 0..n_states-1, or an (i, j) pair
-    given twice raises ConfigError naming its path and line.
+    line the C reader rejects (blank, a comment, a character that is not
+    plain, a field that is not a number), an index outside
+    0..n_states-1, or an (i, j) pair given twice raises ConfigError
+    naming its path and line.
     """
-    parsed = None
-    if is_plain("\n".join(entries)):
-        # A stop line is blank (dropped by the C reader) or not numeric
-        # (rejected), so a full parse means there is none.
-        parsed = read_rows(entries, _TRIPLET)
+    parsed = _read_triplets(entries)
     if parsed is None:
-        parsed = _parse_triplets_by_line(entries, path, first_line)
+        # Halve to the first rejected line: a run passes exactly when each of its lines does.
+        lo, hi = 0, len(entries)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _read_triplets(entries[lo:mid]) is None else (mid, hi)
+        raise ConfigError(f"{path}:{first_line + lo}: malformed matrix entry "
+                          f"{entries[lo].strip()!r}")
     rows, cols = parsed["i"], parsed["j"]
     outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n_states))
     if outside.size:
@@ -432,15 +441,7 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     return rows, cols, parsed["v"]
 
 
-def _parse_triplets_by_line(entries: list[str], path, first_line: int) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(entries, start=first_line):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("["):
-            break
-        try:
-            i_s, j_s, v_s = line.split(",")
-            rows.append((np.int64(int(i_s)), np.int64(int(j_s)), float(v_s)))
-        except (ValueError, OverflowError):
-            raise ConfigError(f"{path}:{lineno}: malformed matrix entry {line!r}") from None
-    return np.array(rows, dtype=_TRIPLET)
+def _read_triplets(entries: list[str]) -> np.ndarray | None:
+    """The entries as triplets, or None if the C reader rejects any line."""
+    return read_rows(entries, _TRIPLET) if is_plain("\n".join(entries)) else None
+

@@ -507,6 +507,19 @@ class TestOutOfRangeInputs:
         assert "grid.cfg gives lon_min=41 lon_max=45 " in all_output(r)
         assert snapshot(copy) == before
 
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0", "--matrix", "W"]])
+    def test_lag_changed_after_build_rejected(self, copy, args):
+        # still one 90-day season block, so only the matrices' header can tell
+        set_keys(copy / "run.cfg", lag_days=3, season_exponent=30)
+        before = snapshot(copy)
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert "seasonal matrices do not match the run config: " in all_output(r)
+        assert ("matrix_W.txt was built with transition_time_days 5, but lag_days is 3; "
+                "rerun `driftchain build`") in all_output(r)
+        assert snapshot(copy) == before
+
     def test_negative_seed_rejected(self, copy):
         set_keys(copy / "run.cfg", seed=-3)
         before = snapshot(copy)
@@ -860,6 +873,18 @@ class TestEvolve:
         r = invoke(["evolve", "--config", str(bare_case / "run.cfg"), "--state", "0"])
         assert r.exit_code == 2
 
+    def test_requires_grid(self, copy):
+        # the grid is what says the matrices belong to this run
+        run_cfg = copy / "run.cfg"
+        lines = run_cfg.read_text(encoding="utf-8").splitlines()
+        run_cfg.write_text("".join(f"{line}\n" for line in lines if not line.startswith("grid ")),
+                           encoding="utf-8")
+        before = snapshot(copy)
+        r = invoke(["evolve", "--config", str(run_cfg), "--state", "0"])
+        assert r.exit_code == 2
+        assert "config is missing required keys: grid" in all_output(r)
+        assert snapshot(copy) == before
+
 
 MALFORMED = "3,x,0.5"
 # A malformed triplet line, and a well-formed one whose NaN value parses.
@@ -901,6 +926,21 @@ class TestMalformedTriplets:
         r = invoke([command, "--config", str(copy / "run.cfg")])
         assert r.exit_code == 2
         assert (where if entry == MALFORMED else "matrix_W.txt: ") in all_output(r)
+
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0"]])
+    def test_blank_line_in_body_exits_2(self, case, tmp_path, args):
+        # a blank line must not end the body, dropping every entry after it
+        copy = tmp_path / "case"
+        shutil.copytree(case, copy)
+        path = copy / "matrix_W.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = lines.index("i,j,value\n") + 3  # after the second entry
+        lines.insert(lineno - 1, "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert f"matrix_W.txt:{lineno}: malformed matrix entry ''" in all_output(r)
 
     @pytest.mark.parametrize("command", ["bayes", "paths"])
     def test_roles_file_exits_2(self, corrupt, command):

@@ -7,11 +7,15 @@ nothing, so both are exempt.  A second ``test_`` definition in one module
 or class silently replaces the first, so the tests are scanned for those
 too.  The benchmark scripts under ``bench/`` are not imported by any
 test, so the driftchain names they use are resolved here: deleting a name
-only they need would otherwise pass every other test.
+only they need would otherwise pass every other test.  The benchmark's own
+self-test is run too, since a name that resolves can still be called in a
+way that no longer works.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +147,12 @@ def test_bench_scan_reports_missing_names():
         "driftchain.ingest.Season.W", "driftchain.ingest.Season.Q", "driftchain.grid.build_grid"])
     assert [name for name in names if not resolves(name)] == [
         "driftchain.gone", "driftchain.absorb.vanished", "driftchain.ingest.Season.Q"]
+
+
+def test_bench_selftest_passes():
+    # Runs the benchmark's pipeline, traced and untraced, at a tiny size; it
+    # writes only under the git-ignored .bench_tmp/ and removes what it made.
+    r = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")], cwd=ROOT,
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines()[-1] == "selftest passed"

@@ -305,12 +305,27 @@ class TestRoundTrip:
             load_matrix(path)
 
     @pytest.mark.parametrize("stop", ["", "   ", "# end", "[extra]"])
-    def test_body_ends_at_first_stop_line(self, tmp_path, stop):
+    def test_stop_line_in_body_names_its_line(self, tmp_path, stop):
+        # Such a line must not end the body, dropping every entry after it.
         path = tmp_path / "m.txt"
         save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{stop}\n0,1,0.125\nnot a triplet\n")
-        assert load_matrix(path).matrix.toarray().tolist() == [[0.5, 0.25], [0.0, 1.0]]
+        text = path.read_text(encoding="utf-8").splitlines()
+        text.insert(len(text) - 2, stop)  # after the first of three entries
+        text.append("not a triplet")
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"m.txt:{len(text) - 3}: malformed matrix entry"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("line", ["1_0,2,0.5", "2,1_0,0.5", "1,1,0_5"])
+    def test_underscore_digits_rejected(self, tmp_path, line):
+        # Python's int() reads "1_0" as 10; the C reader, the one entry grammar, does not.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.eye(12) * 0.5), path)
+        text = path.read_text(encoding="utf-8").splitlines()
+        text[-11] = line  # entry (1, 1)
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"m.txt:{len(text) - 10}: malformed matrix entry"):
+            load_matrix(path)
 
     @pytest.mark.parametrize("line", ["3,x,0.5", "1,1", "1,1,0.5,7", "1.0,1,0.5",
                                       "Ǿ,1,0.5", "1\x1c,1,0.5", "1,2,0.5", "-1,0,0.5",
@@ -353,6 +368,18 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="with.txt was built on lon_min=40 .* but "
                                               "grid.cfg gives lon_min=41 "):
             load_matrix(with_line, grid=(moved, "grid.cfg"))
+
+    def test_state_count_checked_when_a_grid_is_given(self, tmp_path):
+        # The same bounds with box (2, 0) left dry: only the state count can tell.
+        bounds = (40.0, 43.0, -30.0, -29.0)
+        built = build_grid(bounds, cell_size=1.0)
+        masked = build_grid(bounds, cell_size=1.0, wet_mask={(0, 0): True, (1, 0): True})
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.eye(3) * 0.5), path, grid=built)
+        load_matrix(path, grid=(built, "grid.cfg"))
+        with pytest.raises(ConfigError, match="do not match the configured grid: .*m.txt has "
+                                              "3 states, but grid.cfg gives 2; rerun"):
+            load_matrix(path, grid=(masked, "grid.cfg"))
 
 
 def test_transition_matrix_invariants():
