@@ -80,11 +80,15 @@ def _matrix_path(cfg: RunConfig, label: str) -> Path:
 
 
 def _load_matrix(cfg: RunConfig, g: GridCovering, label: str) -> ulam.TransitionMatrix:
-    """The seasonal matrix `build` wrote, which must belong to ``g`` and ``cfg``'s lag."""
+    """The seasonal matrix `build` wrote for season ``label``, which must belong
+    to ``g`` and to ``cfg``'s lag and crash date."""
     path = _matrix_path(cfg, label)
     if not path.is_file():
         raise ConfigError(f"missing {path}; run `driftchain build` first")
-    tm = ulam.load_matrix(path, grid=(g, cfg.grid))
+    tm = ulam.load_matrix(path, grid=(g, cfg.grid), crash_date=cfg.crash_date)
+    if tm.label != label:
+        raise ConfigError(f"{path} holds the matrix labelled {tm.label}, but its name "
+                          f"gives season {label}; rerun `driftchain build`")
     if tm.transition_time != cfg.lag_days:
         raise ConfigError(f"seasonal matrices do not match the run config: {path} was built "
                           f"with transition_time_days {_fmt(tm.transition_time)}, but "
@@ -149,7 +153,8 @@ def build(config_path, out_dir):
     ]
     for season in Season:
         tm = ulam.estimate(by_season[season], g.n_states, cfg.lag_days, season.value)
-        ulam.save_matrix(tm, _matrix_path(cfg, season.value), grid=g)
+        ulam.save_matrix(tm, _matrix_path(cfg, season.value), grid=g,
+                         crash_date=cfg.crash_date)
         sums = tm.row_sums()
         lines += [
             f"pairs_{season.value} {len(by_season[season])}",

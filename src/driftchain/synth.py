@@ -8,8 +8,10 @@ its input.  All randomness flows from one seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -248,65 +250,87 @@ def simulate_tracks(spec: SyntheticSpec) -> list[SimulatedTrack]:
     when its kernel row's deficit fires — one final position just outside
     the domain before vanishing.  A move costs O(log r) for r the longest
     row's nonzero count (see ``_draw_table``).
+
+    The seeded stream is consumed as one scalar draw per use would: per
+    drifter, two ``integers`` (start step, start box), then per sample a
+    lon jitter, a lat jitter and, unless the last step is reached, a move.
+    A drifter draws those uniforms as one block, sized for a walk that
+    never exits; an exit rewinds the generator and redraws only the
+    count used.  The draw tables are held as Python lists (n·r floats per
+    season), where ``bisect_right`` is about four times cheaper per step
+    than ``searchsorted`` on an array row.
     """
     g = spec.grid()
     rng = np.random.default_rng(spec.seed)
     dt = spec.sample_interval_days
     n = g.n_states
     max_steps = max(int(math.floor(spec.duration_days / dt)), 1)
-    out_lon = g.lon_max + spec.cell_size
-    out_lat = (g.lat_min + g.lat_max) / 2.0
-    tables = {s: _draw_table(spec.kernels[s]) for s in Season}
+    tables = {s: tuple(a.tolist() for a in _draw_table(spec.kernels[s])) for s in Season}
     step_tables = [tables[season_of_day(step * dt, spec.start_date)]
                    for step in range(max_steps)]
-    tracks = []
-    for did in range(spec.n_drifters):
+    first_steps, walks, lon_draws, lat_draws = [], [], [], []
+    for _ in range(spec.n_drifters):
         start_step = int(rng.integers(max_steps))
         state = int(rng.integers(n))
-        times, lons, lats, states = [], [], [], []
-        step = start_step
-        while step <= max_steps and state >= 0:
-            lon, lat = _jittered_position(g, state, rng)
-            times.append(step * dt)
-            lons.append(lon)
-            lats.append(lat)
-            states.append(state)
-            if step == max_steps:
+        before = rng.bit_generator.state
+        u = rng.random(3 * (max_steps - start_step) + 2)
+        walk = [state]
+        for (cum, targets), x in zip(step_tables[start_step:], u[2::3].tolist()):
+            state = targets[state][bisect_right(cum[state], x)]
+            if state < 0:
                 break
-            cum, targets = step_tables[step]
-            state = int(targets[state, cum[state].searchsorted(rng.random(), side="right")])
-            step += 1
-        if state < 0 and step <= max_steps:
-            times.append(step * dt)
-            lons.append(out_lon)
-            lats.append(out_lat)
-            states.append(-1)
-        tracks.append(SimulatedTrack(
-            drifter_id=did,
-            times=np.asarray(times),
-            lons=np.asarray(lons),
-            lats=np.asarray(lats),
-            states=np.asarray(states, dtype=np.int64),
-        ))
-    return tracks
+            walk.append(state)
+        m = len(walk)
+        if state < 0:
+            rng.bit_generator.state = before
+            rng.random(3 * m)
+            walk.append(-1)
+        lon_draws.append(u[0:3 * m:3])
+        lat_draws.append(u[1:3 * m:3])
+        first_steps.append(start_step)
+        walks.append(walk)
+    if not walks:
+        return []
 
-
-def _jittered_position(g: GridCovering, state: int, rng) -> tuple[float, float]:
-    lon, lat = g.box_center(state)
+    counts = np.array([len(w) for w in walks])
+    states = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64,
+                         count=int(counts.sum()))
+    inside = states >= 0
     half = 0.45 * g.cell_size
-    return (
-        lon + half * (2.0 * rng.random() - 1.0),
-        lat + half * (2.0 * rng.random() - 1.0),
-    )
+    centers = g.box_centers(states[inside])
+    lons = np.full(len(states), g.lon_max + spec.cell_size)
+    lats = np.full(len(states), (g.lat_min + g.lat_max) / 2.0)
+    lons[inside] = centers[:, 0] + half * (2.0 * np.concatenate(lon_draws) - 1.0)
+    lats[inside] = centers[:, 1] + half * (2.0 * np.concatenate(lat_draws) - 1.0)
+    offsets = np.cumsum(counts) - counts
+    # a drifter's k-th sample is taken at its start step + k
+    times = (np.repeat(np.array(first_steps) - offsets, counts) + np.arange(len(states))) * dt
+    splits = offsets[1:]
+    return [
+        SimulatedTrack(drifter_id=did, times=t, lons=lo, lats=la, states=st)
+        for did, (t, lo, la, st) in enumerate(zip(
+            np.split(times, splits), np.split(lons, splits),
+            np.split(lats, splits), np.split(states, splits)))
+    ]
 
 
 def write_tracks_csv(tracks: list[SimulatedTrack], path: str | Path) -> None:
-    """Emit the ingest-format trajectory CSV."""
+    """Emit the ingest-format trajectory CSV, every value at 17 significant digits."""
+    time_text: dict[float, str] = {}
+
+    def new_time_text(t: float) -> str:
+        text = f"{t:.17g}"
+        if t:  # 0.0 and -0.0 are one dict key but two texts
+            time_text[t] = text
+        return text
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,time_days,lon,lat\n")
         for tr in tracks:
-            for t, lon, lat in zip(tr.times, tr.lons, tr.lats):
-                fh.write(f"{tr.drifter_id},{t:.17g},{lon:.17g},{lat:.17g}\n")
+            times = [time_text.get(t) or new_time_text(t) for t in tr.times.tolist()]
+            rows = f"{tr.drifter_id},%s,%.17g,%.17g\n" * len(times)
+            fh.write(rows % tuple(itertools.chain.from_iterable(
+                zip(times, tr.lons.tolist(), tr.lats.tolist()))))
 
 
 def sample_observations(
@@ -432,25 +456,36 @@ def write_truth_sidecar(spec: SyntheticSpec, path: str | Path,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     for s, token in tokens.items():
-        text = text.replace(json.dumps(token), _json_matrix(spec.kernels[s].tolist(), level=2))
+        text = text.replace(json.dumps(token), _json_matrix(spec.kernels[s], level=2))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.write("\n")
 
 
-def _json_matrix(rows: list[list[float]], level: int) -> str:
-    """``json.dumps(rows, indent=2)`` of a list of lists of finite floats
-    (or ints), opened ``level`` indents deep, without json's pure-Python
+def _json_matrix(rows, level: int) -> str:
+    """``json.dumps(rows, indent=2)`` of rows of finite numbers (a 2-D array
+    or lists), opened ``level`` indents deep, without json's pure-Python
     indent encoder."""
-    if not rows:
+    if not len(rows):
         return "[]"
     outer = "\n" + "  " * (level + 1)
     inner = ",\n" + "  " * (level + 2)
     items = [
-        "[" + inner[1:] + inner.join(map(repr, row)) + outer + "]" if row else "[]"
+        "[" + inner[1:] + inner.join(_entry_texts(row)) + outer + "]" if len(row) else "[]"
         for row in rows
     ]
     return "[" + outer + ("," + outer).join(items) + "\n" + "  " * level + "]"
+
+
+def _entry_texts(row) -> list[str]:
+    """``repr`` of each entry of a row.  Kernel rows are mostly zero, so only
+    entries that are nonzero or carry the sign bit (-0.0) are formatted."""
+    row = np.asarray(row)
+    texts = [repr(row.dtype.type().item())] * len(row)
+    hot = np.flatnonzero(np.signbit(row) | (row != 0))
+    for i, v in zip(hot.tolist(), row[hot].tolist()):
+        texts[i] = repr(v)
+    return texts
 
 
 def two_gyre_kernel(n_per_gyre: int, leak: float = 0.3,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -312,11 +313,14 @@ def markov_test(
     return rows
 
 
-def save_matrix(tm: TransitionMatrix, path: str | Path, grid: GridCovering | None = None) -> None:
+def save_matrix(tm: TransitionMatrix, path: str | Path, grid: GridCovering | None = None,
+                crash_date: date | None = None) -> None:
     """Write the matrix in the text triplet format (bit-exact round trip).
 
     With ``grid``, a `grid` header line records the bounds and cell size
-    the matrix was estimated on, for :func:`load_matrix` to check.
+    the matrix was estimated on; with ``crash_date``, a `crash_date` line
+    records the epoch whose calendar tagged its pairs' seasons.
+    :func:`load_matrix` checks both.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# transition-matrix v1\n")
@@ -325,6 +329,8 @@ def save_matrix(tm: TransitionMatrix, path: str | Path, grid: GridCovering | Non
         fh.write(f"label {tm.label}\n")
         if grid is not None:
             fh.write(f"grid {grid.bounds_text()}\n")
+        if crash_date is not None:
+            fh.write(f"crash_date {crash_date.isoformat()}\n")
         if tm.row_counts is None:
             fh.write("row_counts none\n")
         else:
@@ -348,14 +354,17 @@ def _write_triplets(fh, matrix: Csr) -> None:
 
 
 def load_matrix(path: str | Path,
-                grid: tuple[GridCovering, str | Path] | None = None) -> TransitionMatrix:
+                grid: tuple[GridCovering, str | Path] | None = None,
+                crash_date: date | None = None) -> TransitionMatrix:
     """Read a matrix written by :func:`save_matrix`.
 
     ``grid`` is the grid the matrix must belong to and the file it was
     configured in: a state count other than the grid's, or a `grid` header
     line that records other bounds or cell size, raises ConfigError.  A
     file without the line (one saved without ``grid``) has only its state
-    count checked.
+    count checked.  Likewise a `crash_date` header line that records
+    another date than ``crash_date`` raises ConfigError, and a file
+    without the line is read unchecked.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -365,6 +374,11 @@ def load_matrix(path: str | Path,
         raise ConfigError(f"seasonal matrices do not match the configured grid: {path} was "
                           f"built on {built_on}, but {grid[1]} gives "
                           f"{grid[0].bounds_text()}; rerun `driftchain build`")
+    built_for = header.get("crash_date")
+    if crash_date is not None and built_for is not None and built_for != crash_date.isoformat():
+        raise ConfigError(f"seasonal matrices do not match the run config: {path} was built "
+                          f"with crash_date {built_for}, but crash_date is "
+                          f"{crash_date.isoformat()}; rerun `driftchain build`")
     try:
         n = int(header["n_states"])
         t = float(header["transition_time_days"])

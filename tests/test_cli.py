@@ -520,6 +520,44 @@ class TestOutOfRangeInputs:
                 "rerun `driftchain build`") in all_output(r)
         assert snapshot(copy) == before
 
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0", "--matrix", "W"]])
+    def test_crash_date_changed_after_build_rejected(self, copy, args):
+        # the season calendar moves, so each matrix's pairs carry the wrong season
+        set_keys(copy / "run.cfg", crash_date="2014-08-01")
+        before = snapshot(copy)
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert "seasonal matrices do not match the run config: " in all_output(r)
+        assert ("matrix_W.txt was built with crash_date 2014-03-08, but crash_date is "
+                "2014-08-01; rerun `driftchain build`") in all_output(r)
+        assert snapshot(copy) == before
+
+    def test_matrix_without_crash_date_line_read_unchecked(self, copy):
+        # a file saved without the line, as a grid-less one is
+        for season in ("W", "S", "SF"):
+            path = copy / f"matrix_{season}.txt"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert "crash_date 2014-03-08\n" in lines
+            path.write_text("".join(x for x in lines if not x.startswith("crash_date ")),
+                            encoding="utf-8")
+        set_keys(copy / "run.cfg", crash_date="2014-08-01")
+        r = invoke(["spectral", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 0, all_output(r)
+
+    @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
+                                      ["evolve", "--state", "0", "--matrix", "W"]])
+    def test_swapped_matrix_files_rejected(self, copy, args):
+        (copy / "matrix_W.txt").rename(copy / "matrix_tmp.txt")
+        (copy / "matrix_S.txt").rename(copy / "matrix_W.txt")
+        (copy / "matrix_tmp.txt").rename(copy / "matrix_S.txt")
+        before = snapshot(copy)
+        r = invoke([args[0], "--config", str(copy / "run.cfg"), *args[1:]])
+        assert r.exit_code == 2
+        assert (f"{copy / 'matrix_W.txt'} holds the matrix labelled S, but its name gives "
+                "season W; rerun `driftchain build`") in all_output(r)
+        assert snapshot(copy) == before
+
     def test_negative_seed_rejected(self, copy):
         set_keys(copy / "run.cfg", seed=-3)
         before = snapshot(copy)

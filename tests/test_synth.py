@@ -19,6 +19,7 @@ from driftchain.ingest import (
 )
 from driftchain.spectral import basin_of_attraction, dominant_eigs
 from driftchain.synth import (
+    SimulatedTrack,
     SyntheticSpec,
     _json_matrix,
     load_spec,
@@ -124,6 +125,20 @@ class TestSamplePairs:
             assert np.abs(tm.matrix.toarray() - kernels[season]).max() < 0.02
 
 
+def assert_matches_dense_walk(spec):
+    """``simulate_tracks(spec)``, checked bitwise against the dense-row oracle."""
+    got = simulate_tracks(spec)
+    want = dense_walk_tracks(spec, season_of_day)
+    assert len(got) == len(want)
+    for tr, (times, lons, lats, states) in zip(got, want):
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.lons, lons)
+        assert np.array_equal(tr.lats, lats)
+        assert np.array_equal(tr.states, states)
+        assert tr.states.dtype == states.dtype
+    return got
+
+
 class TestSimulateTracks:
     def test_positions_stay_in_start_box_for_identity_kernel(self):
         spec = toy_spec(kernels={s: np.eye(3) for s in Season}, sticky={}, debris=())
@@ -164,15 +179,30 @@ class TestSimulateTracks:
         spec = toy_spec(bounds=(40.0, 40.0 + nx, -30.0, -30.0 + ny), kernels=kernels,
                         n_drifters=60, duration_days=400.0, seed=seed,
                         leaky=(), sticky={}, debris=(), candidate_sources=())
-        got = simulate_tracks(spec)
-        want = dense_walk_tracks(spec, season_of_day)
-        assert len(got) == len(want) == 60
-        for tr, (times, lons, lats, states) in zip(got, want):
-            assert np.array_equal(tr.times, times)
-            assert np.array_equal(tr.lons, lons)
-            assert np.array_equal(tr.lats, lats)
-            assert np.array_equal(tr.states, states)
-            assert tr.states.dtype == states.dtype
+        assert len(assert_matches_dense_walk(spec)) == 60
+
+    @pytest.mark.parametrize("duration_days, n_drifters", [
+        (10.0, 80),   # two steps: walks start on the last step that has a move
+        (4.0, 40),    # shorter than one step: one step, every walk starts on it
+        (0.0, 40),
+        (50.0, 0),
+    ])
+    def test_edge_walks_match_dense_walk(self, duration_days, n_drifters):
+        # one box that keeps half its mass: exits and survivals both happen
+        kernels = {s: np.full((1, 1), 0.5) for s in Season}
+        spec = toy_spec(bounds=(40.0, 41.0, -30.0, -29.0), kernels=kernels,
+                        n_drifters=n_drifters, duration_days=duration_days, seed=5,
+                        leaky=(), sticky={}, debris=(), candidate_sources=())
+        tracks = assert_matches_dense_walk(spec)
+        assert len(tracks) == n_drifters
+        if not n_drifters:
+            return
+        max_steps = max(int(duration_days // 5.0), 1)
+        last = [(tr.times[0], tr.times[-1], tr.states[-1]) for tr in tracks]
+        # some walk starts on the last step that has a move and exits on it,
+        # and some walk from there survives to the end
+        assert ((max_steps - 1) * 5.0, max_steps * 5.0, -1) in last
+        assert ((max_steps - 1) * 5.0, max_steps * 5.0, 0) in last
 
     def test_round_trip_through_ingest_recovers_kernel(self, tmp_path):
         # The cyclic permutation kernel makes transitions deterministic,
@@ -186,6 +216,29 @@ class TestSimulateTracks:
         pairs = extract_pairs(trajs, spec.grid(), spec.sample_interval_days)
         tm = estimate(pairs, 3, spec.sample_interval_days, "pooled")
         assert np.array_equal(tm.matrix.toarray(), spec.kernels[Season.W])
+
+
+class TestGeneratorStream:
+    @pytest.mark.parametrize("seed, used", [(0, 0), (1, 1), (2, 3), (3, 61), (4, 122)])
+    def test_block_draw_equals_scalar_draws(self, seed, used):
+        # simulate_tracks rests on this: after `integers` draws, one random(n)
+        # call gives the values of n scalar random() calls, and rewinding the
+        # state then redrawing `used` values leaves the stream where `used`
+        # scalar calls do
+        block, scalar, walk = (np.random.default_rng(seed) for _ in range(3))
+        for rng in (block, scalar, walk):
+            rng.integers(72)
+            rng.integers(256)
+        before = block.bit_generator.state
+        u = block.random(122)
+        assert u.tolist() == [scalar.random() for _ in range(122)]
+        block.bit_generator.state = before
+        block.random(used)
+        for _ in range(used):
+            walk.random()
+        assert block.bit_generator.state == walk.bit_generator.state
+        assert block.integers(1000, size=4).tolist() == walk.integers(1000, size=4).tolist()
+        assert block.random() == walk.random()
 
 
 class TestSampleObservations:
@@ -270,8 +323,41 @@ class TestWriters:
         want = json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
 
+    def test_truth_sidecar_edge_values_match_json_encoder(self, tmp_path):
+        kernel = np.array([[-0.0, 5e-324, 0.5], [0.0, 0.0, 0.0], [0.0, -0.0, 1.0]])
+        spec = toy_spec(kernels={Season.W: kernel, Season.S: np.zeros((3, 3)),
+                                 Season.SF: -np.zeros((3, 3))}, duration_days=1e+16)
+        path = tmp_path / "truth.json"
+        write_truth_sidecar(spec, path)
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert data["kernels"] == {str(s): spec.kernels[s].tolist() for s in Season}
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert '"duration_days": 1e+16' in text
+        assert "-0.0" in text and "5e-324" in text
+
+    def test_tracks_csv_follows_row_rule(self, tmp_path):
+        # a repeated time is formatted once, and 0.0 and -0.0 keep their texts
+        tracks = simulate_tracks(toy_spec(n_drifters=20)) + [
+            SimulatedTrack(drifter_id=20, times=np.array([-0.0, 0.0, 0.1 + 0.2, -0.0, 1e+16]),
+                           lons=np.array([0.0, -0.0, 5e-324, 1 / 3, 40.5]),
+                           lats=np.array([-29.5, 2.5e-17, -0.0, 0.0, -1e-300]),
+                           states=np.array([0, 0, 1, 1, -1])),
+            SimulatedTrack(drifter_id=21, times=np.array([0.0, 5.0]),
+                           lons=np.array([40.5, 41.5]), lats=np.array([-29.5, -29.5]),
+                           states=np.array([0, 1])),
+        ]
+        path = tmp_path / "tracks.csv"
+        write_tracks_csv(tracks, path)
+        want = "id,time_days,lon,lat\n" + "".join(
+            f"{tr.drifter_id},{t:.17g},{lon:.17g},{lat:.17g}\n"
+            for tr in tracks for t, lon, lat in zip(tr.times, tr.lons, tr.lats))
+        assert path.read_text(encoding="utf-8") == want
+        assert "\n20,-0,0,-29.5\n20,0,-0," in want
+
     @pytest.mark.parametrize("rows", [
         [], [[]], [[0.0]], [[1e+16, 1e-05], [0.1 + 0.2, 5e-324]], [[], [1.0, 2.5e-17]],
+        [[-0.0, 0.0], [0.0, 0.0]],
     ])
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_json_matrix_matches_json_encoder(self, rows, level):

@@ -1,4 +1,5 @@
 import itertools
+from datetime import date
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class TestRoundTrip:
         path = tmp_path / "m.txt"
         save_matrix(tm, path)
         assert load_matrix(path).row_counts is None
+
+    def test_crash_date_line_checked_when_given(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.eye(2) * 0.5), path, crash_date=date(2014, 3, 8))
+        assert "crash_date 2014-03-08\n" in path.read_text()
+        assert load_matrix(path, crash_date=date(2014, 3, 8)).n_states == 2
+        assert load_matrix(path).n_states == 2
+        with pytest.raises(ConfigError, match="built with crash_date 2014-03-08, "
+                                              "but crash_date is 2014-08-01"):
+            load_matrix(path, crash_date=date(2014, 8, 1))
+        save_matrix(dense_tm(np.eye(2) * 0.5), path)
+        assert load_matrix(path, crash_date=date(2014, 8, 1)).n_states == 2
 
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
