@@ -402,7 +402,10 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
 
 
 def _read_distribution(path, n: int) -> np.ndarray:
+    """The `state,mass` rows of ``path``: each state at most once, each mass finite
+    and nonnegative, the total at most 1; an offending row exits 2 naming its line."""
     f = np.zeros(n)
+    first: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "state,mass":
@@ -420,9 +423,12 @@ def _read_distribution(path, n: int) -> np.ndarray:
                 raise ConfigError(f"{path}:{lineno}: state {s} outside 0..{n - 1}")
             if not np.isfinite(m):
                 raise ConfigError(f"{path}:{lineno}: mass {m_str.strip()!r} is not finite")
+            if m < 0:
+                raise ConfigError(f"{path}:{lineno}: mass {m_str.strip()!r} is negative")
+            if s in first:
+                raise ConfigError(f"{path}: lines {first[s]} and {lineno} both give state {s}")
+            first[s] = lineno
             f[s] += m
-    if f.min() < 0:
-        raise ConfigError(f"{path}: distribution has negative mass")
     if f.sum() > 1 + 1e-10:
         raise ConfigError(f"{path}: distribution mass {f.sum():g} exceeds 1")
     return f

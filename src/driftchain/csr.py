@@ -1,15 +1,28 @@
-"""Compressed sparse rows held in numpy, with scipy loaded at the first product.
+"""Compressed sparse rows held in numpy; scipy only for products with a block.
 
 Every chain and transition matrix is a :class:`Csr`: the three arrays of
 a canonical CSR matrix (columns sorted within each row, no entry twice)
 and its shape.  Building, saving, loading, checking and walking a matrix
-needs numpy only, so the commands that never multiply (`build`, `paths`,
-`synth`) do not import scipy: its import took about 0.3 s of the 0.65 s
-that `driftchain --help` took on a 2-core x86-64 box.  A product
-``m @ x``, the transpose ``m.T`` and the other scipy-only operations go
-through one ``scipy.sparse.csr_matrix`` over the same arrays, made on
-first use, so every product runs scipy's own kernel on the same data,
-bit for bit.
+needs numpy only.
+
+Products follow one rule: a real vector in numpy, a block in scipy.
+``m @ x`` and ``m.T @ x`` for a real 1-D ``x`` are one ``np.bincount``
+over the entries' row and column indices, which adds each output's terms
+in the order scipy's ``csr_matvec`` and ``csc_matvec`` add them, so the
+two agree bit for bit (a NaN's sign aside, which IEEE 754 leaves open).
+``evolve`` multiplies only vectors, so it never imports scipy.  On a
+2-core x86-64 box ``import scipy.sparse`` took 0.14-0.19 s and 19 MB,
+while the 216 products of an ``evolve --steps 3`` on 484 states take
+about 2 ms.  The numpy kernel is the slower one
+(``m.T @ x``: 8 against 10 us at 484 states, 58 against 155 us at 10^4,
+0.58 against 1.7 ms at 10^5), so at 10^5 states the saved import is
+spent after about 120-180 products, two to three annual steps.
+A product with a 2-D block (the Bayes sweep, the subspace iteration,
+``compose_annual``) and the other scipy-only operations go through one
+``scipy.sparse.csr_matrix`` over the same arrays, made on first use:
+with 40 columns at 256 and 10^4 states, scipy's kernel was 11-40 times
+faster than numpy ones (``bincount`` per column or over the flattened
+block, ``np.add.at``).
 """
 
 from __future__ import annotations
@@ -29,8 +42,10 @@ class Csr:
     Row i holds columns ``indices[indptr[i]:indptr[i+1]]``, ascending, with
     values ``data[...]`` (float64).  Index arrays are int32 unless the
     shape or entry count needs int64, as scipy chooses them.  Treat
-    instances as immutable: the scipy matrix made at the first product
-    shares the three arrays, so only in-place edits of them reach it.
+    instances as immutable: the ``intp`` entry indices made at the first
+    vector product may be copies, and the scipy matrix made at the first
+    block product shares the three arrays, so an in-place edit reaches
+    one and not the other.
     """
 
     indptr: np.ndarray
@@ -101,21 +116,97 @@ class Csr:
         return out
 
     @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry, as ``intp`` for ``np.bincount``."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.intp), np.diff(self.indptr))
+
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """``indices`` as ``intp``, cast once rather than at every product."""
+        return self.indices.astype(np.intp, copy=False)
+
+    @cached_property
     def _scipy(self):
         import scipy.sparse
 
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    @cached_property
+    def _scipy_t(self):
+        """scipy's CSC transpose of ``_scipy``, made once: building one costs
+        about as much as a block product on a 484-state matrix."""
+        return self._scipy.T
 
     def tocsr(self):
         """The ``scipy.sparse.csr_matrix`` over this matrix's arrays (not a copy)."""
         return self._scipy
 
     @property
-    def T(self):
-        return self._scipy.T
+    def T(self) -> Transposed:
+        return Transposed(self)
 
     def __matmul__(self, x):
+        if _real_vector(x, self.shape[1]):
+            return _gather_add(self._rows, self.data, x, self._cols, self.shape[0])
         return self._scipy @ x
 
     def __getitem__(self, key):
         return self._scipy[key]
+
+
+@dataclass(frozen=True, eq=False)
+class Transposed:
+    """``m.T`` for a :class:`Csr` ``m``: the same arrays, read by column.
+
+    ``t @ x`` for a real vector is the numpy kernel with the row and column
+    indices swapped; any other operand goes through scipy's transposed
+    (CSC) view of ``m``.
+    """
+
+    base: Csr
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.shape[::-1]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.base.indices
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.base.data
+
+    @property
+    def T(self) -> Csr:
+        return self.base
+
+    def toarray(self) -> np.ndarray:
+        return self.base.toarray().T
+
+    def tocsr(self):
+        """This transpose as a new ``scipy.sparse.csr_matrix``."""
+        return self.base._scipy_t.tocsr()
+
+    def __matmul__(self, x):
+        m = self.base
+        if _real_vector(x, m.shape[0]):
+            return _gather_add(m._cols, m.data, x, m._rows, m.shape[1])
+        return m._scipy_t @ x
+
+
+def _gather_add(out: np.ndarray, data: np.ndarray, x: np.ndarray, at: np.ndarray,
+                n_out: int) -> np.ndarray:
+    """y[out[k]] += data[k] * x[at[k]] for each entry k in turn, from y = 0.
+
+    The same terms added in the same order as scipy's ``csr_matvec``
+    (``at`` the columns) and ``csc_matvec`` (``at`` the rows), so the same
+    bits.
+    """
+    y = np.bincount(out, weights=data * x[at], minlength=n_out)
+    return y.astype(np.float64, copy=False)  # no entries: bincount gives int zeros
+
+
+def _real_vector(x, n: int) -> bool:
+    """Whether ``x`` is a length-``n`` numpy vector whose values float64 holds."""
+    return isinstance(x, np.ndarray) and x.shape == (n,) and np.can_cast(x.dtype, np.float64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csr import Csr
+from .csr import Csr, Transposed
 from .grid import GridCovering, states_by_latitude_row
 from .ulam import AnnualOperator
 
@@ -88,7 +88,7 @@ class _Restricted:
     for bit.
     """
 
-    op: AnnualOperator | Csr
+    op: AnnualOperator | Csr | Transposed
     members: np.ndarray
 
     @property

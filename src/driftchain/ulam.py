@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .csr import Csr
+from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
@@ -173,7 +173,7 @@ class AnnualOperator:
     distribution one year per step.
     """
 
-    factors: tuple[Csr, ...]
+    factors: tuple[Csr | Transposed, ...]
     exponent: int
     transition_time: float
 

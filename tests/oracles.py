@@ -337,6 +337,25 @@ def scipy_estimate(from_state, to_state, n_states: int) -> sparse.csr_matrix:
     return counts
 
 
+def scipy_vector_products(m, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``m @ x`` and ``m.T @ y`` by scipy's own kernels over ``m``'s three arrays."""
+    ref = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    return ref @ x, ref.T @ y
+
+
+def scipy_row_steps(f: np.ndarray, factors, n_steps: int) -> list[np.ndarray]:
+    """f, f A, f A^2, ... up to A^n_steps, where A is the product of ``factors``
+    in order, each applied to the row vector by scipy's transposed product."""
+    transposed = [sparse.csr_matrix((p.data, p.indices, p.indptr), shape=p.shape).T
+                  for p in factors]
+    out = [f]
+    for _ in range(n_steps):
+        for t in transposed:
+            f = t @ f
+        out.append(f)
+    return out
+
+
 def random_substochastic(rng: np.random.Generator, n: int,
                          min_row: float = 0.5, max_row: float = 1.0,
                          density: float = 1.0) -> np.ndarray:

@@ -6,7 +6,6 @@ build/spectral/bayes/paths/evolve, checking the emitted files and the
 documented exit codes (0 ok, 2 config error, 3 numerical failure).
 """
 
-import itertools
 import json
 import os
 import shutil
@@ -24,7 +23,7 @@ from driftchain.config import _RUN_KEYS, load_config
 from driftchain.grid import build_grid, load_roles
 
 from conftest import make_roles, seasonal_tms
-from oracles import dense_power_product
+from oracles import dense_power_product, scipy_row_steps
 
 # Dyadic entries so every row sums to exactly 1.0 and the truth kernels
 # survive the JSON round trip bit-for-bit.
@@ -849,18 +848,16 @@ class TestEvolve:
 
     @pytest.mark.parametrize("label", ["annual", "W"])
     def test_steps_equal_iterated_push_forward(self, case, label):
+        # each step is the seasonal matrices' products taken by scipy, bit for bit
         r = invoke(["evolve", "--config", str(case / "run.cfg"),
                     "--state", "1", "--steps", "6", "--matrix", label])
         assert r.exit_code == 0, all_output(r)
         f = np.zeros(4)
         f[1] = 1.0
-        if label == "annual":
-            expected = list(ulam.propagate(f, itertools.repeat(annual_operator(case), 6)))
-        else:
-            tm = ulam.load_matrix(case / f"matrix_{label}.txt")
-            expected = [f]
-            for _ in range(6):
-                expected.append(ulam.push_forward(expected[-1], tm, 1))
+        m = {s: ulam.load_matrix(case / f"matrix_{s}.txt").matrix for s in ("W", "S", "SF")}
+        factors = [m["W"]] * 18 + [m["SF"]] * 18 + [m["S"]] * 18 + [m["SF"]] * 18 \
+            if label == "annual" else [m[label]]
+        expected = scipy_row_steps(f, factors, 6)
         for k in range(7):
             _, rows = read_csv(case / f"evolve_step{k:04d}.csv")
             assert np.array_equal([float(row[1]) for row in rows], expected[k])
@@ -891,6 +888,22 @@ class TestEvolve:
         r = invoke(["evolve", "--config", str(case / "run.cfg"),
                     "--state", "0", "--steps", "-1"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        ("3,0.25\n3,0.25\n", ": lines 2 and 3 both give state 3"),
+        ("0,0.125\n3,0.25\n1,0.5\n3,0.25\n", ": lines 3 and 5 both give state 3"),
+        ("3,-0.25\n", ":2: mass '-0.25' is negative"),
+        ("3,-0.25\n3,0.5\n", ":2: mass '-0.25' is negative"),
+        ("0,0.5\n2, -1e-300\n", ":3: mass '-1e-300' is negative"),
+    ], ids=["repeated", "repeated-apart", "negative", "negative-then-repeated", "tiny-negative"])
+    def test_repeated_or_negative_row_names_its_line(self, copy, tmp_path, rows, message):
+        init = tmp_path / "init.csv"
+        init.write_text("state,mass\n" + rows, encoding="utf-8")
+        before = snapshot(copy)
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init)])
+        assert r.exit_code == 2
+        assert f"{init}{message}" in all_output(r)
+        assert snapshot(copy) == before
 
     def test_malformed_distribution(self, case, tmp_path):
         init = tmp_path / "init.csv"
@@ -1038,16 +1051,26 @@ print("scipy" in sys.modules)
 """
 
 
-def scipy_loaded(*args) -> bool:
+# The same run with scipy unimportable: any `import scipy...` raises ImportError.
+WITHOUT_SCIPY = "import sys\nsys.modules['scipy'] = None\n" + IMPORTS_SCIPY
+
+
+def run_fresh(script: str, *args) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    r = subprocess.run([sys.executable, "-c", IMPORTS_SCIPY, *args], env=env,
-                       capture_output=True, text=True, check=True)
-    return r.stdout.splitlines()[-1] == "True"
+    r = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+    return r.stdout
+
+
+def scipy_loaded(*args) -> bool:
+    return run_fresh(IMPORTS_SCIPY, *args).splitlines()[-1] == "True"
 
 
 class TestStartUp:
-    """Only the commands that multiply by a matrix (spectral, bayes, evolve) load scipy."""
+    """Only block products load scipy: spectral and bayes multiply blocks of
+    columns, while evolve's vector products run in numpy."""
 
     def test_package_import_leaves_scipy_out(self):
         assert not scipy_loaded("--help")
@@ -1058,9 +1081,22 @@ class TestStartUp:
         assert r.stdout.strip() == "False"
 
     @pytest.mark.parametrize("command, loads", [("build", False), ("paths", False),
-                                                ("spectral", True)])
+                                                ("evolve", False), ("spectral", True),
+                                                ("bayes", True)])
     def test_only_products_load_scipy(self, copy, command, loads):
-        assert scipy_loaded(command, "--config", str(copy / "run.cfg")) is loads
+        extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
+        assert scipy_loaded(command, "--config", str(copy / "run.cfg"), *extra) is loads
+
+    @pytest.mark.parametrize("label", ["annual", "W"])
+    def test_evolve_runs_without_scipy(self, case, copy, label):
+        run_fresh(WITHOUT_SCIPY, "evolve", "--config", str(copy / "run.cfg"), "--state", "1",
+                  "--steps", "3", "--matrix", label)
+        r = invoke(["evolve", "--config", str(case / "run.cfg"), "--state", "1",
+                    "--steps", "3", "--matrix", label])
+        assert r.exit_code == 0, all_output(r)
+        for k in range(4):
+            name = f"evolve_step{k:04d}.csv"
+            assert (copy / name).read_bytes() == (case / name).read_bytes(), name
 
     def test_synth_leaves_scipy_out(self, case, tmp_path):
         assert not scipy_loaded("synth", "--spec", str(case.parent / "spec.json"),

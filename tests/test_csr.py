@@ -1,9 +1,10 @@
-"""The numpy CSR builders against scipy's COO -> CSR path, array for array.
+"""The numpy CSR builders and vector kernel against scipy, array for array.
 
 Each builder must give the dtype and the bytes of ``indptr``, ``indices``
 and ``data`` that scipy gives for the same entries, so that products,
 row sums and the written files stay bit for bit what they were.  The
 absorbing closure is checked the same way in ``test_absorb.TestOnePass``.
+The numpy vector products must give scipy's bytes too, without scipy.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy import sparse
 
 from conftest import make_roles
-from oracles import random_substochastic, scipy_csr, scipy_estimate
+from oracles import random_substochastic, scipy_csr, scipy_estimate, scipy_vector_products
 
 from driftchain.absorb import augment, load_chain, save_chain
 from driftchain.csr import Csr
@@ -112,3 +113,85 @@ def test_products_and_reductions_bitwise_equal_to_scipy(seed):
     assert vals.tobytes() == coo.data.tobytes()
     assert m.nnz == ref.nnz
     assert m.tocsr() is m.tocsr()  # one scipy matrix per record, made once
+
+
+def kernel_matrix(kind: str) -> Csr:
+    rng = np.random.default_rng(300)
+    if kind == "one-state":
+        return Csr.from_entries([0], [0], [0.75], (1, 1))
+    if kind == "no-entries":
+        return Csr.from_entries([], [], [], (7, 7))
+    if kind == "empty-rows":
+        a = random_substochastic(rng, 30, density=0.2)
+        a[rng.random(30) < 0.4] = 0.0
+        return Csr.of(a)
+    if kind == "rectangular":
+        a = rng.random((6, 11)) * (rng.random((6, 11)) < 0.3)
+        return Csr.of(a)
+    if kind == "int64-indices":
+        m = Csr.of(random_substochastic(rng, 25, density=0.3))
+        return Csr(m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data, m.shape)
+    if kind == "cemetery":
+        # every row leaks, so every grid state has an edge into the cemetery column
+        n = 60
+        tm = TransitionMatrix(matrix=random_substochastic(rng, n, min_row=0.5, density=0.1),
+                              transition_time=5.0, label="W")
+        chain = augment(tm, make_roles(n, leaky=range(n), sticky={3: 0.5}, debris=[3]))
+        assert np.count_nonzero(chain.matrix.triplets()[1] == n) >= n
+        return chain.matrix
+    raise ValueError(kind)
+
+
+def kernel_vector(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "integer":
+        return rng.integers(-5, 6, size=n)
+    x = rng.standard_normal(n)
+    if kind == "special":
+        x[::4] = -0.0
+        x[1::5] = np.nan
+        x[2::6] = np.inf
+        x[3::7] = -np.inf
+    return x
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bitwise equal, except that a NaN matches any NaN.
+
+    IEEE 754 leaves a NaN result's sign and payload open, and which NaN
+    operand an addition returns follows the operand order the compiler
+    chose: inf + -inf then NaN comes out -NaN from numpy's loop and +NaN
+    from scipy's.  Every other value must match bit for bit.
+    """
+    nan = np.isnan(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+KERNEL_MATRICES = ["one-state", "no-entries", "empty-rows", "rectangular", "int64-indices",
+                   "cemetery"]
+
+
+@pytest.mark.parametrize("values", ["real", "special", "integer"])
+@pytest.mark.parametrize("kind", KERNEL_MATRICES)
+def test_vector_products_bitwise_equal_to_scipy(kind, values):
+    m = kernel_matrix(kind)
+    rng = np.random.default_rng(301)
+    x, y = kernel_vector(values, m.shape[1], rng), kernel_vector(values, m.shape[0], rng)
+    want_mx, want_mty = scipy_vector_products(m, x, y)
+    assert same_bits(m @ x, want_mx)
+    assert same_bits(m.T @ y, want_mty)
+    assert "_scipy" not in vars(m)  # the vector kernel never builds the scipy matrix
+
+
+def test_transposed_view_shares_arrays_and_round_trips():
+    m = kernel_matrix("rectangular")
+    ref = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    t = m.T
+    assert t.shape == (11, 6) and t.T is m and t.T.T.shape == t.shape
+    assert t.data is m.data and t.indices is m.indices
+    assert np.array_equal(t.toarray(), ref.T.toarray())
+    assert np.array_equal(t.T.T.toarray(), ref.T.toarray())
+    assert_same_arrays(Csr.of(t), sparse.csr_matrix(ref.T))
+    block = np.random.default_rng(302).random((6, 4))
+    assert (t @ block).tobytes() == (ref.T @ block).tobytes()
