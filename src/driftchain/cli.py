@@ -208,7 +208,7 @@ def spectral_cmd(config_path, out_dir, k_eigs):
         conv = "converged" if eigs.converged[i] else "NOT CONVERGED"
         lines.append(f"lambda_{i + 1}_modulus {_fmt(abs(lam))} {conv}{tag}")
     lines += [
-        f"eigen_iterations {eigs.iterations}",
+        f"eigen_products {eigs.products + basin.products}",
         f"eigen_max_residual {_fmt(eigs.max_residual)}",
         f"basin_threshold {_fmt(basin.threshold)}",
         f"basin_size {len(basin.members)}",

@@ -10,15 +10,15 @@ Products follow one rule: a real vector in numpy, a block in scipy.
 over the entries' row and column indices, which adds each output's terms
 in the order scipy's ``csr_matvec`` and ``csc_matvec`` add them, so the
 two agree bit for bit (a NaN's sign aside, which IEEE 754 leaves open).
-``evolve`` multiplies only vectors, so it never imports scipy.  On a
-2-core x86-64 box ``import scipy.sparse`` took 0.14-0.19 s and 19 MB,
-while the 216 products of an ``evolve --steps 3`` on 484 states take
+``evolve`` and ``spectral`` multiply only vectors, so they never import
+scipy.  On a 2-core x86-64 box ``import scipy.sparse`` took 0.14-0.19 s
+and 19 MB, while the 216 products of an ``evolve --steps 3`` on 484 states take
 about 2 ms.  The numpy kernel is the slower one
 (``m.T @ x``: 8 against 10 us at 484 states, 58 against 155 us at 10^4,
 0.58 against 1.7 ms at 10^5), so at 10^5 states the saved import is
 spent after about 120-180 products, two to three annual steps.
-A product with a 2-D block (the Bayes sweep, the subspace iteration,
-``compose_annual``) and the other scipy-only operations go through one
+A product with a 2-D block (the Bayes sweep and ``compose_annual``, the
+only users left) and the other scipy-only operations go through one
 ``scipy.sparse.csr_matrix`` over the same arrays, made on first use:
 with 40 columns at 256 and 10^4 states, scipy's kernel was 11-40 times
 faster than numpy ones (``bincount`` per column or over the flattened

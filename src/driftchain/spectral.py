@@ -24,9 +24,22 @@ log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
-#: Extra subspace columns kept beyond the requested eigenpair count; they
-#: buffer the Rayleigh-Ritz projection against slowly separating moduli.
+#: Extra start vectors beyond the requested eigenpair count: the block
+#: is k + 2 wide, so the Krylov basis holds repeated and clustered
+#: eigenvalues, which one start vector cannot (it finds one eigenvector
+#: of a repeated eigenvalue).
 _GUARD_VECTORS = 2
+
+#: Blocks the Krylov basis holds before it restarts (64 vectors for k = 2);
+#: a restart keeps the leading half of its Ritz vectors.  On the bench's
+#: stencil chain, 8 blocks took 1.8 times the products of 16 at 10^4
+#: states, and keeping only k + 2 Ritz vectors took 2.3 times the
+#: products of keeping half at 3,600 states.
+_BASIS_BLOCKS = 16
+
+#: A new direction with less than this fraction of its length left after
+#: orthogonalization lies in the basis span and is dropped (a breakdown).
+_BREAKDOWN = 1e-12
 
 _REAL_CUTOFF = 1e-12
 
@@ -39,7 +52,10 @@ class EigenResult:
     vector with nonnegative entries is scaled to sum 1 (a distribution),
     otherwise to unit 1-norm, and right vectors are scaled so the entry of
     largest modulus equals 1.  Residuals are relative 1-norm defects
-    ``|vA - lambda v|_1 / |lambda|``.
+    ``|vA - lambda v|_1 / |lambda_1|`` of unit 2-norm vectors.
+    ``iterations`` is the larger side's count of Krylov block steps and
+    ``products`` the applications of the operator to a vector over both
+    sides.
     """
 
     eigenvalues: np.ndarray
@@ -50,6 +66,7 @@ class EigenResult:
     converged: np.ndarray
     is_complex_pair: np.ndarray
     iterations: int
+    products: int
 
     @property
     def moduli(self) -> np.ndarray:
@@ -63,12 +80,17 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class BasinResult:
-    """Basin of attraction with its restricted spectral retention time."""
+    """Basin of attraction with its restricted spectral retention time.
+
+    ``products`` counts the restricted solve's applications of the
+    operator to a vector.
+    """
 
     members: np.ndarray
     threshold: float
     lambda_b: float
     transition_time: float
+    products: int
 
     @property
     def retention_time(self) -> float:
@@ -123,46 +145,141 @@ def _start_block(n: int, width: int, seed: int) -> np.ndarray:
     return q
 
 
-def _subspace_iterate(mat, k: int, tol: float, max_iter: int, seed: int):
-    """Block power iteration with Rayleigh-Ritz extraction.
+@dataclass(frozen=True)
+class _Ritz:
+    """The leading Ritz pairs of one Krylov solve, and what the solve did."""
 
-    ``mat`` needs only ``shape`` and ``mat @ block``.
+    values: np.ndarray
+    vectors: np.ndarray      # one row per value, unit 2-norm
+    residuals: np.ndarray
+    steps: int               # blocks added to the start block
+    products: int            # applications of the operator to a vector
 
-    Returns (ritz values, ritz vectors as columns, relative residuals,
-    iterations) with the first k pairs converged when possible.
+
+def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
+    """Leading k eigenpairs of ``mat`` by block Krylov Rayleigh-Ritz.
+
+    ``mat`` needs only ``shape`` and ``mat @ vector``.  The basis starts
+    as ``_start_block`` and each step appends one block: the images of
+    the last block, orthonormalized against the basis.  Every basis
+    vector's image is kept, so the projected matrix and each Ritz pair's
+    residual cost no further product.  When the basis would pass
+    ``_BASIS_BLOCKS`` blocks it restarts from the span of its leading half
+    of Ritz vectors (a complex pair kept whole) and goes on from the
+    pending block, which is orthogonal to that span.  The solve stops
+    when the first k pairs converge, after ``max_iter`` steps, or when
+    the basis cannot grow: it spans the whole space, or the new block
+    lies in its span.
+
+    Products with the basis go through ``np.einsum``, never BLAS, so the
+    result does not depend on the BLAS thread count.
     """
     n = mat.shape[0]
     width = min(n, k + _GUARD_VECTORS)
-    q = _start_block(n, width, seed)
+    cap = min(n, _BASIS_BLOCKS * width)
+    # room for one pending block past the cap, orthonormalized in place
+    basis, images = np.empty((cap + width, n)), np.empty((cap + width, n))
+    h = np.empty((cap + width, cap + width))     # h[i, j] = v_i . A v_j
+    basis[:width] = _start_block(n, width, seed).T
+    m, new, steps, products = 0, width, 0, 0
     tiny = np.finfo(float).tiny
-    its = 0
     while True:
-        z = mat @ q
-        b = q.T @ z
-        off = b - np.diag(np.diag(b))
-        if np.abs(off).max() <= 1e-13 * max(np.abs(np.diag(b)).max(), tiny):
-            # Numerically diagonal projection (e.g. P = I): eig on a
-            # degenerate matrix would mix the block columns arbitrarily.
-            vals = np.diag(b).copy()
-            s = np.eye(b.shape[0])
-        else:
-            vals, s = np.linalg.eig(b)
-        # Quantize the sort key so roundoff-level modulus ties keep their
-        # block order (the uniform start column stays first for P = I).
-        mods = np.abs(vals)
-        key = np.round(mods / max(mods.max(), tiny), 12)
-        order = np.argsort(-key, kind="stable")
-        vals, s = vals[order], s[:, order]
-        vecs = q @ s
-        defect = z @ s - vecs * vals
+        top = m + new
+        for i in range(m, top):
+            images[i] = mat @ basis[i]
+        products += new
+        h[:top, m:top] = _dot(basis[:top], images[m:top])
+        h[m:top, :m] = _dot(basis[m:top], images[:m])
+        last, m = m, top
+        vals, s = _ritz_pairs(h[:m, :m])
+        coef = s[:, :k].T
+        vecs = _combine(coef, basis[:m])
+        defect = _combine(coef, images[:m]) - vals[:k, None] * vecs
         # Residuals are measured against the spectral scale |lambda_1|, so
         # (near-)zero eigenvalues can still converge in absolute terms.
-        scale = max(np.abs(vals[0]), tiny)
-        resid = np.abs(defect).sum(axis=0) / scale
-        if np.all(resid[:k] <= tol) or its >= max_iter:
-            return vals[:k], vecs[:, :k], resid[:k], its
-        q, _ = np.linalg.qr(z)
-        its += 1
+        resid = np.abs(defect).sum(axis=1) / max(np.abs(vals[0]), tiny)
+        if np.all(resid <= tol) or steps >= max_iter or m == n:
+            break
+        new = _orthonormalize(basis, m, images[last:m])
+        if new == 0:
+            break
+        if m + new > cap:
+            c = _restart_rows(vals, s, cap // 2)
+            kept = len(c)
+            basis[:kept], images[:kept] = _combine(c, basis[:m]), _combine(c, images[:m])
+            h[:kept, :kept] = c @ h[:m, :m] @ c.T
+            basis[kept:kept + new] = basis[m:m + new]
+            m = kept
+        steps += 1
+    return _Ritz(vals[:k], vecs, resid, steps, products)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` for two stacks of rows."""
+    return np.einsum("ij,kj->ik", a, b)
+
+
+def _combine(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``c @ rows`` for real rows; a complex ``c`` is split, so ``rows`` is never cast."""
+    if np.iscomplexobj(c):
+        out = _combine(c.real, rows).astype(complex)
+        out.imag = _combine(c.imag, rows)
+        return out
+    return np.einsum("ij,jk->ik", c, rows)
+
+
+def _orthonormalize(basis: np.ndarray, m: int, rows: np.ndarray) -> int:
+    """Append to ``basis[:m]`` the orthonormalized ``rows``; return how many were kept.
+
+    Each row is orthogonalized twice against every row before it (twice
+    is enough for working precision) and is dropped when less than
+    ``_BREAKDOWN`` of its length is left, as it then lies in their span.
+    """
+    top = m
+    for r in rows:
+        before = _norm(r)
+        for _ in range(2):
+            r = r - np.einsum("i,ij->j", np.einsum("ij,j->i", basis[:top], r), basis[:top])
+        after = _norm(r)
+        if after > _BREAKDOWN * before:
+            basis[top] = r / after
+            top += 1
+    return top - m
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
+def _ritz_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the projected matrix ``h``, by descending modulus."""
+    tiny = np.finfo(float).tiny
+    off = h - np.diag(np.diag(h))
+    if np.abs(off).max() <= 1e-13 * max(np.abs(np.diag(h)).max(), tiny):
+        # Numerically diagonal projection (e.g. P = I): eig on a
+        # degenerate matrix would mix the basis vectors arbitrarily.
+        vals, s = np.diag(h).copy(), np.eye(len(h))
+    else:
+        vals, s = np.linalg.eig(h)
+    # Quantize the sort key so roundoff-level modulus ties keep their
+    # basis order (the uniform start vector stays first for P = I).
+    mods = np.abs(vals)
+    key = np.round(mods / max(mods.max(), tiny), 12)
+    order = np.argsort(-key, kind="stable")
+    return vals[order], s[:, order]
+
+
+def _restart_rows(vals: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
+    """Orthonormal real coefficient rows spanning the leading p Ritz vectors.
+
+    A complex vector brings its real and imaginary parts, which span its
+    conjugate partner too; eig lists the partner with positive imaginary
+    part first, so the one after it is skipped.
+    """
+    upper = vals[:p].imag >= 0
+    keep = s[:, :p][:, upper]
+    span = np.hstack([keep.real, keep.imag[:, vals[:p][upper].imag > 0]])
+    return np.linalg.qr(span)[0].T
 
 
 def _tidy_vector(v: np.ndarray, left: bool) -> np.ndarray:
@@ -202,28 +319,29 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
     n = mat.shape[0]
     k_eff = min(k, n)
 
-    lv, lvec, lres, lits = _subspace_iterate(mat.T, k_eff, tol, max_iter, seed)
-    rv, rvec, rres, rits = _subspace_iterate(mat, k_eff, tol, max_iter, seed)
+    left = _block_krylov(mat.T, k_eff, tol, max_iter, seed)
+    right = _block_krylov(mat, k_eff, tol, max_iter, seed)
 
-    left_rows = np.vstack([_tidy_vector(lvec[:, i], left=True) for i in range(k_eff)])
-    right_rows = np.vstack([_tidy_vector(rvec[:, i], left=False) for i in range(k_eff)])
-    converged = (lres <= tol) & (rres <= tol)
+    converged = (left.residuals <= tol) & (right.residuals <= tol)
+    steps = max(left.steps, right.steps)
     if not converged.all():
         log.warning(
             "eigensolver: %d of %d pairs unconverged after %d iterations "
             "(worst residual %.2e)",
-            int((~converged).sum()), k_eff, max(lits, rits),
-            float(max(lres.max(), rres.max())),
+            int((~converged).sum()), k_eff, steps,
+            float(max(left.residuals.max(), right.residuals.max())),
         )
+    lv = left.values
     return EigenResult(
         eigenvalues=lv,
-        left_vectors=left_rows,
-        right_vectors=right_rows,
-        left_residuals=lres,
-        right_residuals=rres,
+        left_vectors=np.vstack([_tidy_vector(v, left=True) for v in left.vectors]),
+        right_vectors=np.vstack([_tidy_vector(v, left=False) for v in right.vectors]),
+        left_residuals=left.residuals,
+        right_residuals=right.residuals,
         converged=converged,
         is_complex_pair=np.abs(lv.imag) > _REAL_CUTOFF * np.abs(lv),
-        iterations=max(lits, rits),
+        iterations=steps,
+        products=left.products + right.products,
     )
 
 
@@ -250,9 +368,9 @@ def retention_time(p, members: np.ndarray, transition_time: float,
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("retention time of an empty set is undefined")
-    lam = _restricted_modulus(p, members, tol, max_iter, seed)
+    lam, products = _restricted_modulus(p, members, tol, max_iter, seed)
     # The set was not picked by a threshold, hence NaN in that field.
-    return BasinResult(members, math.nan, lam, transition_time).retention_time
+    return BasinResult(members, math.nan, lam, transition_time, products).retention_time
 
 
 def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
@@ -271,35 +389,34 @@ def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
     members = basin_of_attraction(r, threshold)
     if members.size == 0:
         log.warning("no states exceed the basin threshold %.3g", threshold)
-        lam = math.nan
+        lam, products = math.nan, 0
     else:
-        lam = _restricted_modulus(tm, members, tol, max_iter, seed)
+        lam, products = _restricted_modulus(tm, members, tol, max_iter, seed)
     return BasinResult(
         members=members, threshold=threshold, lambda_b=lam,
-        transition_time=_transition_time_of(tm),
+        transition_time=_transition_time_of(tm), products=products,
     )
 
 
 def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
-                        seed: int) -> float:
-    """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns.
+                        seed: int) -> tuple[float, int]:
+    """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns,
+    and the operator products the solve took.
 
-    A restriction with no entries has lambda_B = 0: everything leaves
-    after one step.  Entries are nonnegative, so the restriction is empty
-    when it maps the ones vector to zero.
+    A restriction with no entries has lambda_B = 0 (everything leaves
+    after one step): the start block maps to zero, so the projected
+    matrix is zero and the solve stops at once.
     """
     sub = _Restricted(_as_operator(p), members)
-    if not (sub @ np.ones(len(members))).any():
-        return 0.0
-    # lambda_B is a left eigenvalue modulus, so only the left side is iterated;
-    # the values equal dominant_eigs(sub, k=1).moduli[0] bit for bit.
-    vals, _, resid, its = _subspace_iterate(sub.T, 1, tol, max_iter, seed)
-    if resid[0] > tol:
+    # lambda_B is a left eigenvalue modulus, so only the left side is solved;
+    # the value equals dominant_eigs(sub, k=1).moduli[0] bit for bit.
+    ritz = _block_krylov(sub.T, 1, tol, max_iter, seed)
+    if ritz.residuals[0] > tol:
         log.warning(
             "eigensolver: restricted eigenvalue unconverged after %d iterations "
-            "(residual %.2e)", its, float(resid[0]),
+            "(residual %.2e)", ritz.steps, float(ritz.residuals[0]),
         )
-    return float(np.abs(vals)[0])
+    return float(np.abs(ritz.values)[0]), ritz.products
 
 
 def _transition_time_of(tm) -> float:

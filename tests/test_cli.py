@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from click.testing import CliRunner
 from driftchain import absorb, cli, paths, spectral, ulam
 from driftchain.cli import main
 from driftchain.config import _RUN_KEYS, load_config
+from driftchain.csr import Csr
 from driftchain.grid import build_grid, load_roles
 
 from conftest import make_roles, seasonal_tms
@@ -576,10 +578,13 @@ class TestOutOfRangeInputs:
         assert snapshot(copy) == before
 
 
+SPECTRAL_OUTPUTS = ("left_1.csv", "left_2.csv", "right_1.csv", "right_2.csv",
+                    "zonal.csv", "basin.geojson", "spectral_report.txt")
+
+
 class TestSpectral:
     def test_artifacts(self, case):
-        for name in ("left_1.csv", "left_2.csv", "right_1.csv", "right_2.csv",
-                     "zonal.csv", "basin.geojson", "spectral_report.txt"):
+        for name in SPECTRAL_OUTPUTS:
             assert (case / name).is_file(), name
 
     def test_eigvector_csvs(self, case):
@@ -606,8 +611,10 @@ class TestSpectral:
 
     def test_report_counts_eigen_work(self, case):
         rep = report_dict(case / "spectral_report.txt")
-        eigs = spectral.dominant_eigs(annual_operator(case), k=2, tol=1e-10, seed=11)
-        assert rep["eigen_iterations"] == str(eigs.iterations)
+        op = annual_operator(case)
+        eigs = spectral.dominant_eigs(op, k=2, tol=1e-10, seed=11)
+        basin = spectral.analyze_basin(op, tol=1e-10, seed=11, eigs=eigs)
+        assert rep["eigen_products"] == str(eigs.products + basin.products)
         assert float(rep["eigen_max_residual"]) == eigs.max_residual <= 1e-10
 
     def test_basin_geojson(self, case):
@@ -1055,9 +1062,15 @@ print("scipy" in sys.modules)
 WITHOUT_SCIPY = "import sys\nsys.modules['scipy'] = None\n" + IMPORTS_SCIPY
 
 
-def run_fresh(script: str, *args) -> str:
+def run_fresh(script: str, *args, env_changes=None) -> str:
+    """Run ``script`` in a new interpreter; ``env_changes`` sets variables, None unsets."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for key, value in (env_changes or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     r = subprocess.run([sys.executable, "-c", script, *args], env=env,
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stdout + r.stderr
@@ -1069,8 +1082,8 @@ def scipy_loaded(*args) -> bool:
 
 
 class TestStartUp:
-    """Only block products load scipy: spectral and bayes multiply blocks of
-    columns, while evolve's vector products run in numpy."""
+    """Only bayes loads scipy, for its block products: spectral and evolve
+    multiply only vectors, which run in numpy."""
 
     def test_package_import_leaves_scipy_out(self):
         assert not scipy_loaded("--help")
@@ -1081,7 +1094,7 @@ class TestStartUp:
         assert r.stdout.strip() == "False"
 
     @pytest.mark.parametrize("command, loads", [("build", False), ("paths", False),
-                                                ("evolve", False), ("spectral", True),
+                                                ("evolve", False), ("spectral", False),
                                                 ("bayes", True)])
     def test_only_products_load_scipy(self, copy, command, loads):
         extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
@@ -1098,12 +1111,64 @@ class TestStartUp:
             name = f"evolve_step{k:04d}.csv"
             assert (copy / name).read_bytes() == (case / name).read_bytes(), name
 
+    def test_spectral_runs_without_scipy(self, case, copy):
+        for name in SPECTRAL_OUTPUTS:
+            (copy / name).unlink()
+        run_fresh(WITHOUT_SCIPY, "spectral", "--config", str(copy / "run.cfg"))
+        # the case's own files were written by an in-process run
+        assert snapshot(copy) == snapshot(case)
+
     def test_synth_leaves_scipy_out(self, case, tmp_path):
         assert not scipy_loaded("synth", "--spec", str(case.parent / "spec.json"),
                                 "--out", str(tmp_path / "synth"))
 
 
+def walk_case(root: Path, side: int = 24) -> Path:
+    """A case for `spectral` alone on a side x side grid of 1-degree boxes.
+
+    Each season is a lazy nearest-neighbour walk with random weights, 30
+    times heavier on staying, that keeps 99.9 % of the mass a step.  It
+    mixes so slowly that both Krylov solves fill their 64-vector basis and
+    restart, and a product of a vector with the basis (64 x 576) is past
+    the size at which OpenBLAS threads one.
+    """
+    g = build_grid((40.0, 40.0 + side, -30.0, -30.0 + side), cell_size=1.0)
+    rng = np.random.default_rng(5)
+    col, row = np.divmod(np.arange(g.n_states), side)
+    rows, cols, weights = [], [], []
+    for dc, dr in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        inside = (0 <= col + dc) & (col + dc < side) & (0 <= row + dr) & (row + dr < side)
+        rows.append(np.flatnonzero(inside))
+        cols.append(((col + dc) * side + row + dr)[inside])
+        weights.append(np.full(inside.sum(), 30.0 if dc == dr == 0 else 1.0))
+    rows, cols, weights = map(np.concatenate, (rows, cols, weights))
+    root.mkdir()
+    for label in ("W", "S", "SF"):
+        vals = rng.random(len(rows)) * weights
+        vals *= 0.999 / np.bincount(rows, weights=vals)[rows]
+        tm = ulam.TransitionMatrix(
+            matrix=Csr.from_entries(rows, cols, vals, (g.n_states, g.n_states)),
+            transition_time=5.0, label=label)
+        ulam.save_matrix(tm, root / f"matrix_{label}.txt", grid=g, crash_date=date(2014, 3, 8))
+    (root / "grid.cfg").write_text(
+        f"lon_min = 40\nlon_max = {40 + side}\nlat_min = -30\nlat_max = {side - 30}\n"
+        "cell_size = 1\n", encoding="utf-8")
+    (root / "run.cfg").write_text(
+        "grid = grid.cfg\nlag_days = 5\ncrash_date = 2014-03-08\nseason_exponent = 18\n"
+        "seed = 11\nout_dir = .\n", encoding="utf-8")
+    return root
+
+
 class TestDeterminism:
+    def test_spectral_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", None):
+            case = walk_case(tmp_path / f"threads_{threads}")
+            run_fresh(IMPORTS_SCIPY, "spectral", "--config", str(case / "run.cfg"),
+                      env_changes={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})
+            outputs.append({name: (case / name).read_bytes() for name in SPECTRAL_OUTPUTS})
+        assert outputs[0] == outputs[1]
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -7,10 +7,15 @@ import scipy.sparse as sparse
 from conftest import dense_tm, seasonal_tms
 from oracles import dense_dominant_pair, dense_power_product, random_substochastic
 
+from driftchain.csr import Csr
 from driftchain.grid import build_grid
 from driftchain.spectral import (
+    _BASIS_BLOCKS,
+    _GUARD_VECTORS,
     _Restricted,
+    _block_krylov,
     _restricted_modulus,
+    _start_block,
     analyze_basin,
     basin_of_attraction,
     dominant_eigs,
@@ -101,6 +106,103 @@ class TestDominantEigs:
         assert res.moduli[0] == pytest.approx(0.95, abs=1e-10)
 
 
+def lazy_walk(n: int, cycle: bool) -> np.ndarray:
+    """Lazy nearest-neighbour walk on n states in a line (reflecting ends) or a cycle.
+
+    Both are symmetric: eigenvalues 0.5 + 0.5 cos(pi j / n) on the line,
+    all simple, and 0.5 + 0.5 cos(2 pi j / n) on the cycle, where every
+    one but 1 and (n even) 0 is double.
+    """
+    a = 0.5 * np.eye(n)
+    i = np.arange(n if cycle else n - 1)
+    a[i, (i + 1) % n] += 0.25
+    a[(i + 1) % n, i] += 0.25
+    if not cycle:
+        a[0, 0] += 0.25
+        a[-1, -1] += 0.25
+    return a
+
+
+def assert_matches_dense(a, res, k, tol=1e-10):
+    """k converged pairs, moduli within tol of the dense solver's, and every
+    returned vector an eigenvector of ``a`` to the solver's residual."""
+    moduli, _, _ = dense_dominant_pair(a)
+    assert res.converged.all() and len(res.eigenvalues) == k
+    assert np.abs(res.moduli - moduli[:k]).max() <= tol
+    for lam, left, right in zip(res.eigenvalues, res.left_vectors, res.right_vectors):
+        for v, defect in ((left, left @ a - lam * left), (right, a @ right - lam * right)):
+            assert np.abs(defect).sum() <= 10 * tol * res.moduli[0] * np.linalg.norm(v)
+
+
+class TestBlockKrylov:
+    """Cases a Krylov solve from a single start vector gets wrong."""
+
+    def test_two_closed_classes_both_converge(self):
+        # lambda_1 = lambda_2 = 1, one eigenvector per class; transient
+        # states leak into both classes
+        rng = np.random.default_rng(30)
+        a = np.zeros((70, 70))
+        a[:30, :30] = random_substochastic(rng, 30, min_row=1.0, density=0.2)
+        a[30:55, 30:55] = random_substochastic(rng, 25, min_row=1.0, density=0.2)
+        t = rng.random((15, 70))
+        a[55:] = t / t.sum(axis=1)[:, None]
+        res = dominant_eigs(a, k=2)
+        assert_matches_dense(a, res, 2)
+        assert np.abs(res.moduli - 1.0).max() <= 1e-10
+        assert np.linalg.matrix_rank(res.left_vectors) == 2
+        assert np.linalg.matrix_rank(res.right_vectors) == 2
+
+    def test_double_subdominant_eigenvalue(self):
+        a = lazy_walk(100, cycle=True)
+        res = dominant_eigs(a, k=3)
+        assert_matches_dense(a, res, 3)
+        assert res.moduli[1] == pytest.approx(res.moduli[2], abs=1e-10)
+        assert np.linalg.matrix_rank(res.left_vectors[1:]) == 2
+        assert np.linalg.matrix_rank(res.right_vectors[1:]) == 2
+
+    def test_start_block_in_invariant_subspace_stops(self):
+        # span(q) is invariant under a and a.T and holds the dominant pair,
+        # so every new direction lies in the span (a breakdown).  A
+        # tolerance below roundoff keeps the solve from stopping on
+        # convergence, so only the breakdown can stop it at once.
+        rng = np.random.default_rng(31)
+        n, k = 30, 1
+        q = _start_block(n, k + _GUARD_VECTORS, seed=0)
+        rest = np.eye(n) - q @ q.T
+        a = q @ np.diag([0.9, 0.7, 0.5]) @ q.T + rest @ (0.1 * rng.random((n, n)) / n) @ rest
+        res = dominant_eigs(a, k=k, tol=1e-17, max_iter=50)
+        assert res.iterations == 0
+        assert res.products == 2 * (k + _GUARD_VECTORS)
+        assert abs(res.moduli[0] - dense_dominant_pair(a)[0][0]) <= 1e-10
+        assert_matches_dense(a, dominant_eigs(a, k=k), k)
+
+    @pytest.mark.parametrize("kind", ["clustered", "complex"])
+    def test_restarts_until_converged(self, kind):
+        # The basis fills and restarts many times before the second pair
+        # converges: on a walk whose simple eigenvalues cluster near 1, and
+        # on a sparse random chain whose second eigenvalue is complex, so a
+        # restart must keep both parts of its vector.
+        if kind == "clustered":
+            a = lazy_walk(120, cycle=False)
+        else:
+            a = random_substochastic(np.random.default_rng(3), 200, min_row=0.6, density=0.02)
+        k = 2
+        ritz = _block_krylov(Csr.of(a), k, 1e-10, 100_000, 0)
+        assert ritz.products > _BASIS_BLOCKS * (k + _GUARD_VECTORS)
+        assert (ritz.residuals <= 1e-10).all()
+        assert_matches_dense(a, dominant_eigs(a, k=k), k)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (4, 2), (5, 3), (6, 2)])
+    def test_basis_spanning_the_space_returns_at_once(self, n, k):
+        # n <= k + guard vectors: the start block is the whole space.  At
+        # n = 6, k = 2 one step fills it.
+        a = random_substochastic(np.random.default_rng(32 + n), n)
+        res = dominant_eigs(a, k=k, tol=1e-17, max_iter=50)
+        assert res.iterations == (0 if n <= k + _GUARD_VECTORS else 1)
+        assert res.products == 2 * n
+        assert_matches_dense(a, dominant_eigs(a, k=k, max_iter=50), k)
+
+
 class TestBasin:
     def test_threshold_selection(self):
         r = np.array([1.0, 0.51, 0.5, 0.1, 0.9])
@@ -184,7 +286,7 @@ class TestAnnualOperator:
         for size in (1, n // 2, n):
             members = np.sort(rng.choice(n, size=size, replace=False))
             want = np.abs(np.linalg.eigvals(dense[np.ix_(members, members)])).max()
-            got = _restricted_modulus(op, members, tol=1e-12, max_iter=100_000, seed=0)
+            got, _ = _restricted_modulus(op, members, tol=1e-12, max_iter=100_000, seed=0)
             assert abs(got - want) <= 1e-10
 
     @pytest.mark.parametrize("n, seed", [(6, 12), (30, 13)])
@@ -198,7 +300,7 @@ class TestAnnualOperator:
                     (csr, csr[np.ix_(members, members)].tocsr()))
             for p, sub in subs:
                 want = dominant_eigs(sub, k=1, tol=1e-12, seed=0).moduli[0]
-                got = _restricted_modulus(p, members, tol=1e-12, max_iter=100_000, seed=0)
+                got, _ = _restricted_modulus(p, members, tol=1e-12, max_iter=100_000, seed=0)
                 assert got == want
 
     def test_unconverged_restricted_modulus_warns(self, caplog):
@@ -220,7 +322,7 @@ class TestAnnualOperator:
                for k, tm in seasonal_tms(np.random.default_rng(11), 6).items()}
         op, dense = operator_and_product(tms, 18)
         assert not dense[:, 0].any()
-        assert _restricted_modulus(op, np.array([0]), tol=1e-10, max_iter=100, seed=0) == 0.0
+        assert _restricted_modulus(op, np.array([0]), tol=1e-10, max_iter=100, seed=0)[0] == 0.0
         assert retention_time(op, np.array([0]), 360.0) == 360.0
 
 
