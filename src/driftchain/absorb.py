@@ -27,11 +27,10 @@ import numpy as np
 from .csr import Csr
 from .errors import ConfigError, NumericalError
 from .grid import ROLE_KINDS, StateRoles, roles_from_records
-from .ulam import TransitionMatrix, _parse_triplets, _split_header, _write_triplets
+from .ulam import (_ROW_SUM_TOL, TransitionMatrix, _parse_triplets, _split_header,
+                   _write_triplets)
 
 log = logging.getLogger(__name__)
-
-_ROW_SUM_TOL = 1e-12
 
 #: Deficit on a row not declared leaky above which a data/roles mismatch
 #: is reported.

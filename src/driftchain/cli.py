@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -29,6 +28,10 @@ from .ingest import Season, extract_pairs, parse_trajectories, season_split
 from .schedule import SeasonalSchedule
 
 FMT = "%.17g"
+
+#: Eigenpairs `spectral` reports.  Only lambda_1's vectors feed the basin,
+#: the quasistationary distribution and the retention time.
+K_EIGS = 2
 
 
 def _fmt(x) -> str:
@@ -174,17 +177,15 @@ def build(config_path, out_dir):
 
 @main.command("spectral")
 @config_options
-@click.option("--k-eigs", default=2, type=click.IntRange(min=1), show_default=True,
-              help="Number of eigenpairs to compute.")
 @handle_errors
-def spectral_cmd(config_path, out_dir, k_eigs):
+def spectral_cmd(config_path, out_dir):
     """Eigenpairs, basin of attraction, and retention time of the annual map."""
     cfg = load_config(config_path, out_dir)
     g = _load_grid(cfg)
     op = _load_annual(cfg, g)
 
     out = _outdir(cfg)
-    eigs = spectral.dominant_eigs(op, k=k_eigs, tol=cfg.eigen_tol,
+    eigs = spectral.dominant_eigs(op, k=K_EIGS, tol=cfg.eigen_tol,
                                   max_iter=cfg.eigen_max_iter, seed=cfg.seed)
     for i in range(len(eigs.eigenvalues)):
         _write_state_csv(out / f"left_{i + 1}.csv", g, eigs.left_vectors[i])
@@ -225,7 +226,6 @@ def spectral_cmd(config_path, out_dir, k_eigs):
 
 
 def _write_state_csv(path: Path, g: GridCovering, values: np.ndarray):
-    values = np.real_if_close(values, tol=1e6)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("state,lon_center,lat_center,value\n")
         for s in range(g.n_states):
@@ -440,13 +440,10 @@ def _read_distribution(path, n: int) -> np.ndarray:
 @click.option("--spec", "spec_path", required=True, type=click.Path(),
               help="Synthetic spec JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", default=None, type=int, help="Override the spec seed.")
 @handle_errors
-def synth_cmd(spec_path, out_dir, seed):
+def synth_cmd(spec_path, out_dir):
     """Generate a full synthetic input set (plus ground-truth sidecar)."""
     spec = synth.load_spec(spec_path)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
     # Reject a spec that no later command could run before writing anything.
     lag = spec.sample_interval_days
     run = RunConfig(lag_days=lag, crash_date=spec.start_date, seed=spec.seed,
@@ -459,7 +456,8 @@ def synth_cmd(spec_path, out_dir, seed):
     obs_rows: list = list(spec.observations)
     if spec.sample_observations > 0:
         sampled = synth.sample_observations(
-            _truth_schedule(spec), spec.source_state, spec.sample_observations,
+            _absorbing_schedule(spec.matrices, spec.roles(), spec.start_date),
+            spec.source_state, spec.sample_observations,
             seed=spec.seed, max_steps=spec.max_observation_steps,
         )
         obs_rows += sampled
@@ -475,14 +473,6 @@ def synth_cmd(spec_path, out_dir, seed):
     synth.write_truth_sidecar(spec, out / "truth.json", sampled)
     _write_run_config(run, out, with_obs=bool(obs_rows))
     click.echo(f"synthesized {len(tracks)} tracks into {out}")
-
-
-def _truth_schedule(spec) -> SeasonalSchedule:
-    tms = {season: ulam.TransitionMatrix(matrix=spec.kernels[season],
-                                         transition_time=spec.sample_interval_days,
-                                         label=season.value)
-           for season in Season}
-    return _absorbing_schedule(tms, spec.roles(), spec.start_date)
 
 
 def _write_run_config(run: RunConfig, out: Path, with_obs: bool):

@@ -270,6 +270,7 @@ def unconstrained_best_path(p, source: int, target: int, label: str | None = Non
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     pred = np.full(n, -1, dtype=np.int64)
+    pred_prob = np.zeros(n)  # P[pred[v], v], the edge that set dist[v]
     settled = np.zeros(n, dtype=bool)
     heap = [(0.0, source)]
     while heap:
@@ -288,6 +289,7 @@ def unconstrained_best_path(p, source: int, target: int, label: str | None = Non
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
+                pred_prob[v] = pval
                 heapq.heappush(heap, (nd, v))
     if not settled[target]:
         raise UnreachableTargetError(
@@ -298,7 +300,7 @@ def unconstrained_best_path(p, source: int, target: int, label: str | None = Non
     while seq[-1] != source:
         seq.append(int(pred[seq[-1]]))
     seq.reverse()
-    step_logs = [float(np.log(mat[seq[k], seq[k + 1]])) for k in range(len(seq) - 1)]
+    step_logs = [float(np.log(pred_prob[v])) for v in seq[1:]]
     total = 0.0
     for s in step_logs:
         total += s

@@ -8,6 +8,7 @@ its input.  All randomness flows from one seed.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -19,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import Observation
+from .csr import Csr
 from .errors import ConfigError
 from .grid import GridCovering, StateRoles, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import SeasonalSchedule
-
-_ROW_TOL = 1e-12
+from .ulam import TransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,9 @@ class SyntheticSpec:
     over the grid's states; row deficits are exit probabilities.  Role
     and observation entries use state indices; ``sample_observations``
     requests that many simulated debris discoveries from the true source
-    instead of explicit ones.  Roles, the source state and explicit
-    observations are checked here, so `synth` rejects a spec whose files
-    a later command would reject before it writes any of them.
+    instead of explicit ones.  Each field is checked by the rule a later
+    command reads it by (``matrices`` holds each kernel as `build`'s matrix),
+    so `synth` rejects a spec a later command would reject before any write.
     """
 
     bounds: tuple[float, float, float, float]
@@ -56,6 +57,7 @@ class SyntheticSpec:
     observations: tuple[dict, ...] = ()
     sample_observations: int = 0
     max_observation_steps: int = 200
+    matrices: dict[Season, TransitionMatrix] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for season in Season:
@@ -64,8 +66,8 @@ class SyntheticSpec:
         shapes = {k.shape for k in self.kernels.values()}
         if len(shapes) != 1:
             raise ConfigError("seasonal kernels must share one shape")
-        for season, k in self.kernels.items():
-            validate_kernel(k, str(season))
+        object.__setattr__(self, "matrices",
+                           _transition_matrices(self.kernels, self.sample_interval_days))
         if self.n_drifters < 0:
             raise ConfigError("n_drifters must be nonnegative")
         if self.seed < 0:
@@ -91,7 +93,9 @@ class SyntheticSpec:
             )
         for i, row in enumerate(self.observations, start=1):
             try:
-                obs = Observation(int(row["target_label"]), float(row["days_since_crash"]))
+                obs = Observation(int(row["target_label"]), float(row["days_since_crash"]),
+                                  str(row.get("name", f"obs{i}")))
+                obs.steps(self.sample_interval_days)
             except KeyError as exc:
                 raise ConfigError(f"explicit observation {i} lacks {exc}") from None
             except (ConfigError, TypeError, ValueError) as exc:
@@ -123,17 +127,16 @@ class SyntheticSpec:
         return g
 
 
-def validate_kernel(k: np.ndarray, name: str) -> None:
-    k = np.asarray(k)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ConfigError(f"kernel {name} must be square, got {k.shape}")
-    if not np.isfinite(k).all():
-        raise ConfigError(f"kernel {name} has non-finite entries")
-    if k.size and k.min() < 0:
-        raise ConfigError(f"kernel {name} has negative entries")
-    sums = k.sum(axis=1)
-    if sums.size and sums.max() > 1 + _ROW_TOL:
-        raise ConfigError(f"kernel {name} row sums exceed 1 (max {sums.max()})")
+def _transition_matrices(kernels: dict[Season, np.ndarray],
+                         transition_time: float) -> dict[Season, TransitionMatrix]:
+    """Each kernel as a TransitionMatrix; one it rejects raises ConfigError naming its season."""
+    out = {}
+    for season, k in kernels.items():
+        try:
+            out[season] = TransitionMatrix(k, transition_time, season.value)
+        except ValueError as exc:
+            raise ConfigError(f"kernel {season}: {exc}") from None
+    return out
 
 
 def load_spec(path: str | Path) -> SyntheticSpec:
@@ -184,10 +187,9 @@ def sample_pairs(
     """
     if isinstance(kernels, np.ndarray):
         kernels = {Season.W: kernels, Season.S: kernels, Season.SF: kernels}
-    for season, k in kernels.items():
-        validate_kernel(k, str(season))
+    matrices = _transition_matrices(kernels, 1.0)  # the lag does not enter a draw
     seasons = sorted(kernels, key=lambda s: s.value)
-    n = kernels[seasons[0]].shape[0]
+    n = matrices[seasons[0]].n_states
     rng = np.random.default_rng(seed)
 
     starts = rng.choice(n, size=n_pairs)
@@ -199,7 +201,7 @@ def sample_pairs(
         sel = season_idx == si
         if not sel.any():
             continue
-        cum, targets = _draw_table(kernels[s])
+        cum, targets = _draw_table(matrices[s].matrix)
         rows = starts[sel]
         ends[sel] = targets[rows, np.sum(u[sel, None] >= cum[rows], axis=1)]
     season_code = np.array([SEASONS.index(s) for s in seasons], dtype=np.int8)
@@ -211,23 +213,24 @@ def sample_pairs(
     )
 
 
-def _draw_table(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row running sums over the nonzero entries, and their columns.
+def _draw_table(kernel: Csr) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row running sums over the stored entries, and their columns.
 
     ``cum[i]`` holds row i's running sums in column order, padded to the
-    longest row's nonzero count r with the row total; ``targets[i]``
+    longest row's entry count r with the row total; ``targets[i]``
     holds the matching columns, padded with -1 to width r + 1.  A draw u
     moves state i to ``targets[i, count of cum[i] <= u]``: the first
     column whose running sum exceeds u, or -1 (an exit) when u reaches
     the row total.  Entries are nonnegative, so skipping the zeros never
-    changes a running sum, and the move equals the dense-row rule.
+    changes a running sum (nor is a stored zero ever drawn), and the move
+    equals the dense-row rule.
     """
-    rows, cols = np.nonzero(kernel)
-    counts = np.bincount(rows, minlength=kernel.shape[0])
+    rows, cols, data = kernel.triplets()
+    counts = np.diff(kernel.indptr)
     width = int(counts.max(initial=0))
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(len(rows)) - np.repeat(kernel.indptr[:-1], counts)
     vals = np.zeros((kernel.shape[0], width))
-    vals[rows, slot] = kernel[rows, cols]
+    vals[rows, slot] = data
     targets = np.full((kernel.shape[0], width + 1), -1, dtype=np.int64)
     targets[rows, slot] = cols
     return np.cumsum(vals, axis=1), targets
@@ -265,7 +268,8 @@ def simulate_tracks(spec: SyntheticSpec) -> list[SimulatedTrack]:
     dt = spec.sample_interval_days
     n = g.n_states
     max_steps = max(int(math.floor(spec.duration_days / dt)), 1)
-    tables = {s: tuple(a.tolist() for a in _draw_table(spec.kernels[s])) for s in Season}
+    tables = {s: tuple(a.tolist() for a in _draw_table(spec.matrices[s].matrix))
+              for s in Season}
     step_tables = [tables[season_of_day(step * dt, spec.start_date)]
                    for step in range(max_steps)]
     first_steps, walks, lon_draws, lat_draws = [], [], [], []
@@ -390,9 +394,11 @@ def write_observations_csv(
     path: str | Path,
 ) -> None:
     """Write `target_label,days_since_crash,name` from (label, step) pairs
-    or explicit observation dicts."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("target_label,days_since_crash,name\n")
+    or explicit observation dicts; a name is CSV-quoted where `csv.reader`
+    needs it to read the name back whole."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["target_label", "days_since_crash", "name"])
         for i, row in enumerate(rows, start=1):
             if isinstance(row, dict):
                 label = int(row["target_label"])
@@ -402,7 +408,7 @@ def write_observations_csv(
                 label, k = row
                 days = k * transition_time
                 name = f"obs{i}"
-            fh.write(f"{label},{days:.17g},{name}\n")
+            writer.writerow([label, f"{days:.17g}", name])
 
 
 def write_roles_csv(spec: SyntheticSpec, g: GridCovering, path: str | Path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftchain import absorb, cli, paths, spectral, ulam
+from driftchain import absorb, bayes, cli, paths, spectral, ulam
 from driftchain.cli import main
 from driftchain.config import _RUN_KEYS, load_config
 from driftchain.csr import Csr
@@ -192,14 +192,26 @@ class TestSynth:
         ]
 
     def test_seed_override(self, tmp_path):
+        # The spec is synth's one source of settings, so no flag restates its seed.
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
         r = invoke(["synth", "--spec", str(spec_path),
                     "--out", str(tmp_path / "a"), "--seed", "99"])
-        assert r.exit_code == 0
-        truth = json.loads((tmp_path / "a" / "truth.json").read_text(encoding="utf-8"))
-        assert truth["seed"] == 99
-        assert "seed = 99" in (tmp_path / "a" / "run.cfg").read_text(encoding="utf-8")
+        assert r.exit_code == 2
+        assert "No such option '--seed'" in all_output(r)
+        assert not (tmp_path / "a").exists()
+
+    def test_observation_names_survive_the_round_trip(self, tmp_path):
+        named = [{"target_label": 1, "days_since_crash": 30.0, "name": 'early, quoted "x"'},
+                 {"target_label": 1, "days_since_crash": 47.5, "name": "plain"}]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(SPEC, observations=named, sample_observations=0)),
+                             encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+        assert r.exit_code == 0, all_output(r)
+        got = bayes.load_observations(tmp_path / "a" / "observations.csv")
+        assert [(o.target_label, o.days_since_crash, o.name) for o in got] == [
+            (1, 30.0, 'early, quoted "x"'), (1, 47.5, "plain")]
 
     def test_sampling_without_source_rejected(self, tmp_path):
         spec = dict(SPEC)
@@ -227,7 +239,7 @@ class TestSynth:
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
-        assert "kernel S has non-finite entries" in all_output(r)
+        assert "kernel S: transition matrix entries must be finite" in all_output(r)
         assert not (tmp_path / "a").exists()
 
     def test_lag_that_does_not_tile_a_season_rejected(self, tmp_path):
@@ -260,6 +272,10 @@ class TestSynth:
         ({"sticky": {}, "debris": []}, "sample_observations requires at least one debris state"),
         # the debris box is three steps from the source, so no walk beaches
         ({"max_observation_steps": 1}, "source 0: no beaching in 1000 consecutive walks"),
+        # bayes and paths reject an observation less than one step after the crash
+        ({"observations": [{"target_label": 1, "days_since_crash": 2.0, "name": "early"}]},
+         "explicit observation 1: observation 'early' at 2.0 d is below one transition "
+         "time (5.0 d)"),
     ])
     def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
         spec_path = tmp_path / "spec.json"
@@ -271,9 +287,8 @@ class TestSynth:
 
     def test_negative_seed_flag_rejected_before_writing(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
-        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a"),
-                    "--seed", "-1"])
+        spec_path.write_text(json.dumps(dict(SPEC, seed=-1)), encoding="utf-8")
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
         assert r.exit_code == 2
         assert "seed must be nonnegative, got -1" in all_output(r)
         assert not (tmp_path / "a").exists()
@@ -421,10 +436,11 @@ class TestOutOfRangeInputs:
         assert snapshot(copy) == before
 
     def test_zero_eigenpairs_rejected(self, copy):
+        # The report's eigenpair count is a constant, so no flag can ask for zero.
         before = snapshot(copy)
         r = invoke(["spectral", "--config", str(copy / "run.cfg"), "--k-eigs", "0"])
         assert r.exit_code == 2
-        assert "--k-eigs" in all_output(r)
+        assert "No such option '--k-eigs'" in all_output(r)
         assert snapshot(copy) == before
 
     @pytest.mark.parametrize("command", ["bayes", "paths"])

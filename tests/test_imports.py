@@ -9,7 +9,8 @@ too.  The benchmark scripts under ``bench/`` are not imported by any
 test, so the driftchain names they use are resolved here: deleting a name
 only they need would otherwise pass every other test.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
-way that no longer works.
+way that no longer works.  Last, ``csr.py`` must be the one package module
+that imports scipy, at module level or inside a function.
 """
 
 import ast
@@ -64,6 +65,35 @@ def duplicate_tests(source: str) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_duplicate_test_names(path):
     assert duplicate_tests(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Each line of ``source`` that imports scipy, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_csr_imports_scipy():
+    # Every scipy load goes through ``Csr._scipy``, so a command's start-up
+    # cost follows from which products it takes.
+    importers = [p.name for p in MODULES if p.parent.name == "driftchain"
+                 and scipy_imports(p.read_text(encoding="utf-8"))]
+    assert importers == ["csr.py"]
+
+
+def test_scan_finds_scipy_imports():
+    source = ("import numpy as np\nfrom .scipy import x\nimport scipyx\n\ndef f():\n"
+              "    import scipy.sparse\n    from scipy import linalg\n")
+    assert scipy_imports(source) == ["line 6", "line 7"]
 
 
 def test_every_export_resolves():

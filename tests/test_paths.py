@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +381,8 @@ class TestUnconstrainedPath:
             # enumeration caps the length, the search does not, so the
             # search result can only be at least as good.
             assert r.log_prob >= want - 1e-12
+            assert r.step_log_probs == tuple(
+                float(np.log(a[u, v])) for u, v in zip(r.states, r.states[1:]))
 
     def test_unreachable_raises(self):
         a = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -388,6 +394,17 @@ class TestUnconstrainedPath:
         r = unconstrained_best_path(a, 1, 1)
         assert r.states == (1,)
         assert r.log_prob == 0.0
+
+    def test_leaves_scipy_out(self):
+        # the search keeps each edge it relaxes, so no entry lookup loads scipy
+        script = ("import sys\nimport numpy as np\n"
+                  "from driftchain.paths import unconstrained_best_path\n"
+                  "unconstrained_best_path(np.array([[0.0, 0.9], [0.0, 0.0]]), 0, 1)\n"
+                  "print('scipy' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert r.stdout.strip() == "False"
 
 
 class TestGeoJson:

@@ -412,7 +412,7 @@ class TestSpecParsing:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kernel_rejected(self, bad):
         kernel = np.array([[0.5, bad], [0.2, 0.3]])
-        with pytest.raises(ConfigError, match="kernel S has non-finite entries"):
+        with pytest.raises(ConfigError, match="kernel S: transition matrix entries must be finite"):
             toy_spec(bounds=(40.0, 42.0, -30.0, -29.0),
                      kernels={s: kernel if s is Season.S else np.eye(2) for s in Season},
                      leaky=(), sticky={}, debris=(), candidate_sources=())
