@@ -6,84 +6,50 @@ beaching, and then answers three questions: where does drifting material
 accumulate (spectral analysis), where did observed debris come from
 (Bayesian source inversion), and along which routes (time-constrained
 most probable paths).
+
+The exported names load on first access (PEP 562), so importing the
+package, or the CLI for ``--help``, does not import numpy or any pipeline
+module.
 """
 
-from .absorb import AugmentedChain, absorption_split, augment
-from .bayes import (
-    Observation,
-    PosteriorResult,
-    absorption_cdf,
-    estimate_source,
-    first_absorption_pmf,
-    joint_likelihood,
-    load_observations,
-    posterior,
-    sticky_fit_map,
-)
-from .errors import (
-    ConfigError,
-    NumericalError,
-    UnreachableTargetError,
-    ZeroEvidenceError,
-)
-from .grid import OUT_OF_DOMAIN, GridCovering, StateRoles, build_grid, load_roles, load_wet_mask
-from .ingest import (
-    Season,
-    Trajectory,
-    TransitionPairs,
-    extract_pairs,
-    parse_trajectories,
-    season_split,
-)
-from .paths import (
-    PathResult,
-    PathSet,
-    most_probable_path,
-    most_probable_paths,
-    path_to_geojson,
-    unconstrained_best_path,
-)
-from .schedule import SeasonalSchedule
-from .spectral import (
-    BasinResult,
-    EigenResult,
-    analyze_basin,
-    basin_of_attraction,
-    dominant_eigs,
-    retention_time,
-    zonal_profile,
-)
-from .ulam import (
-    AnnualOperator,
-    TransitionMatrix,
-    annual_operator,
-    compose_annual,
-    estimate,
-    load_matrix,
-    markov_test,
-    push_forward,
-    save_matrix,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentedChain", "absorption_split", "augment",
-    "Observation", "PosteriorResult", "absorption_cdf", "estimate_source",
-    "first_absorption_pmf", "joint_likelihood", "load_observations", "posterior",
-    "sticky_fit_map",
-    "ConfigError", "NumericalError", "UnreachableTargetError",
-    "ZeroEvidenceError",
-    "OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
-    "load_wet_mask",
-    "Season", "Trajectory", "TransitionPairs", "extract_pairs",
-    "parse_trajectories", "season_split",
-    "PathResult", "PathSet", "most_probable_path", "most_probable_paths",
-    "path_to_geojson", "unconstrained_best_path",
-    "SeasonalSchedule",
-    "BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
-    "dominant_eigs", "retention_time", "zonal_profile",
-    "AnnualOperator", "TransitionMatrix", "annual_operator", "compose_annual", "estimate",
-    "load_matrix", "markov_test", "push_forward", "save_matrix",
-    "__version__",
-]
+#: Each submodule with the names the package exports from it.
+_EXPORTS = {
+    "absorb": ("AugmentedChain", "absorption_split", "augment"),
+    "bayes": ("Observation", "PosteriorResult", "absorption_cdf", "estimate_source",
+              "first_absorption_pmf", "joint_likelihood", "load_observations", "posterior",
+              "sticky_fit_map"),
+    "errors": ("ConfigError", "NumericalError", "UnreachableTargetError",
+               "ZeroEvidenceError"),
+    "grid": ("OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
+             "load_wet_mask"),
+    "ingest": ("Season", "Trajectory", "TransitionPairs", "extract_pairs",
+               "parse_trajectories", "season_split"),
+    "paths": ("PathResult", "PathSet", "most_probable_path", "most_probable_paths",
+              "path_to_geojson", "unconstrained_best_path"),
+    "schedule": ("SeasonalSchedule",),
+    "spectral": ("BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
+                 "dominant_eigs", "retention_time", "zonal_profile"),
+    "ulam": ("AnnualOperator", "TransitionMatrix", "annual_operator", "compose_annual",
+             "estimate", "load_matrix", "markov_test", "push_forward", "save_matrix"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

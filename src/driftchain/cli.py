@@ -6,26 +6,32 @@ deterministic for fixed inputs: floats carry 17 significant digits, JSON
 keys are sorted, and no timestamps or absolute paths are embedded.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
+
+Each command imports the pipeline modules it runs inside its own body, so
+``--help``, usage errors and shell completion load only click.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import json
 import sys
-from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import absorb, bayes, paths, spectral, synth, ulam
-from .config import SEASON_BLOCK_DAYS, RunConfig, load_config, load_grid_config
 from .errors import ConfigError, NumericalError
-from .grid import GridCovering, StateRoles, load_roles
-from .ingest import Season, extract_pairs, parse_trajectories, season_split
-from .schedule import SeasonalSchedule
+
+if TYPE_CHECKING:
+    from datetime import date
+
+    import numpy as np
+
+    from . import spectral, ulam
+    from .config import RunConfig
+    from .grid import GridCovering, StateRoles
+    from .ingest import Season
+    from .schedule import SeasonalSchedule
 
 FMT = "%.17g"
 
@@ -85,6 +91,8 @@ def _matrix_path(cfg: RunConfig, label: str) -> Path:
 def _load_matrix(cfg: RunConfig, g: GridCovering, label: str) -> ulam.TransitionMatrix:
     """The seasonal matrix `build` wrote for season ``label``, which must belong
     to ``g`` and to ``cfg``'s lag and crash date."""
+    from . import ulam
+
     path = _matrix_path(cfg, label)
     if not path.is_file():
         raise ConfigError(f"missing {path}; run `driftchain build` first")
@@ -101,6 +109,9 @@ def _load_matrix(cfg: RunConfig, g: GridCovering, label: str) -> ulam.Transition
 
 def _load_annual(cfg: RunConfig, g: GridCovering) -> ulam.AnnualOperator:
     """The annual operator over the seasonal matrices that `build` wrote."""
+    from . import ulam
+    from .ingest import Season
+
     w, s, sf = (_load_matrix(cfg, g, season.value)
                 for season in (Season.W, Season.S, Season.SF))
     return ulam.annual_operator(w, s, sf, exponent=cfg.season_exponent)
@@ -109,6 +120,9 @@ def _load_annual(cfg: RunConfig, g: GridCovering) -> ulam.AnnualOperator:
 def _absorbing_schedule(tms: dict[Season, ulam.TransitionMatrix], roles: StateRoles,
                         start_date: date) -> SeasonalSchedule:
     """Each season's matrix closed with ``roles`` into its absorbing chain."""
+    from . import absorb
+    from .schedule import SeasonalSchedule
+
     return SeasonalSchedule(chains={season: absorb.augment(tm, roles)
                                     for season, tm in tms.items()},
                             start_date=start_date)
@@ -116,15 +130,23 @@ def _absorbing_schedule(tms: dict[Season, ulam.TransitionMatrix], roles: StateRo
 
 def _load_schedule(cfg: RunConfig, g: GridCovering) -> SeasonalSchedule:
     """The absorbing chains over `build`'s matrices and the roles file as it reads now."""
+    from .grid import load_roles
+    from .ingest import Season
+
     cfg.require("roles")
     tms = {season: _load_matrix(cfg, g, season.value) for season in Season}
     roles = load_roles(g, cfg.roles)
     return _absorbing_schedule(tms, roles, cfg.crash_date)
 
 
-def _load_grid(cfg: RunConfig) -> GridCovering:
+def _load_run(config_path, out_dir, *keys: str) -> tuple[RunConfig, GridCovering]:
+    """The run config, which must set ``keys`` and ``grid``, and the grid it names."""
+    from .config import load_config, load_grid_config
+
+    cfg = load_config(config_path, out_dir)
+    cfg.require(*keys)
     cfg.require("grid")
-    return load_grid_config(cfg.grid)
+    return cfg, load_grid_config(cfg.grid)
 
 
 # ----------------------------------------------------------------- build
@@ -134,9 +156,10 @@ def _load_grid(cfg: RunConfig) -> GridCovering:
 @handle_errors
 def build(config_path, out_dir):
     """Estimate the seasonal matrices and write them with a build report."""
-    cfg = load_config(config_path, out_dir)
-    cfg.require("grid", "trajectories")
-    g = _load_grid(cfg)
+    from . import ulam
+    from .ingest import Season, extract_pairs, parse_trajectories, season_split
+
+    cfg, g = _load_run(config_path, out_dir, "grid", "trajectories")
     trajectories, report = parse_trajectories(cfg.trajectories)
     pairs = extract_pairs(trajectories, g, cfg.lag_days, epoch=cfg.crash_date)
     by_season = season_split(pairs)
@@ -180,8 +203,11 @@ def build(config_path, out_dir):
 @handle_errors
 def spectral_cmd(config_path, out_dir):
     """Eigenpairs, basin of attraction, and retention time of the annual map."""
-    cfg = load_config(config_path, out_dir)
-    g = _load_grid(cfg)
+    import numpy as np
+
+    from . import spectral
+
+    cfg, g = _load_run(config_path, out_dir)
     op = _load_annual(cfg, g)
 
     out = _outdir(cfg)
@@ -226,6 +252,8 @@ def spectral_cmd(config_path, out_dir):
 
 
 def _write_state_csv(path: Path, g: GridCovering, values: np.ndarray):
+    import numpy as np
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("state,lon_center,lat_center,value\n")
         for s in range(g.n_states):
@@ -234,6 +262,8 @@ def _write_state_csv(path: Path, g: GridCovering, values: np.ndarray):
 
 
 def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResult):
+    import json
+
     polys = []
     for s in basin.members:
         corners = g.box_corners(int(s))
@@ -259,9 +289,9 @@ def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResul
 @handle_errors
 def bayes_cmd(config_path, out_dir):
     """Posterior over candidate source boxes from the observations file."""
-    cfg = load_config(config_path, out_dir)
-    cfg.require("observations")
-    g = _load_grid(cfg)
+    from . import bayes
+
+    cfg, g = _load_run(config_path, out_dir, "observations")
     schedule = _load_schedule(cfg, g)
     observations = bayes.load_observations(cfg.observations)
     result = bayes.estimate_source(
@@ -311,9 +341,11 @@ def bayes_cmd(config_path, out_dir):
 @handle_errors
 def paths_cmd(config_path, out_dir):
     """Most probable fixed-length paths from candidates to each observed target."""
-    cfg = load_config(config_path, out_dir)
-    cfg.require("observations")
-    g = _load_grid(cfg)
+    import json
+
+    from . import bayes, paths
+
+    cfg, g = _load_run(config_path, out_dir, "observations")
     schedule = _load_schedule(cfg, g)
     observations = bayes.load_observations(cfg.observations)
     roles = schedule.roles
@@ -376,8 +408,13 @@ def paths_cmd(config_path, out_dir):
 @handle_errors
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
-    cfg = load_config(config_path, out_dir)
-    g = _load_grid(cfg)
+    import itertools
+
+    import numpy as np
+
+    from . import ulam
+
+    cfg, g = _load_run(config_path, out_dir)
     # One step of the annual operator is one year, applied factor by factor.
     step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
     n = step.shape[0]
@@ -404,6 +441,8 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
 def _read_distribution(path, n: int) -> np.ndarray:
     """The `state,mass` rows of ``path``: each state at most once, each mass finite
     and nonnegative, the total at most 1; an offending row exits 2 naming its line."""
+    import numpy as np
+
     f = np.zeros(n)
     first: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -443,6 +482,9 @@ def _read_distribution(path, n: int) -> np.ndarray:
 @handle_errors
 def synth_cmd(spec_path, out_dir):
     """Generate a full synthetic input set (plus ground-truth sidecar)."""
+    from . import synth
+    from .config import SEASON_BLOCK_DAYS, RunConfig
+
     spec = synth.load_spec(spec_path)
     # Reject a spec that no later command could run before writing anything.
     lag = spec.sample_interval_days

@@ -409,25 +409,36 @@ def _batch_pairs(batch: list[Trajectory], g: GridCovering, transition_time: floa
     states = g.points_to_states(np.concatenate([tr.lons for tr in batch]),
                                 np.concatenate([tr.lats for tr in batch]))
     opens = (match >= 0) & (states != OUT_OF_DOMAIN)
-    starts = _walk(opens, match, lo_track.tolist(), hi_track.tolist())
+    starts = _walk(opens, match, lo_track)
     return states[starts], states[match[starts]], times[starts]
 
 
-def _walk(opens: np.ndarray, match: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
-    """Pair starts of each track [lo, hi), walking from its first sample.
+def _walk(opens: np.ndarray, match: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Pair starts of consecutive tracks, walking each from its first sample ``lo``.
 
     A sample that opens a pair jumps to its match; any other sample steps
     to the next one, so the walk visits only pair starts and skipped
-    samples.  Jumps always move forward.
+    samples.  A match lies after its sample and in the same track, so a
+    walk that steps off its track lands on the next track's first sample,
+    or on the sentinel ``len(opens)`` after the last track.  The walks are
+    marked by pointer doubling: after pass p the marked set holds every
+    sample within 2**p jumps of a track's first one, so the passes grow
+    with the log of the longest walk.  A pass that marks nothing new ends
+    it: the set is then closed under the current jump, and so under every
+    longer one.
     """
-    step = np.maximum(np.where(opens, match, 0), np.arange(1, len(opens) + 1))
-    starts = []
-    for i, end in zip(lo, hi):
-        while i < end:
-            if opens[i]:
-                starts.append(i)
-            i = step[i]
-    return np.asarray(starts, dtype=np.int64)
+    n = len(opens)
+    jump = np.append(np.maximum(np.where(opens, match, 0), np.arange(1, n + 1)), n)
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[lo] = True
+    count = np.count_nonzero(seen)
+    while True:
+        seen[jump[seen]] = True
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            return np.flatnonzero(seen[:n] & opens)
+        count = grown
+        jump = jump[jump]
 
 
 def _season_codes(start_date: np.ndarray, epoch: date) -> np.ndarray:

@@ -100,6 +100,9 @@ class SyntheticSpec:
                 raise ConfigError(f"explicit observation {i} lacks {exc}") from None
             except (ConfigError, TypeError, ValueError) as exc:
                 raise ConfigError(f"explicit observation {i}: {exc}") from None
+            if obs.name != obs.name.strip():
+                raise ConfigError(f"explicit observation {i}: name {obs.name!r} has leading "
+                                  f"or trailing blanks, which `bayes` strips on reading")
             if obs.target_label > len(self.debris):
                 raise ConfigError(
                     f"explicit observation {i} targets label {obs.target_label}, "

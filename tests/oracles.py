@@ -477,6 +477,22 @@ def sample_by_sample_pairs(tracks, g, transition_time, season_of_day):
     return pairs
 
 
+def loop_walk(opens, match, lo, hi) -> np.ndarray:
+    """Pair starts of each track [lo, hi) by following its walk one sample at a time.
+
+    A sample that opens a pair jumps to its match; any other sample steps
+    to the next one.
+    """
+    step = np.maximum(np.where(opens, match, 0), np.arange(1, len(opens) + 1))
+    starts = []
+    for i, end in zip(lo, hi):
+        while i < end:
+            if opens[i]:
+                starts.append(i)
+            i = step[i]
+    return np.asarray(starts, dtype=np.int64)
+
+
 def dense_walk_tracks(spec, season_of_day):
     """Drifter walks that draw each move by scanning the dense kernel row.
 

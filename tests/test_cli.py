@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from driftchain import absorb, bayes, cli, paths, spectral, ulam
 from driftchain.cli import main
-from driftchain.config import _RUN_KEYS, load_config
+from driftchain.config import _RUN_KEYS
 from driftchain.csr import Csr
 from driftchain.grid import build_grid, load_roles
 
@@ -276,6 +276,9 @@ class TestSynth:
         ({"observations": [{"target_label": 1, "days_since_crash": 2.0, "name": "early"}]},
          "explicit observation 1: observation 'early' at 2.0 d is below one transition "
          "time (5.0 d)"),
+        # bayes strips a name's blanks on reading
+        ({"observations": [{"target_label": 1, "days_since_crash": 30.0, "name": "padded\t"}]},
+         "explicit observation 1: name 'padded\\t' has leading or trailing blanks"),
     ])
     def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
         spec_path = tmp_path / "spec.json"
@@ -744,8 +747,7 @@ class TestPaths:
             encoding="utf-8")
         r = invoke(["paths", "--config", str(copy / "run.cfg")])
         assert r.exit_code == 0, all_output(r)
-        cfg = load_config(copy / "run.cfg")
-        g = cli._load_grid(cfg)
+        cfg, g = cli._load_run(copy / "run.cfg", None)
         sched = cli._load_schedule(cfg, g)
         sources = sched.roles.candidate_sources
         _, rows = read_csv(copy / "paths_summary.csv")
@@ -812,8 +814,7 @@ class TestRolesAtRunTime:
         assert (got.transition_time, got.label) == (want.transition_time, want.label)
 
     def test_case_schedule_matches_chain_files(self, case, tmp_path):
-        cfg = load_config(case / "run.cfg")
-        g = cli._load_grid(cfg)
+        cfg, g = cli._load_run(case / "run.cfg", None)
         sched = cli._load_schedule(cfg, g)
         roles = load_roles(g, cfg.roles)
         for season, chain in sched.chains.items():
@@ -846,8 +847,7 @@ class TestRolesAtRunTime:
         (tmp_path / "roles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         (tmp_path / "run.cfg").write_text("grid = grid.cfg\nroles = roles.csv\nout_dir = .\n",
                                           encoding="utf-8")
-        cfg = load_config(tmp_path / "run.cfg")
-        sched = cli._load_schedule(cfg, cli._load_grid(cfg))
+        sched = cli._load_schedule(*cli._load_run(tmp_path / "run.cfg", None))
         for season, chain in sched.chains.items():
             want = self.chain_file_round_trip(tms[season.value], roles,
                                               tmp_path / f"chain_{season.value}.txt")
@@ -1061,25 +1061,25 @@ class TestMalformedTriplets:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs one command in a fresh interpreter, then reports whether scipy was loaded.
-IMPORTS_SCIPY = """
+# Runs one command in a fresh interpreter, then prints every module loaded
+# and exits with the command's code.
+RUN_COMMAND = """
 import sys
 from driftchain.cli import main
 try:
     main(sys.argv[1:])
-except SystemExit as exc:
-    if exc.code:
-        raise
-print("scipy" in sys.modules)
+finally:
+    print(*sorted(sys.modules))
 """
 
 
 # The same run with scipy unimportable: any `import scipy...` raises ImportError.
-WITHOUT_SCIPY = "import sys\nsys.modules['scipy'] = None\n" + IMPORTS_SCIPY
+WITHOUT_SCIPY = "import sys\nsys.modules['scipy'] = None\n" + RUN_COMMAND
 
 
-def run_fresh(script: str, *args, env_changes=None) -> str:
-    """Run ``script`` in a new interpreter; ``env_changes`` sets variables, None unsets."""
+def run_fresh(script: str, *args, env_changes=None, exit_code=0) -> str:
+    """Run ``script`` in a new interpreter, which must exit with ``exit_code``;
+    ``env_changes`` sets variables, None unsets."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     for key, value in (env_changes or {}).items():
@@ -1089,17 +1089,29 @@ def run_fresh(script: str, *args, env_changes=None) -> str:
             env[key] = value
     r = subprocess.run([sys.executable, "-c", script, *args], env=env,
                        capture_output=True, text=True)
-    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.returncode == exit_code, r.stdout + r.stderr
     return r.stdout
 
 
+def loaded_modules(*args, exit_code=0) -> set[str]:
+    """The modules loaded by one fresh run of the CLI, which must exit with ``exit_code``."""
+    return set(run_fresh(RUN_COMMAND, *args, exit_code=exit_code).splitlines()[-1].split())
+
+
 def scipy_loaded(*args) -> bool:
-    return run_fresh(IMPORTS_SCIPY, *args).splitlines()[-1] == "True"
+    return "scipy" in loaded_modules(*args)
+
+
+COMMANDS = ("synth", "build", "spectral", "bayes", "paths", "evolve")
+
+#: The modules that only some commands run.
+COMMAND_MODULES = ("absorb", "schedule", "bayes", "paths", "spectral", "synth")
 
 
 class TestStartUp:
     """Only bayes loads scipy, for its block products: spectral and evolve
-    multiply only vectors, which run in numpy."""
+    multiply only vectors, which run in numpy.  Dispatch alone (help, usage
+    errors) loads no numpy, and each command only the modules it runs."""
 
     def test_package_import_leaves_scipy_out(self):
         assert not scipy_loaded("--help")
@@ -1115,6 +1127,30 @@ class TestStartUp:
     def test_only_products_load_scipy(self, copy, command, loads):
         extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
         assert scipy_loaded(command, "--config", str(copy / "run.cfg"), *extra) is loads
+
+    def test_package_import_leaves_numpy_out(self):
+        assert run_fresh("import sys, driftchain; print('numpy' in sys.modules)") == "False\n"
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["--help"], 0),
+        *(([command, "--help"], 0) for command in COMMANDS),
+        (["build"], 2),   # usage error: --config is required
+    ], ids=["help", *(f"{command}-help" for command in COMMANDS), "usage-error"])
+    def test_dispatch_leaves_numpy_out(self, args, exit_code):
+        modules = loaded_modules(*args, exit_code=exit_code)
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("driftchain.")} == {
+            "driftchain.cli", "driftchain.errors"}
+
+    @pytest.mark.parametrize("command, runs", [
+        ("build", set()), ("evolve", set()), ("spectral", {"spectral"}),
+        ("bayes", {"absorb", "schedule", "bayes"}),
+        ("paths", {"absorb", "schedule", "bayes", "paths"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, copy, command, runs):
+        extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
+        modules = loaded_modules(command, "--config", str(copy / "run.cfg"), *extra)
+        assert {m for m in COMMAND_MODULES if f"driftchain.{m}" in modules} == runs
 
     @pytest.mark.parametrize("label", ["annual", "W"])
     def test_evolve_runs_without_scipy(self, case, copy, label):
@@ -1180,7 +1216,7 @@ class TestDeterminism:
         outputs = []
         for threads in ("1", None):
             case = walk_case(tmp_path / f"threads_{threads}")
-            run_fresh(IMPORTS_SCIPY, "spectral", "--config", str(case / "run.cfg"),
+            run_fresh(RUN_COMMAND, "spectral", "--config", str(case / "run.cfg"),
                       env_changes={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})
             outputs.append({name: (case / name).read_bytes() for name in SPECTRAL_OUTPUTS})
         assert outputs[0] == outputs[1]

@@ -10,7 +10,9 @@ test, so the driftchain names they use are resolved here: deleting a name
 only they need would otherwise pass every other test.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
-that imports scipy, at module level or inside a function.
+that imports scipy, at module level or inside a function, and ``cli.py``
+and ``__init__.py`` may load at import only the standard library, click and
+``errors``.
 """
 
 import ast
@@ -90,6 +92,53 @@ def test_only_csr_imports_scipy():
     assert importers == ["csr.py"]
 
 
+START_UP_PACKAGES = {*sys.stdlib_module_names, "click"}
+
+
+def start_up_imports(source: str) -> list[str]:
+    """Each import that runs when ``source`` is imported and loads more than
+    the standard library, click or the package's ``errors`` module.  Imports
+    in a function body run only when it is called, and those under
+    ``if TYPE_CHECKING:`` never run."""
+    found = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            nodes += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." + (node.module or "") if node.level else node.module]
+        else:
+            nodes += ast.iter_child_nodes(node)
+            continue
+        if any(m != ".errors" and m.split(".")[0] not in START_UP_PACKAGES for m in modules):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+def test_dispatch_imports_only_click(name):
+    # `--help`, usage errors and shell completion run these two modules
+    # alone, so numpy and the pipeline load only in the commands that use them.
+    source = (ROOT / "src" / "driftchain" / name).read_text(encoding="utf-8")
+    assert start_up_imports(source) == []
+
+
+def test_scan_finds_start_up_imports():
+    source = ("from __future__ import annotations\nimport sys, click\nfrom .errors import E\n"
+              "import numpy as np\nfrom . import ulam\nfrom .grid import g\n"
+              "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import scipy\n"
+              "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
+              "def f():\n    import numpy\n")
+    assert start_up_imports(source) == ["line 4", "line 5", "line 6", "line 11"]
+
+
 def test_scan_finds_scipy_imports():
     source = ("import numpy as np\nfrom .scipy import x\nimport scipyx\n\ndef f():\n"
               "    import scipy.sparse\n    from scipy import linalg\n")
@@ -100,6 +149,14 @@ def test_every_export_resolves():
     import driftchain
 
     assert [name for name in driftchain.__all__ if not hasattr(driftchain, name)] == []
+    star = {}
+    exec("from driftchain import *", star)
+    assert [name for name in driftchain.__all__ if name not in star] == []
+    exec("from driftchain import absorb", star)
+    assert star["absorb"] is sys.modules["driftchain.absorb"]
+    assert set(driftchain.__all__) <= set(dir(driftchain))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        driftchain.no_such_name
 
 
 def test_scan_finds_unused_names():

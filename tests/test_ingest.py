@@ -377,3 +377,36 @@ def test_extract_across_batches(monkeypatch):
     split = extract_pairs(trajs, g, 5.0)
     for name in ("from_state", "to_state", "start_date", "season"):
         assert np.array_equal(getattr(whole, name), getattr(split, name))
+
+
+
+def assert_walk_matches_loop(rng, lengths, open_rate):
+    """``_walk`` against the loop over consecutive tracks of ``lengths``, bitwise.
+
+    A match may fall anywhere in its own track, even at or before its
+    sample, where the walk steps to the next sample instead."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    hi = np.cumsum(lengths)
+    lo = hi - lengths
+    n = int(hi[-1]) if len(hi) else 0
+    lo_s, hi_s = np.repeat(lo, lengths), np.repeat(hi, lengths)
+    opens = rng.random(n) < open_rate
+    match = np.where(opens, lo_s + (rng.random(n) * (hi_s - lo_s)).astype(np.int64), -1)
+    got = ingest._walk(opens, match, lo)
+    want = oracles.loop_walk(opens, match, lo.tolist(), hi.tolist())
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("open_rate", [0.0, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_matches_loop(seed, open_rate):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 40, size=60)
+    lengths[rng.integers(60, size=10)] = 0
+    assert_walk_matches_loop(rng, lengths, open_rate)
+
+
+@pytest.mark.parametrize("lengths, open_rate", [([], 0.5), ([0, 0, 3, 0], 0.0),
+                                                ([65_000], 0.0), ([1, 1, 1], 1.0)])
+def test_walk_edge_batches(lengths, open_rate):
+    assert_walk_matches_loop(np.random.default_rng(0), lengths, open_rate)

@@ -423,6 +423,13 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
             toy_spec(seed=-1)
 
+    def test_padded_observation_name_rejected(self):
+        # bayes.load_observations strips names, so this one would not come back whole.
+        with pytest.raises(ConfigError, match="explicit observation 2: name '  padded '"):
+            toy_spec(observations=({"target_label": 1, "days_since_crash": 30.0},
+                                   {"target_label": 1, "days_since_crash": 35.0,
+                                    "name": "  padded "}))
+
     def test_grid_mismatch_rejected(self):
         spec = toy_spec(bounds=(40.0, 44.0, -30.0, -29.0))
         with pytest.raises(ConfigError):
