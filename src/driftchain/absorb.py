@@ -27,8 +27,8 @@ import numpy as np
 from .csr import Csr
 from .errors import ConfigError, NumericalError
 from .grid import ROLE_KINDS, StateRoles, roles_from_records
-from .ulam import (_ROW_SUM_TOL, TransitionMatrix, _parse_triplets, _split_header,
-                   _write_triplets)
+from .textio import write_rows
+from .ulam import _ROW_SUM_TOL, TransitionMatrix, _parse_triplets, _split_header
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +196,7 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
         fh.write(f"transition_time_days {chain.transition_time:.17g}\n")
         fh.write(f"label {chain.label}\n")
         fh.write("i,j,value\n")
-        _write_triplets(fh, chain.matrix)
+        write_rows(fh, "%d,%d,%.17g\n", chain.matrix.triplets())
         fh.write("[roles]\n")
         for i in sorted(chain.roles.leaky):
             fh.write(f"leaky,{i}\n")

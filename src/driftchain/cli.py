@@ -213,22 +213,22 @@ def spectral_cmd(config_path, out_dir):
     out = _outdir(cfg)
     eigs = spectral.dominant_eigs(op, k=K_EIGS, tol=cfg.eigen_tol,
                                   max_iter=cfg.eigen_max_iter, seed=cfg.seed)
+    states = np.arange(g.n_states)
+    lon, lat = g.box_centers(states).T
     for i in range(len(eigs.eigenvalues)):
-        _write_state_csv(out / f"left_{i + 1}.csv", g, eigs.left_vectors[i])
-        _write_state_csv(out / f"right_{i + 1}.csv", g, eigs.right_vectors[i])
+        for side, vectors in (("left", eigs.left_vectors), ("right", eigs.right_vectors)):
+            _write_table(out / f"{side}_{i + 1}.csv", "state,lon_center,lat_center,value",
+                         "%d,%.17g,%.17g,%.17g\n", [states, lon, lat, np.real(vectors[i])])
 
     basin = spectral.analyze_basin(op, threshold=cfg.basin_threshold,
                                    tol=cfg.eigen_tol, max_iter=cfg.eigen_max_iter,
                                    seed=cfg.seed, eigs=eigs)
     profile = spectral.zonal_profile(np.real(eigs.right_vectors[0]), g)
-    with open(out / "zonal.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lat,mean,deriv\n")
-        for lat, mean, deriv in zip(profile.latitudes, profile.mean, profile.derivative):
-            fh.write(f"{_fmt(lat)},{_fmt(mean)},{_fmt(deriv)}\n")
+    _write_table(out / "zonal.csv", "lat,mean,deriv", "%.17g,%.17g,%.17g\n",
+                 [profile.latitudes, profile.mean, profile.derivative])
 
     _write_basin_geojson(out / "basin.geojson", g, basin)
 
-    retention = basin.retention_time
     lines = ["# spectral report"]
     for i, lam in enumerate(eigs.eigenvalues):
         tag = " (complex pair)" if eigs.is_complex_pair[i] else ""
@@ -240,8 +240,8 @@ def spectral_cmd(config_path, out_dir):
         f"basin_threshold {_fmt(basin.threshold)}",
         f"basin_size {len(basin.members)}",
         f"lambda_basin {_fmt(basin.lambda_b)}",
-        f"retention_days {'inf' if retention == float('inf') else _fmt(retention)}",
-        f"retention_years {'inf' if retention == float('inf') else _fmt(retention / 360.0)}",
+        f"retention_days {_fmt(basin.retention_time)}",
+        f"retention_years {_fmt(basin.retention_time / 360.0)}",
     ]
     (out / "spectral_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(
@@ -251,14 +251,13 @@ def spectral_cmd(config_path, out_dir):
         _fail(3, "eigensolver did not converge; see spectral_report.txt")
 
 
-def _write_state_csv(path: Path, g: GridCovering, values: np.ndarray):
-    import numpy as np
+def _write_table(path: Path, header: str, template: str, columns) -> None:
+    """A CSV of ``header`` and one ``template`` row per row of ``columns``."""
+    from .textio import write_rows
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("state,lon_center,lat_center,value\n")
-        for s in range(g.n_states):
-            lon, lat = g.box_center(s)
-            fh.write(f"{s},{_fmt(lon)},{_fmt(lat)},{_fmt(np.real(values[s]))}\n")
+        fh.write(header + "\n")
+        write_rows(fh, template, columns)
 
 
 def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResult):
@@ -301,17 +300,11 @@ def bayes_cmd(config_path, out_dir):
 
     out = _outdir(cfg)
     n_obs = len(observations)
-    with open(out / "posterior.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lat,lon,logL,posterior,"
-                 + ",".join(f"single_b{j + 1}" for j in range(n_obs)) + "\n")
-        for i in range(len(result.candidates)):
-            singles = ",".join(
-                _fmt(result.single_posteriors[i, j]) for j in range(n_obs)
-            )
-            fh.write(
-                f"{_fmt(result.latitudes[i])},{_fmt(result.longitudes[i])},"
-                f"{_fmt(result.log_likelihood[i])},{_fmt(result.posterior[i])},{singles}\n"
-            )
+    _write_table(out / "posterior.csv",
+                 "lat,lon,logL,posterior," + ",".join(f"single_b{j + 1}" for j in range(n_obs)),
+                 "%.17g," * 4 + ",".join(["%.17g"] * n_obs) + "\n",
+                 [result.latitudes, result.longitudes, result.log_likelihood, result.posterior,
+                  *result.single_posteriors.T])
 
     lon, lat = g.box_center(result.c_max)
     lines = [
@@ -414,13 +407,13 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
 
     from . import ulam
 
-    cfg, g = _load_run(config_path, out_dir)
-    # One step of the annual operator is one year, applied factor by factor.
-    step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
-    n = step.shape[0]
-
     if (initial_state is None) == (initial_csv is None):
         raise ConfigError("provide exactly one of --state or --initial")
+    if steps < 0:
+        raise ConfigError("--steps must be nonnegative")
+    cfg, g = _load_run(config_path, out_dir)
+    # `ulam.load_matrix` ties every matrix's state count to the grid's.
+    n = g.n_states
     if initial_state is not None:
         if not 0 <= initial_state < n:
             raise ConfigError(f"--state outside 0..{n - 1}")
@@ -428,13 +421,13 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
         f[initial_state] = 1.0
     else:
         f = _read_distribution(initial_csv, n)
-    if steps < 0:
-        raise ConfigError("--steps must be nonnegative")
+    # One step of the annual operator is one year, applied factor by factor.
+    step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
 
     out = _outdir(cfg)
+    states = np.arange(n)
     for k, f in enumerate(ulam.propagate(f, itertools.repeat(step, steps))):
-        rows = "".join(f"{s},{_fmt(m)}\n" for s, m in enumerate(f.tolist()))
-        (out / f"evolve_step{k:04d}.csv").write_text("state,mass\n" + rows, encoding="utf-8")
+        _write_table(out / f"evolve_step{k:04d}.csv", "state,mass", "%d,%.17g\n", [states, f])
     click.echo(f"evolved {steps} step(s) of {label}; total mass {f.sum():.6g}")
 
 

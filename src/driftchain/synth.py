@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .grid import GridCovering, StateRoles, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import SeasonalSchedule
+from .textio import write_rows
 from .ulam import TransitionMatrix
 
 
@@ -142,37 +143,41 @@ def _transition_matrices(kernels: dict[Season, np.ndarray],
     return out
 
 
+#: Each spec key's parser.  A key the spec leaves out takes SyntheticSpec's
+#: default; a key not named here is rejected.
+_SPEC_KEYS = {
+    "bounds": lambda v: tuple(float(v[i]) for i in range(4)),
+    "cell_size": float,
+    "kernels": lambda v: {Season(name): np.asarray(mat, dtype=float) for name, mat in v.items()},
+    "n_drifters": int,
+    "duration_days": float,
+    "sample_interval_days": float,
+    "seed": int,
+    "start_date": date.fromisoformat,
+    "source_state": lambda v: None if v is None else int(v),
+    "leaky": lambda v: tuple(map(int, v)),
+    "sticky": lambda v: {int(i): float(ell) for i, ell in v.items()},
+    "debris": lambda v: tuple(map(int, v)),
+    "candidate_sources": lambda v: tuple(map(int, v)),
+    "observations": tuple,
+    "sample_observations": int,
+    "max_observation_steps": int,
+}
+
+
 def load_spec(path: str | Path) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON description."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a synthetic spec is a JSON object")
+    for key in raw:
+        if key not in _SPEC_KEYS:
+            raise ConfigError(f"{path}: unknown synthetic spec key {key!r}")
     try:
-        bounds = tuple(float(raw["bounds"][i]) for i in range(4))
-        kernels = {
-            Season(name): np.asarray(mat, dtype=float)
-            for name, mat in raw["kernels"].items()
-        }
-        spec = SyntheticSpec(
-            bounds=bounds,
-            cell_size=float(raw["cell_size"]),
-            kernels=kernels,
-            n_drifters=int(raw.get("n_drifters", 100)),
-            duration_days=float(raw.get("duration_days", 360.0)),
-            sample_interval_days=float(raw.get("sample_interval_days", 5.0)),
-            seed=int(raw.get("seed", 0)),
-            start_date=date.fromisoformat(raw.get("start_date", "2014-03-08")),
-            source_state=None if raw.get("source_state") is None else int(raw["source_state"]),
-            leaky=tuple(int(i) for i in raw.get("leaky", [])),
-            sticky={int(i): float(l) for i, l in raw.get("sticky", {}).items()},
-            debris=tuple(int(i) for i in raw.get("debris", [])),
-            candidate_sources=tuple(int(i) for i in raw.get("candidate_sources", [])),
-            observations=tuple(raw.get("observations", [])),
-            sample_observations=int(raw.get("sample_observations", 0)),
-            max_observation_steps=int(raw.get("max_observation_steps", 200)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return SyntheticSpec(**{key: _SPEC_KEYS[key](value) for key, value in raw.items()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid synthetic spec ({exc})") from None
-    return spec
 
 
 def sample_pairs(
@@ -323,21 +328,12 @@ def simulate_tracks(spec: SyntheticSpec) -> list[SimulatedTrack]:
 
 def write_tracks_csv(tracks: list[SimulatedTrack], path: str | Path) -> None:
     """Emit the ingest-format trajectory CSV, every value at 17 significant digits."""
-    time_text: dict[float, str] = {}
-
-    def new_time_text(t: float) -> str:
-        text = f"{t:.17g}"
-        if t:  # 0.0 and -0.0 are one dict key but two texts
-            time_text[t] = text
-        return text
-
+    columns = [np.repeat([tr.drifter_id for tr in tracks], [len(tr.times) for tr in tracks])]
+    columns += [np.concatenate([getattr(tr, name) for tr in tracks] or [np.empty(0)])
+                for name in ("times", "lons", "lats")]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,time_days,lon,lat\n")
-        for tr in tracks:
-            times = [time_text.get(t) or new_time_text(t) for t in tr.times.tolist()]
-            rows = f"{tr.drifter_id},%s,%.17g,%.17g\n" * len(times)
-            fh.write(rows % tuple(itertools.chain.from_iterable(
-                zip(times, tr.lons.tolist(), tr.lats.tolist()))))
+        write_rows(fh, "%d,%.17g,%.17g,%.17g\n", columns)
 
 
 def sample_observations(

@@ -1,4 +1,6 @@
-"""numpy's C text reader, held to what Python's own parsers accept.
+"""The package's numeric tables, read and written.
+
+Reading: numpy's C text reader, held to what Python's own parsers accept.
 
 ``np.loadtxt`` parses comma-separated numbers far faster than a Python
 loop, but it is not a drop-in replacement for ``float()`` and ``int()``:
@@ -8,10 +10,14 @@ text that passes :func:`is_plain`.  What a rejection means is the
 caller's: in a matrix or chain file every entry line must pass, so it is
 an error naming the first rejected line (``ulam``); in a trajectory file
 it only sends those lines to the Python row rule (``ingest``).
+
+Writing: :func:`write_rows` prints every numeric table, floats at 17
+significant digits so that each value reads back bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -43,3 +49,21 @@ def read_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     except (ValueError, DeprecationWarning):
         return None
     return rows if len(rows) == len(lines) else None
+
+
+#: Rows formatted per ``%`` by :func:`write_rows`; bounds the Python lists
+#: that formatting needs.
+_WRITE_CHUNK = 1 << 16
+
+
+def write_rows(fh, template: str, columns) -> None:
+    """Write one ``template % row`` line per row of the parallel ``columns``.
+
+    ``template`` holds one conversion per column and its line end, such as
+    ``"%d,%d,%.17g\\n"``.  Values pass through ``.tolist()``, so a float
+    prints as Python's ``"%.17g" % float(v)`` (``-0``, ``nan``, ``inf``
+    included) and an int as ``"%d" % int(v)``.
+    """
+    for a in range(0, len(columns[0]), _WRITE_CHUNK):
+        chunk = [c[a:a + _WRITE_CHUNK].tolist() for c in columns]
+        fh.write(template * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))

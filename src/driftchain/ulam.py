@@ -22,7 +22,7 @@ from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
-from .textio import is_plain, read_rows
+from .textio import is_plain, read_rows, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -336,21 +336,7 @@ def save_matrix(tm: TransitionMatrix, path: str | Path, grid: GridCovering | Non
         else:
             fh.write("row_counts " + ",".join(str(int(c)) for c in tm.row_counts) + "\n")
         fh.write("i,j,value\n")
-        _write_triplets(fh, tm.matrix)
-
-
-#: Entries formatted per chunk by :func:`_write_triplets`; bounds the Python
-#: lists that formatting needs.
-_WRITE_CHUNK = 1 << 16
-
-
-def _write_triplets(fh, matrix: Csr) -> None:
-    """Write one `i,j,value` line per entry, in row-major order."""
-    rows, cols, vals = matrix.triplets()
-    for a in range(0, len(vals), _WRITE_CHUNK):
-        b = a + _WRITE_CHUNK
-        fh.writelines(f"{i},{j},{v:.17g}\n" for i, j, v in
-                      zip(rows[a:b].tolist(), cols[a:b].tolist(), vals[a:b].tolist()))
+        write_rows(fh, "%d,%d,%.17g\n", tm.matrix.triplets())
 
 
 def load_matrix(path: str | Path,

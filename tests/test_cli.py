@@ -279,6 +279,8 @@ class TestSynth:
         # bayes strips a name's blanks on reading
         ({"observations": [{"target_label": 1, "days_since_crash": 30.0, "name": "padded\t"}]},
          "explicit observation 1: name 'padded\\t' has leading or trailing blanks"),
+        # a misspelt key would otherwise leave its field at the default
+        ({"n_drifter": 5}, "unknown synthetic spec key 'n_drifter'"),
     ])
     def test_unusable_spec_rejected_before_writing(self, tmp_path, changes, message):
         spec_path = tmp_path / "spec.json"
@@ -654,6 +656,15 @@ class TestSpectral:
         assert r.exit_code == 2
         assert "build" in all_output(r)
 
+    def test_closed_basin_retains_forever(self, tmp_path):
+        # every box drifts into box 0 and stays, so the basin leaks nothing
+        spec = dict(SPEC, kernels={s: [[1.0, 0.0, 0.0, 0.0]] * 4 for s in ("W", "S", "SF")})
+        del spec["source_state"], spec["sample_observations"]
+        case = run_pipeline(tmp_path, spec, stages=("build", "spectral"))
+        rep = report_dict(case / "spectral_report.txt")
+        assert rep["lambda_basin"] == "1"
+        assert rep["retention_days"] == rep["retention_years"] == "inf"
+
 
 class TestBayes:
     def test_posterior_csv(self, case):
@@ -946,6 +957,23 @@ class TestEvolve:
     def test_requires_build(self, bare_case):
         r = invoke(["evolve", "--config", str(bare_case / "run.cfg"), "--state", "0"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "provide exactly one of --state or --initial"),
+        (["--state", "0", "--initial", "init.csv"], "provide exactly one of --state or --initial"),
+        (["--state", "0", "--steps", "-1"], "--steps must be nonnegative"),
+        (["--state", "4"], "--state outside 0..3"),
+        (["--initial", "init.csv"], "init.csv:2: state 7 outside 0..3"),
+    ])
+    def test_flags_checked_before_matrices(self, bare_case, tmp_path, monkeypatch,
+                                           args, message):
+        # no matrix is built here, so each error must come before a matrix is read
+        (tmp_path / "init.csv").write_text("state,mass\n7,1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        r = invoke(["evolve", "--config", str(bare_case / "run.cfg"), *args])
+        assert r.exit_code == 2
+        assert message in all_output(r)
+        assert "build" not in all_output(r)
 
     def test_requires_grid(self, copy):
         # the grid is what says the matrices belong to this run

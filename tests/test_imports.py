@@ -1,7 +1,8 @@
 """Every imported name is used, and no test name is defined twice.
 
-No linter ships with the project, so this parses each module with
-``ast`` and fails on a name that an import binds but nothing references.
+No linter ships with the project, so this parses each module, test and
+benchmark script with ``ast`` and fails on a name that an import binds but
+nothing references.
 ``__init__.py`` re-exports its imports and ``from __future__`` binds
 nothing, so both are exempt.  A second ``test_`` definition in one module
 or class silently replaces the first, so the tests are scanned for those
@@ -43,7 +44,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path",
+                         [p for p in [*MODULES, *BENCH_SCRIPTS] if p.name != "__init__.py"],
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

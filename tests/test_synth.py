@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -393,6 +394,30 @@ class TestSpecParsing:
         assert spec.sticky == {1: 0.25}
         assert spec.source_state == 0
         assert np.array_equal(spec.kernels[Season.S], np.array(raw["kernels"]["S"]))
+
+    def test_omitted_keys_take_spec_defaults(self, tmp_path):
+        # load_spec passes only the keys present, so each default is SyntheticSpec's
+        raw = {"bounds": [40.0, 42.0, -30.0, -29.0], "cell_size": 1.0,
+               "kernels": {s.value: np.eye(2).tolist() for s in Season}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        spec = load_spec(path)
+        defaults = [f for f in dataclasses.fields(SyntheticSpec) if f.init and f.name not in raw]
+        assert len(defaults) == 13
+        for f in defaults:
+            want = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(spec, f.name) == want, f.name
+
+    @pytest.mark.parametrize("raw, message", [
+        ([{"bounds": [0, 1, 0, 1]}], "a synthetic spec is a JSON object"),
+        ({"cell_size": 1.0}, "invalid synthetic spec .*'bounds' and 'kernels'"),
+        ({"cell_size": 1.0, "sticky": [3]}, "invalid synthetic spec .*no attribute 'items'"),
+    ])
+    def test_malformed_spec_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=message):
+            load_spec(path)
 
     def test_missing_season_rejected(self, tmp_path):
         raw = {
