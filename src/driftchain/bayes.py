@@ -345,18 +345,13 @@ def estimate_source(
         for ci in range(len(cand)):
             factors[ci, oi] = pmf_mass_at(pmf[:, o.target_label - 1, ci], k, window_steps)
 
-    logl = joint_likelihood(factors)
     with np.errstate(divide="ignore"):
         obs_log = np.log(factors)
 
-    lats = lons = None
-    if grid is not None:
-        centers = [grid.box_center(int(c)) for c in cand]
-        lons = np.array([c[0] for c in centers])
-        lats = np.array([c[1] for c in centers])
+    lons, lats = (None, None) if grid is None else grid.box_centers(cand).T
 
     return posterior(
-        logl,
+        obs_log.sum(axis=1),
         prior,
         level,
         candidates=cand,

@@ -402,6 +402,7 @@ def paths_cmd(config_path, out_dir):
 def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     """Push a probability vector forward k steps and dump each step."""
     import itertools
+    import re
 
     import numpy as np
 
@@ -425,6 +426,10 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
     step = _load_annual(cfg, g) if label == "annual" else _load_matrix(cfg, g, label).matrix
 
     out = _outdir(cfg)
+    # Step files of an earlier, longer run would read as this run's.
+    for old in out.glob("evolve_step*.csv"):
+        if re.fullmatch(r"evolve_step[0-9]+\.csv", old.name):
+            old.unlink()
     states = np.arange(n)
     for k, f in enumerate(ulam.propagate(f, itertools.repeat(step, steps))):
         _write_table(out / f"evolve_step{k:04d}.csv", "state,mass", "%d,%.17g\n", [states, f])
@@ -432,35 +437,39 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
 
 
 def _read_distribution(path, n: int) -> np.ndarray:
-    """The `state,mass` rows of ``path``: each state at most once, each mass finite
-    and nonnegative, the total at most 1; an offending row exits 2 naming its line."""
+    """The `state,mass` rows of ``path``, read as matrix entries, blank lines skipped:
+    each state once, each mass finite and nonnegative, the total at most 1."""
     import numpy as np
 
-    f = np.zeros(n)
-    first: dict[int, int] = {}
+    from .textio import read_entries
+
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "state,mass":
-            raise ConfigError(f"{path}: expected `state,mass` header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                s_str, m_str = line.split(",")
-                s, m = int(s_str), float(m_str)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed row") from None
-            if not 0 <= s < n:
-                raise ConfigError(f"{path}:{lineno}: state {s} outside 0..{n - 1}")
-            if not np.isfinite(m):
-                raise ConfigError(f"{path}:{lineno}: mass {m_str.strip()!r} is not finite")
-            if m < 0:
-                raise ConfigError(f"{path}:{lineno}: mass {m_str.strip()!r} is negative")
-            if s in first:
-                raise ConfigError(f"{path}: lines {first[s]} and {lineno} both give state {s}")
-            first[s] = lineno
-            f[s] += m
+        lines = fh.read().split("\n")
+    if lines[0].strip() != "state,mass":
+        raise ConfigError(f"{path}: expected `state,mass` header")
+    linenos = [k for k, line in enumerate(lines, start=1) if k > 1 and line.strip()]
+    entries = [lines[k - 1] for k in linenos]
+    rows, malformed = read_entries(entries, [("state", "i8"), ("mass", "f8")])
+    if rows is None:
+        raise ConfigError(f"{path}:{linenos[malformed]}: malformed row")
+    s, m = rows["state"], rows["mass"]
+    _, first, inverse = np.unique(s, return_index=True, return_inverse=True)
+    earlier = first[inverse]  # the first row that gives each row's state
+    bad = np.flatnonzero((s < 0) | (s >= n) | ~((m >= 0) & (m < np.inf))
+                         | (earlier < np.arange(len(s))))
+    if bad.size:
+        i = bad[0]
+        where, mass = f"{path}:{linenos[i]}", entries[i].split(",")[1].strip()
+        if not 0 <= s[i] < n:
+            raise ConfigError(f"{where}: state {s[i]} outside 0..{n - 1}")
+        if not np.isfinite(m[i]):
+            raise ConfigError(f"{where}: mass {mass!r} is not finite")
+        if m[i] < 0:
+            raise ConfigError(f"{where}: mass {mass!r} is negative")
+        raise ConfigError(f"{path}: lines {linenos[earlier[i]]} and {linenos[i]} "
+                          f"both give state {s[i]}")
+    f = np.zeros(n)
+    f[s] = m
     if f.sum() > 1 + 1e-10:
         raise ConfigError(f"{path}: distribution mass {f.sum():g} exceeds 1")
     return f

@@ -29,7 +29,7 @@ EARTH_RADIUS_KM = 6371.0
 _DIVISOR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridCovering:
     """Box covering of a lon-lat rectangle with contiguous state indexing.
 
@@ -45,25 +45,22 @@ class GridCovering:
     cell_size: float
     n_lon: int
     n_lat: int
-    active_boxes: tuple[BoxId, ...]
+    #: Read-only int64 (lon_index, lat_index) of each state, in raster order.
+    boxes: np.ndarray
     #: State per (lon_index, lat_index) with one trailing OUT_OF_DOMAIN row
     #: and column, so a cell index of -1 looks up OUT_OF_DOMAIN.
-    _state_table: np.ndarray = field(init=False, repr=False, compare=False)
-    #: (lon_index, lat_index) of each state, one row per state.
-    _boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    _state_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         table = np.full((self.n_lon + 1, self.n_lat + 1), OUT_OF_DOMAIN, dtype=np.int64)
-        boxes = np.array(self.active_boxes, dtype=np.int64).reshape(-1, 2)
-        table[boxes[:, 0], boxes[:, 1]] = np.arange(len(boxes))
+        table[self.boxes[:, 0], self.boxes[:, 1]] = np.arange(len(self.boxes))
         table.flags.writeable = False
-        boxes.flags.writeable = False
+        self.boxes.flags.writeable = False
         object.__setattr__(self, "_state_table", table)
-        object.__setattr__(self, "_boxes", boxes)
 
     @property
     def n_states(self) -> int:
-        return len(self.active_boxes)
+        return len(self.boxes)
 
     def bounds_text(self) -> str:
         """Bounds and cell size at 17 significant digits, as chain files record them."""
@@ -78,19 +75,15 @@ class GridCovering:
         return OUT_OF_DOMAIN
 
     def box_of_state(self, state: int) -> BoxId:
-        return self.active_boxes[state]
+        return tuple(self.boxes[state].tolist())
 
     def box_center(self, state: int) -> tuple[float, float]:
         """(lon, lat) of the box center of a state."""
-        ix, iy = self.active_boxes[state]
-        return (
-            self.lon_min + (ix + 0.5) * self.cell_size,
-            self.lat_min + (iy + 0.5) * self.cell_size,
-        )
+        return tuple(self.box_centers([state])[0].tolist())
 
     def box_centers(self, states) -> np.ndarray:
-        """(lon, lat) box centers of many states, one row each, as `box_center`."""
-        ix, iy = self._boxes[np.asarray(states, dtype=np.int64)].T
+        """(lon, lat) box centers of many states, one row each."""
+        ix, iy = self.boxes[np.asarray(states, dtype=np.int64)].T
         return np.column_stack((
             self.lon_min + (ix + 0.5) * self.cell_size,
             self.lat_min + (iy + 0.5) * self.cell_size,
@@ -98,11 +91,9 @@ class GridCovering:
 
     def box_corners(self, state: int) -> list[tuple[float, float]]:
         """Counterclockwise (lon, lat) corners of a state's box."""
-        ix, iy = self.active_boxes[state]
-        x0 = self.lon_min + ix * self.cell_size
-        y0 = self.lat_min + iy * self.cell_size
-        x1 = x0 + self.cell_size
-        y1 = y0 + self.cell_size
+        ix, iy = self.box_of_state(state)
+        x0, y0 = self.lon_min + ix * self.cell_size, self.lat_min + iy * self.cell_size
+        x1, y1 = x0 + self.cell_size, y0 + self.cell_size
         return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
     def point_to_state(self, lon: float, lat: float) -> int:
@@ -144,8 +135,7 @@ class GridCovering:
 
     def box_area_km2(self, state: int) -> float:
         """Spherical area of a state's box in km^2 (depends on latitude only)."""
-        _, iy = self.active_boxes[state]
-        return self.row_area_km2(iy)
+        return self.row_area_km2(int(self.boxes[state, 1]))
 
     def row_area_km2(self, lat_index: int) -> float:
         lat0 = math.radians(self.lat_min + lat_index * self.cell_size)
@@ -248,7 +238,7 @@ def build_grid(
 
     ``cell_size`` must divide both extents to within 1e-9 degrees.  Boxes
     flagged true in ``wet_mask`` become states; ``None`` marks every box wet.
-    Boxes missing from the mask are dry.
+    Boxes missing from the mask are dry; keys outside the rectangle are ignored.
     """
     lon_min, lon_max, lat_min, lat_max = map(float, bounds)
     if not all(map(math.isfinite, (lon_min, lon_max, lat_min, lat_max, cell_size))):
@@ -260,12 +250,15 @@ def build_grid(
     n_lon = _checked_count(lon_max - lon_min, cell_size, "longitude")
     n_lat = _checked_count(lat_max - lat_min, cell_size, "latitude")
 
-    active: list[BoxId] = []
-    for iy in range(n_lat):
-        for ix in range(n_lon):
-            if wet_mask is None or wet_mask.get((ix, iy), False):
-                active.append((ix, iy))
-    if not active:
+    wet = np.full((n_lat, n_lon), wet_mask is None)
+    if wet_mask:
+        # As floats, an index too large for int64 still compares as outside.
+        keys = np.array(list(wet_mask), dtype=float).reshape(-1, 2)
+        on = np.fromiter(wet_mask.values(), dtype=bool, count=len(wet_mask))
+        ix, iy = keys[on & ((keys >= 0) & (keys < (n_lon, n_lat))).all(axis=1)].astype(int).T
+        wet[iy, ix] = True
+    iy, ix = np.nonzero(wet)
+    if not ix.size:
         raise ConfigError("wet mask leaves no active boxes")
     return GridCovering(
         lon_min=lon_min,
@@ -275,7 +268,7 @@ def build_grid(
         cell_size=float(cell_size),
         n_lon=n_lon,
         n_lat=n_lat,
-        active_boxes=tuple(active),
+        boxes=np.column_stack((ix, iy)),
     )
 
 
@@ -362,7 +355,5 @@ def _iter_csv_rows(path: str | Path) -> Iterable[tuple[int, list[str]]]:
 
 def states_by_latitude_row(g: GridCovering) -> list[np.ndarray]:
     """State indices grouped per latitude row (index 0 = southernmost row)."""
-    rows: list[list[int]] = [[] for _ in range(g.n_lat)]
-    for state, (_, iy) in enumerate(g.active_boxes):
-        rows[iy].append(state)
-    return [np.asarray(r, dtype=np.int64) for r in rows]
+    starts = np.searchsorted(g.boxes[:, 1], np.arange(1, g.n_lat))
+    return np.split(np.arange(g.n_states), starts)

@@ -6,10 +6,10 @@ Reading: numpy's C text reader, held to what Python's own parsers accept.
 loop, but it is not a drop-in replacement for ``float()`` and ``int()``:
 it takes the ASCII separators \\x1c-\\x1f as whitespace and reads some
 non-ASCII characters as integer digits.  Callers therefore hand it only
-text that passes :func:`is_plain`.  What a rejection means is the
-caller's: in a matrix or chain file every entry line must pass, so it is
-an error naming the first rejected line (``ulam``); in a trajectory file
-it only sends those lines to the Python row rule (``ingest``).
+text that passes :func:`is_plain`.  What a rejection means is the caller's:
+in a matrix, chain or ``evolve --initial`` file every entry line must pass, so
+it is an error naming the first rejected line (:func:`read_entries`); in a
+trajectory file it only sends those lines to the Python row rule (``ingest``).
 
 Writing: :func:`write_rows` prints every numeric table, floats at 17
 significant digits so that each value reads back bit for bit.
@@ -49,6 +49,20 @@ def read_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     except (ValueError, DeprecationWarning):
         return None
     return rows if len(rows) == len(lines) else None
+
+
+def read_entries(lines: list[str], dtype) -> tuple[np.ndarray | None, int]:
+    """Parse lines each of which must be one entry: ``(rows, 0)``, or ``(None, i)``
+    for the first line i that is not plain or that the C reader rejects, found
+    by halving (a run of lines passes exactly when each of its lines does)."""
+    def read(run):
+        return read_rows(run, dtype) if is_plain("\n".join(run)) else None
+
+    rows, lo, hi = read(lines), 0, len(lines)
+    while rows is None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if read(lines[lo:mid]) is None else (mid, hi)
+    return rows, lo
 
 
 #: Rows formatted per ``%`` by :func:`write_rows`; bounds the Python lists

@@ -22,7 +22,7 @@ from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
-from .textio import is_plain, read_rows, write_rows
+from .textio import read_entries, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -415,15 +415,10 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     0..n_states-1, or an (i, j) pair given twice raises ConfigError
     naming its path and line.
     """
-    parsed = _read_triplets(entries)
+    parsed, bad = read_entries(entries, _TRIPLET)
     if parsed is None:
-        # Halve to the first rejected line: a run passes exactly when each of its lines does.
-        lo, hi = 0, len(entries)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _read_triplets(entries[lo:mid]) is None else (mid, hi)
-        raise ConfigError(f"{path}:{first_line + lo}: malformed matrix entry "
-                          f"{entries[lo].strip()!r}")
+        raise ConfigError(f"{path}:{first_line + bad}: malformed matrix entry "
+                          f"{entries[bad].strip()!r}")
     rows, cols = parsed["i"], parsed["j"]
     outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n_states))
     if outside.size:
@@ -439,9 +434,3 @@ def _parse_triplets(entries: list[str], path, first_line: int,
         raise ConfigError(f"{path}: lines {first_line + earlier} and {first_line + later} "
                           f"both give entry ({rows[later]}, {cols[later]})")
     return rows, cols, parsed["v"]
-
-
-def _read_triplets(entries: list[str]) -> np.ndarray | None:
-    """The entries as triplets, or None if the C reader rejects any line."""
-    return read_rows(entries, _TRIPLET) if is_plain("\n".join(entries)) else None
-

@@ -205,6 +205,31 @@ def quadrature_box_area_km2(
     return float(np.sum(radius_km**2 * np.cos(mids) * dlat * dlon))
 
 
+def raster_box_facts(g, wet_mask, radius_km: float):
+    """Per-state box facts of ``g`` by a loop over every cell of its rectangle.
+
+    States take the cells that ``wet_mask`` flags true (every cell for
+    None) in (lat_index, lon_index) raster order.  Returns one
+    (box, center, corners, area_km2) tuple per state, each by its
+    closed-form formula for that box alone, and the states of each
+    latitude row.
+    """
+    cell = g.cell_size
+    boxes = [(ix, iy) for iy in range(g.n_lat) for ix in range(g.n_lon)
+             if wet_mask is None or wet_mask.get((ix, iy), False)]
+    facts = []
+    for ix, iy in boxes:
+        x0, y0 = g.lon_min + ix * cell, g.lat_min + iy * cell
+        corners = [(x0, y0), (x0 + cell, y0), (x0 + cell, y0 + cell), (x0, y0 + cell)]
+        center = (g.lon_min + (ix + 0.5) * cell, g.lat_min + (iy + 0.5) * cell)
+        lat0 = math.radians(g.lat_min + iy * cell)
+        lat1 = math.radians(g.lat_min + (iy + 1) * cell)
+        area = radius_km**2 * math.radians(cell) * (math.sin(lat1) - math.sin(lat0))
+        facts.append(((ix, iy), center, corners, area))
+    rows = [[s for s, (_, iy) in enumerate(boxes) if iy == row] for row in range(g.n_lat)]
+    return facts, rows
+
+
 def per_candidate_absorption_cdf(schedule, c: int, n_steps: int) -> np.ndarray:
     """(K+1, M) absorption CDF of one candidate, by its own step loop.
 
@@ -441,7 +466,8 @@ def scalar_cell_state(g, lon: float, lat: float) -> int:
         return idx
 
     box = (cell(lon, g.lon_min, g.n_lon), cell(lat, g.lat_min, g.n_lat))
-    return g.active_boxes.index(box) if box in g.active_boxes else -1
+    hits = np.flatnonzero((g.boxes[:, 0] == box[0]) & (g.boxes[:, 1] == box[1]))
+    return int(hits[0]) if hits.size else -1
 
 
 def sample_by_sample_pairs(tracks, g, transition_time, season_of_day):

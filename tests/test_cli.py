@@ -905,6 +905,53 @@ class TestEvolve:
         _, rows = read_csv(case / "evolve_step0000.csv")
         assert [float(row[1]) for row in rows] == [0.5, 0.0, 0.0, 0.5]
 
+    def test_shorter_run_clears_step_files_of_a_longer_one(self, case, copy, tmp_path):
+        others = ("evolve_step.csv", "evolve_step2a.csv", "evolve_step0002.txt", "notes.csv")
+        for name in others:
+            (copy / name).write_text("kept\n", encoding="utf-8")
+        for steps in ("2", "1"):
+            r = invoke(["evolve", "--config", str(copy / "run.cfg"),
+                        "--state", "0", "--steps", steps, "--matrix", "W"])
+            assert r.exit_code == 0, all_output(r)
+        fresh = tmp_path / "fresh"
+        shutil.copytree(case, fresh)
+        for old in fresh.glob("evolve_step*.csv"):
+            old.unlink()
+        r = invoke(["evolve", "--config", str(fresh / "run.cfg"),
+                    "--state", "0", "--steps", "1", "--matrix", "W"])
+        assert r.exit_code == 0, all_output(r)
+        steps = sorted(p.name for p in copy.glob("evolve_step*.csv"))
+        assert steps == sorted(["evolve_step0000.csv", "evolve_step0001.csv",
+                                "evolve_step.csv", "evolve_step2a.csv"])
+        for name in ("evolve_step0000.csv", "evolve_step0001.csv"):
+            assert (copy / name).read_bytes() == (fresh / name).read_bytes(), name
+        for name in others:
+            assert (copy / name).read_text(encoding="utf-8") == "kept\n", name
+
+    @pytest.mark.parametrize("rows, line", [
+        ("1_0,0.5\n", 2), ("\u0663,0.5\n", 2), ("3,1_0.5\n", 2), ("\n3,0.25\n\n1_0,0.5\n", 5),
+    ], ids=["underscore-state", "arabic-indic-digit", "underscore-mass", "after-blanks"])
+    def test_initial_rows_follow_the_matrix_entry_grammar(self, tmp_path, rows, line):
+        # 16 states, so Python's int() would read `1_0` as state 10 and `\u0663` as 3.
+        walk = walk_case(tmp_path / "walk", side=4)
+        init = tmp_path / "init.csv"
+        init.write_text("state,mass\n" + rows, encoding="utf-8")
+        before = snapshot(walk)
+        r = invoke(["evolve", "--config", str(walk / "run.cfg"), "--initial", str(init),
+                    "--steps", "0", "--matrix", "W"])
+        assert r.exit_code == 2
+        assert f"{init}:{line}: malformed row" in all_output(r)
+        assert snapshot(walk) == before
+
+    def test_initial_skips_blank_lines(self, copy, tmp_path):
+        init = tmp_path / "init.csv"
+        init.write_text("state,mass\n\n 3 , 0.25\n\n0,0.5\n\n", encoding="utf-8")
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init),
+                    "--steps", "0", "--matrix", "W"])
+        assert r.exit_code == 0, all_output(r)
+        _, rows = read_csv(copy / "evolve_step0000.csv")
+        assert [float(row[1]) for row in rows] == [0.5, 0.0, 0.0, 0.25]
+
     def test_state_and_initial_are_exclusive(self, case, tmp_path):
         init = tmp_path / "init.csv"
         init.write_text("state,mass\n0,1\n", encoding="utf-8")

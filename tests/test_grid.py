@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_roles
-from oracles import quadrature_box_area_km2, scalar_cell_state
+from oracles import quadrature_box_area_km2, raster_box_facts, scalar_cell_state
 
 from driftchain.errors import ConfigError
 from driftchain.grid import (
@@ -172,6 +173,45 @@ def test_states_by_latitude_row(square_grid):
     assert len(rows) == 4
     assert rows[0].tolist() == [0, 1, 2, 3]
     assert rows[3].tolist() == [12, 13, 14, 15]
+
+
+def _random_mask(seed: int) -> dict:
+    """Random wet flags on a 20 x 12 grid, keys outside it included, row 3 dry."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-3, 25, size=(300, 2)).tolist()
+    mask = {(ix, iy): bool(rng.random() < 0.6) for ix, iy in keys}
+    mask.update({(ix, 3): False for ix in range(20)})
+    return mask
+
+
+@pytest.mark.parametrize("mask", [None, *(_random_mask(seed) for seed in range(3))],
+                         ids=["all-wet", "mask0", "mask1", "mask2"])
+def test_box_table_matches_per_box_formulas(mask):
+    # Compared by repr: bit for bit, and box indices must be Python ints.
+    g = build_grid((-3.5, 1.5, -40.0, -37.0), cell_size=0.25, wet_mask=mask)
+    facts, rows = raster_box_facts(g, mask, EARTH_RADIUS_KM)
+    got = [(g.box_of_state(s), g.box_center(s), g.box_corners(s), g.box_area_km2(s))
+           for s in range(g.n_states)]
+    assert repr(got) == repr(facts)
+    by_row = states_by_latitude_row(g)
+    assert all(r.dtype == np.int64 for r in by_row)
+    assert repr([r.tolist() for r in by_row]) == repr(rows)
+    assert g.boxes.tolist() == [list(box) for box, *_ in facts]
+    assert not g.boxes.flags.writeable
+
+
+def test_build_grid_holds_at_most_40_bytes_per_state():
+    # 400 x 250 wet boxes: the (n, 2) int64 box table and the box -> state
+    # lookup hold about 24 bytes per state.
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        g = build_grid((0.0, 100.0, -30.0, 32.5), cell_size=0.25)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_states == 100_000
+    assert held - base <= 40 * g.n_states
 
 
 def test_roles_validation():
