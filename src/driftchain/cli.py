@@ -263,11 +263,7 @@ def _write_table(path: Path, header: str, template: str, columns) -> None:
 def _write_basin_geojson(path: Path, g: GridCovering, basin: spectral.BasinResult):
     import json
 
-    polys = []
-    for s in basin.members:
-        corners = g.box_corners(int(s))
-        ring = [[lon, lat] for lon, lat in corners] + [list(corners[0])]
-        polys.append([ring])
+    polys = [[ring + ring[:1]] for ring in g.box_corners_of(basin.members).tolist()]
     feature = {
         "type": "Feature",
         "geometry": {"type": "MultiPolygon", "coordinates": polys},
@@ -441,7 +437,7 @@ def _read_distribution(path, n: int) -> np.ndarray:
     each state once, each mass finite and nonnegative, the total at most 1."""
     import numpy as np
 
-    from .textio import read_entries
+    from .textio import first_rows, read_entries
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -453,8 +449,7 @@ def _read_distribution(path, n: int) -> np.ndarray:
     if rows is None:
         raise ConfigError(f"{path}:{linenos[malformed]}: malformed row")
     s, m = rows["state"], rows["mass"]
-    _, first, inverse = np.unique(s, return_index=True, return_inverse=True)
-    earlier = first[inverse]  # the first row that gives each row's state
+    earlier = first_rows(s)
     bad = np.flatnonzero((s < 0) | (s >= n) | ~((m >= 0) & (m < np.inf))
                          | (earlier < np.arange(len(s))))
     if bad.size:

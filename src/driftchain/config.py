@@ -12,7 +12,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ConfigError
-from .grid import GridCovering, _wet_mask_records, build_grid
+from .grid import GridCovering, build_grid, masked_grid
 from .ingest import DEFAULT_EPOCH
 
 
@@ -151,13 +151,6 @@ def load_grid_config(path: str | Path) -> GridCovering:
     bounds = tuple(_parse_value(path, raw, k, float)
                    for k in ("lon_min", "lon_max", "lat_min", "lat_max"))
     cell = _parse_value(path, raw, "cell_size", float)
-    wet, records = None, []
     if "wet_mask" in raw:
-        records = list(_wet_mask_records(path.parent / raw["wet_mask"][1]))
-        wet = {box: flag for _, box, flag in records}
-    g = build_grid(bounds, cell, wet_mask=wet)
-    for where, (ix, iy), _ in records:
-        if not (0 <= ix < g.n_lon and 0 <= iy < g.n_lat):
-            raise ConfigError(f"{where}: box {(ix, iy)} lies outside the "
-                              f"{g.n_lon} x {g.n_lat} grid")
-    return g
+        return masked_grid(bounds, cell, path.parent / raw["wet_mask"][1])
+    return build_grid(bounds, cell)

@@ -8,7 +8,6 @@ rectangle map to the ``OUT_OF_DOMAIN`` marker.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ConfigError
+from .textio import first_rows, read_entries
 
 #: Marker returned for positions that do not fall on an active (wet) box.
 OUT_OF_DOMAIN = -1
@@ -91,10 +91,14 @@ class GridCovering:
 
     def box_corners(self, state: int) -> list[tuple[float, float]]:
         """Counterclockwise (lon, lat) corners of a state's box."""
-        ix, iy = self.box_of_state(state)
+        return [tuple(corner) for corner in self.box_corners_of([state])[0].tolist()]
+
+    def box_corners_of(self, states) -> np.ndarray:
+        """(lon, lat) box corners of many states, counterclockwise: shape (m, 4, 2)."""
+        ix, iy = self.boxes[np.asarray(states, dtype=np.int64)].T
         x0, y0 = self.lon_min + ix * self.cell_size, self.lat_min + iy * self.cell_size
         x1, y1 = x0 + self.cell_size, y0 + self.cell_size
-        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        return np.stack((x0, y0, x1, y0, x1, y1, x0, y1), axis=1).reshape(-1, 4, 2)
 
     def point_to_state(self, lon: float, lat: float) -> int:
         """Map a position to its state index (total: never raises).
@@ -240,6 +244,27 @@ def build_grid(
     flagged true in ``wet_mask`` become states; ``None`` marks every box wet.
     Boxes missing from the mask are dry; keys outside the rectangle are ignored.
     """
+    rect, wet = _rectangle(bounds, cell_size), None
+    if wet_mask is not None:
+        # As floats, an index too large for int64 still compares as outside.
+        keys = np.array(list(wet_mask), dtype=float).reshape(-1, 2)
+        on = np.fromiter(wet_mask.values(), dtype=bool, count=len(wet_mask))
+        wet = keys[on & ((keys >= 0) & (keys < rect[-2:])).all(axis=1)].astype(np.int64)
+    return _covering(rect, wet)
+
+
+def masked_grid(bounds: tuple[float, float, float, float], cell_size: float,
+                mask_path: str | Path) -> GridCovering:
+    """:func:`build_grid` over the boxes a wet mask file flags wet, where a box
+    outside the rectangle is a fault of its line (see :func:`load_wet_mask`)."""
+    rect = _rectangle(bounds, cell_size)
+    boxes, wet = _read_wet_mask(mask_path, rect[-2:])
+    return _covering(rect, boxes[wet])
+
+
+def _rectangle(bounds, cell_size) -> tuple:
+    """The checked bounds, cell size, n_lon and n_lat of a covering, in the
+    order of GridCovering's fields."""
     lon_min, lon_max, lat_min, lat_max = map(float, bounds)
     if not all(map(math.isfinite, (lon_min, lon_max, lat_min, lat_max, cell_size))):
         raise ConfigError(f"grid bounds and cell_size must be finite, got {bounds}, {cell_size}")
@@ -249,27 +274,20 @@ def build_grid(
         raise ConfigError(f"cell_size must be positive, got {cell_size}")
     n_lon = _checked_count(lon_max - lon_min, cell_size, "longitude")
     n_lat = _checked_count(lat_max - lat_min, cell_size, "latitude")
+    return lon_min, lon_max, lat_min, lat_max, float(cell_size), n_lon, n_lat
 
-    wet = np.full((n_lat, n_lon), wet_mask is None)
-    if wet_mask:
-        # As floats, an index too large for int64 still compares as outside.
-        keys = np.array(list(wet_mask), dtype=float).reshape(-1, 2)
-        on = np.fromiter(wet_mask.values(), dtype=bool, count=len(wet_mask))
-        ix, iy = keys[on & ((keys >= 0) & (keys < (n_lon, n_lat))).all(axis=1)].astype(int).T
-        wet[iy, ix] = True
+
+def _covering(rect: tuple, wet_boxes: np.ndarray | None) -> GridCovering:
+    """The covering of a checked rectangle whose wet boxes are the in-bounds
+    (ix, iy) rows of ``wet_boxes``, or every box when None."""
+    n_lon, n_lat = rect[-2:]
+    wet = np.full((n_lat, n_lon), wet_boxes is None)
+    if wet_boxes is not None:
+        wet[wet_boxes[:, 1], wet_boxes[:, 0]] = True
     iy, ix = np.nonzero(wet)
     if not ix.size:
         raise ConfigError("wet mask leaves no active boxes")
-    return GridCovering(
-        lon_min=lon_min,
-        lon_max=lon_max,
-        lat_min=lat_min,
-        lat_max=lat_max,
-        cell_size=float(cell_size),
-        n_lon=n_lon,
-        n_lat=n_lat,
-        boxes=np.column_stack((ix, iy)),
-    )
+    return GridCovering(*rect, boxes=np.column_stack((ix, iy)))
 
 
 def _checked_count(extent: float, cell: float, axis: str) -> int:
@@ -281,32 +299,50 @@ def _checked_count(extent: float, cell: float, axis: str) -> int:
 
 def load_wet_mask(path: str | Path) -> dict[BoxId, bool]:
     """Read a wet mask file with one `lon_index,lat_index,wet{0|1}` line per box."""
-    return {box: wet for _, box, wet in _wet_mask_records(path)}
+    boxes, wet = _read_wet_mask(path)
+    return dict(zip(map(tuple, boxes.tolist()), wet.tolist()))
 
 
-def _wet_mask_records(path: str | Path):
-    """Each `(path:line, box, wet)` record of a wet mask file, in file order.
+_MASK_ENTRY = np.dtype([("ix", np.int64), ("iy", np.int64), ("wet", np.int64)])
 
-    A malformed line, a wet flag other than 0 or 1, a box given twice and
-    an empty file raise ConfigError; the first three name `path:line`.
+
+def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
+    """The (ix, iy) boxes and wet flags of a wet mask file, in file order.
+
+    Lines other than blank and `#` ones are matrix-style entries
+    (:func:`textio.read_entries`).  A malformed line, a wet flag other than 0
+    or 1, a repeated box, a box outside an ``(n_lon, n_lat)`` ``shape`` and an
+    empty file raise ConfigError naming the first offending `path:line`.
     """
-    first: dict[BoxId, int] = {}
-    for lineno, row in _iter_csv_rows(path):
-        where = f"{path}:{lineno}"
-        if len(row) != 3:
-            raise ConfigError(f"{where}: expected 3 fields, got {len(row)}")
-        try:
-            ix, iy, wet = int(row[0]), int(row[1]), int(row[2])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        if wet not in (0, 1):
-            raise ConfigError(f"{where}: wet flag must be 0 or 1, got {wet}")
-        if (ix, iy) in first:
-            raise ConfigError(f"{where}: box {(ix, iy)} repeats line {first[ix, iy]}")
-        first[ix, iy] = lineno
-        yield where, (ix, iy), bool(wet)
-    if not first:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    linenos = [k for k, line in enumerate(lines, start=1)
+               if line.strip() and not line.lstrip().startswith("#")]
+    if not linenos:
         raise ConfigError(f"{path}: empty wet mask")
+    entries = [lines[k - 1] for k in linenos]
+    rows, malformed = read_entries(entries, _MASK_ENTRY)
+    if rows is None:  # check the lines before the malformed one first
+        rows = read_entries(entries[:malformed], _MASK_ENTRY)[0]
+    ix, iy, wet = rows["ix"], rows["iy"], rows["wet"]
+    earlier = first_rows(iy, ix)
+    bad_flag = (wet != 0) & (wet != 1)
+    repeated = earlier < np.arange(len(rows))
+    outside = np.zeros(len(rows), dtype=bool) if shape is None else \
+        (np.minimum(ix, iy) < 0) | (ix >= shape[0]) | (iy >= shape[1])
+    bad = np.flatnonzero(bad_flag | repeated | outside)
+    if bad.size:
+        i = bad[0]
+        where, box = f"{path}:{linenos[i]}", (int(ix[i]), int(iy[i]))
+        if bad_flag[i]:
+            raise ConfigError(f"{where}: wet flag must be 0 or 1, got {wet[i]}")
+        if repeated[i]:
+            raise ConfigError(f"{where}: box {box} repeats line {linenos[earlier[i]]}")
+        raise ConfigError(f"{where}: box {box} lies outside the {shape[0]} x {shape[1]} grid")
+    if len(rows) < len(entries):
+        raise ConfigError(f"{path}:{linenos[len(rows)]}: malformed wet mask entry "
+                          f"{entries[len(rows)].strip()!r}")
+    return np.column_stack((ix, iy)), wet == 1
 
 
 def load_roles(g: GridCovering, path: str | Path) -> StateRoles:
@@ -341,16 +377,6 @@ def _role_file_records(g: GridCovering, path: str | Path):
             if state == OUT_OF_DOMAIN:
                 raise ConfigError(f"{where}: box {box} is not an active box")
             yield where, kind, state, fields[2] if want == 3 else None
-
-
-def _iter_csv_rows(path: str | Path) -> Iterable[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if all(not f.strip() for f in row):
-                continue
-            yield lineno, [f.strip() for f in row]
 
 
 def states_by_latitude_row(g: GridCovering) -> list[np.ndarray]:

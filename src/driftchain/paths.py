@@ -156,9 +156,10 @@ def most_probable_paths(
             raise ValueError("path length must be at least 1 step")
         target_cols.append(schedule.target_state(b))  # raises for a label outside 1..M
     n = schedule.n_grid_states
-    src = np.unique(np.asarray(list(sources), dtype=np.int64))
+    src = np.sort(np.asarray(list(sources), dtype=np.int64))
     if src.size == 0:
         raise ValueError("at least one source state is required")
+    src = src[np.append(True, src[1:] != src[:-1])]  # a bare np.unique loads numpy.ma
     if src.min() < 0 or src.max() >= n:
         raise ValueError("sources must be grid states")
 

@@ -7,9 +7,10 @@ loop, but it is not a drop-in replacement for ``float()`` and ``int()``:
 it takes the ASCII separators \\x1c-\\x1f as whitespace and reads some
 non-ASCII characters as integer digits.  Callers therefore hand it only
 text that passes :func:`is_plain`.  What a rejection means is the caller's:
-in a matrix, chain or ``evolve --initial`` file every entry line must pass, so
-it is an error naming the first rejected line (:func:`read_entries`); in a
-trajectory file it only sends those lines to the Python row rule (``ingest``).
+in a matrix, chain, wet mask or ``evolve --initial`` file every entry line must
+pass, so it is an error naming the first rejected line (:func:`read_entries`);
+in a trajectory file it only sends those lines to the Python row rule
+(``ingest``).  Those tables name a repeated key by one rule, :func:`first_rows`.
 
 Writing: :func:`write_rows` prints every numeric table, floats at 17
 significant digits so that each value reads back bit for bit.
@@ -63,6 +64,21 @@ def read_entries(lines: list[str], dtype) -> tuple[np.ndarray | None, int]:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if read(lines[lo:mid]) is None else (mid, hi)
     return rows, lo
+
+
+def first_rows(*columns: np.ndarray) -> np.ndarray:
+    """Each row's first row: the index of the first row whose values in
+    ``columns`` equal its own, so below its own index where it repeats one."""
+    key = columns[0]
+    for column in columns[1:]:
+        # Dense codes keep the combined key within int64 whatever the values.
+        _, code = np.unique(key, return_inverse=True)
+        values, inverse = np.unique(column, return_inverse=True)
+        key = code * len(values) + inverse
+    if (key[1:] > key[:-1]).all():  # rows written in key order: no sort needed
+        return np.arange(len(key))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 #: Rows formatted per ``%`` by :func:`write_rows`; bounds the Python lists

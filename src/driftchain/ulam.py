@@ -22,7 +22,7 @@ from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
-from .textio import read_entries, write_rows
+from .textio import first_rows, read_entries, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -424,13 +424,10 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     if outside.size:
         raise ConfigError(f"{path}:{first_line + outside[0]}: matrix index outside "
                           f"0..{n_states - 1} in {entries[outside[0]].strip()!r}")
-    # Files are written in row-major order, so this sort finds one run.
-    keys = rows * n_states + cols
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    earlier = first_rows(rows * n_states + cols)
+    repeats = np.flatnonzero(earlier < np.arange(len(rows)))
     if repeats.size:
-        later = repeats.min()
-        earlier = order[np.searchsorted(keys[order], keys[later])]
-        raise ConfigError(f"{path}: lines {first_line + earlier} and {first_line + later} "
+        later = repeats[0]
+        raise ConfigError(f"{path}: lines {first_line + earlier[later]} and {first_line + later} "
                           f"both give entry ({rows[later]}, {cols[later]})")
     return rows, cols, parsed["v"]

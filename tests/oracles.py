@@ -450,6 +450,41 @@ def row_by_row_parse(path):
     return tracks, counts
 
 
+def row_by_row_wet_mask(path, shape=None) -> dict:
+    """Wet mask read one csv row at a time: each box and its wet flag.
+
+    Blank rows and rows whose first field starts with `#` are skipped and
+    fields are stripped.  A flag other than 0 or 1, a box given twice, a box
+    outside an ``(n_lon, n_lat)`` ``shape`` and a file without rows raise
+    ValueError with the package's message, and a row that is not three ints
+    one in this reader's own words; the first offending row in file order is
+    named.
+    """
+    first = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#") or all(not f.strip() for f in row):
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+            try:
+                ix, iy, wet = (int(f.strip()) for f in row)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if wet not in (0, 1):
+                raise ValueError(f"{where}: wet flag must be 0 or 1, got {wet}")
+            if (ix, iy) in first:
+                raise ValueError(f"{where}: box {(ix, iy)} repeats line {first[ix, iy][0]}")
+            if shape is not None and not (0 <= ix < shape[0] and 0 <= iy < shape[1]):
+                raise ValueError(f"{where}: box {(ix, iy)} lies outside the "
+                                 f"{shape[0]} x {shape[1]} grid")
+            first[ix, iy] = (lineno, bool(wet))
+    if not first:
+        raise ValueError(f"{path}: empty wet mask")
+    return {box: wet for box, (_, wet) in first.items()}
+
+
 def scalar_cell_state(g, lon: float, lat: float) -> int:
     """State of a position from the half-open box bounds, one point at a time (-1 outside)."""
 

@@ -507,7 +507,8 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize("records, line, message", [
         ("0,0,1\n1,0,1\n7,5,1\n", 3, "box (7, 5) lies outside the 4 x 1 grid"),
         ("0,0,1\n3,0,1\n1,0,1\n3,0,0\n", 4, "box (3, 0) repeats line 2"),
-    ], ids=["outside", "repeated"])
+        ("7,5,1\n", 1, "box (7, 5) lies outside the 4 x 1 grid"),
+    ], ids=["outside", "repeated", "only-wet-box-outside"])
     def test_bad_wet_mask_record_names_its_line(self, copy, records, line, message):
         (copy / "mask.csv").write_text(records, encoding="utf-8")
         set_keys(copy / "grid.cfg", wet_mask="mask.csv")
@@ -1202,6 +1203,13 @@ class TestStartUp:
     def test_only_products_load_scipy(self, copy, command, loads):
         extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
         assert scipy_loaded(command, "--config", str(copy / "run.cfg"), *extra) is loads
+
+    @pytest.mark.parametrize("command", ["build", "spectral", "paths", "evolve"])
+    def test_command_leaves_numpy_ma_out(self, copy, command):
+        # numpy.ma costs about 15 ms to import; only scipy, in bayes, needs it.
+        extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
+        assert "numpy.ma" not in loaded_modules(command, "--config", str(copy / "run.cfg"),
+                                                *extra)
 
     def test_package_import_leaves_numpy_out(self):
         assert run_fresh("import sys, driftchain; print('numpy' in sys.modules)") == "False\n"

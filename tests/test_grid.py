@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_roles
-from oracles import quadrature_box_area_km2, raster_box_facts, scalar_cell_state
+from oracles import (
+    quadrature_box_area_km2,
+    raster_box_facts,
+    row_by_row_wet_mask,
+    scalar_cell_state,
+)
 
 from driftchain.errors import ConfigError
 from driftchain.grid import (
@@ -17,6 +22,7 @@ from driftchain.grid import (
     build_grid,
     load_roles,
     load_wet_mask,
+    masked_grid,
     states_by_latitude_row,
 )
 
@@ -161,6 +167,93 @@ def test_repeated_mask_box_rejected(tmp_path):
     with pytest.raises(ConfigError, match=f"^{re.escape(str(mask_file))}:4: box \\(0, 0\\) "
                                           "repeats line 2$"):
         load_wet_mask(mask_file)
+
+
+def _mask_text(seed: int) -> str:
+    """A wet mask for a 6 x 4 grid: comments, blank lines, padded fields and
+    LF or CRLF line ends, with a repeated box, a flag of 2 or -1, a box
+    outside or a line neither reader takes at some seeds."""
+    rng = np.random.default_rng(seed)
+    boxes = [(ix, iy) for iy in range(4) for ix in range(6)]
+    records = [[*boxes[k], int(rng.integers(0, 2))]
+               for k in rng.permutation(len(boxes))[:rng.integers(0, len(boxes) + 1)]]
+    faults = [[*(records[0][:2] if records else (0, 0)), int(rng.integers(0, 2))],
+              [*boxes[rng.integers(len(boxes))], int(rng.choice([2, -1]))],
+              [*[(6, 0), (-1, 2), (0, 4), (5, -3), (99, 99)][rng.integers(5)], 1],
+              ["1,2", "x,0,1", "0,0,1,1", "1.0,0,1"][rng.integers(4)]]
+    for fault in faults:
+        if rng.random() < 0.25:
+            records.insert(int(rng.integers(0, len(records) + 1)), fault)
+    pads = ["", " ", "\t", "  "]
+    lines = [r if isinstance(r, str) else
+             ",".join(f"{rng.choice(pads)}{v}{rng.choice(pads)}" for v in r) for r in records]
+    for extra in ["# ix,iy,wet", "  # dry coast", "", "   ", "\t"]:
+        if rng.random() < 0.5:
+            lines.insert(int(rng.integers(0, len(lines) + 1)), extra)
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.5 else "")
+
+
+def _outcome(read):
+    """What ``read`` gives, or the text of the error it raises."""
+    try:
+        return repr(read())
+    except (ConfigError, ValueError) as exc:
+        return f"error: {exc}"
+
+
+def _same_outcome(new: str, reference: str) -> bool:
+    # The two readers word a malformed line differently but name the same one.
+    if "malformed wet mask entry" in new:
+        return new.split(": ")[:2] == reference.split(": ")[:2]
+    return new == reference
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_wet_mask_reader_matches_row_by_row_rule(tmp_path, seed):
+    path = tmp_path / "mask.csv"
+    path.write_bytes(_mask_text(seed).encode("utf-8"))
+    bounds = (0.0, 6.0, -2.0, 2.0)
+    assert _same_outcome(_outcome(lambda: list(load_wet_mask(path).items())),
+                         _outcome(lambda: list(row_by_row_wet_mask(path).items())))
+    assert _same_outcome(
+        _outcome(lambda: masked_grid(bounds, 1.0, path).boxes.tolist()),
+        _outcome(lambda: build_grid(bounds, 1.0, row_by_row_wet_mask(path, (6, 4))).boxes.tolist()))
+
+
+@pytest.mark.parametrize("text", ["", "# ix,iy,wet\n\n  \n", "\r\n"],
+                         ids=["empty", "comments", "crlf"])
+def test_mask_without_entries_rejected(tmp_path, text):
+    path = tmp_path / "mask.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for read in (load_wet_mask, row_by_row_wet_mask):
+        with pytest.raises((ConfigError, ValueError),
+                           match=f"^{re.escape(str(path))}: empty wet mask$"):
+            read(path)
+
+
+@pytest.mark.parametrize("line", ["1_0,0,1", '"1",0,1', "\u0663,0,1", ",,", "\x1c1,0,1",
+                                  "99999999999999999999,0,1"],
+                         ids=["underscore", "quoted", "arabic-digit", "commas-only",
+                              "separator-padding", "past-int64"])
+def test_mask_lines_only_the_entry_grammar_rejects(tmp_path, line):
+    # The per-row csv rule read these; wet masks now take the matrix-entry grammar.
+    path = tmp_path / "mask.csv"
+    path.write_text(f"0,0,1\n{line}\n", encoding="utf-8")
+    assert row_by_row_wet_mask(path)[0, 0]
+    with pytest.raises(ConfigError) as exc:
+        load_wet_mask(path)
+    assert str(exc.value) == f"{path}:2: malformed wet mask entry {line.strip()!r}"
+
+
+def test_mask_fault_before_a_malformed_line_comes_first(tmp_path):
+    path = tmp_path / "mask.csv"
+    path.write_text("0,0,1\n1,0,2\n1_0,0,1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=":2: wet flag must be 0 or 1, got 2$"):
+        load_wet_mask(path)
+    path.write_text("0,0,1\n1_0,0,1\n1,0,2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r":2: malformed wet mask entry '1_0,0,1'$"):
+        load_wet_mask(path)
 
 
 def test_all_dry_mask_rejected():

@@ -11,9 +11,9 @@ test, so the driftchain names they use are resolved here: deleting a name
 only they need would otherwise pass every other test.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
-that imports scipy, at module level or inside a function, and ``cli.py``
-and ``__init__.py`` may load at import only the standard library, click and
-``errors``.
+that imports scipy, at module level or inside a function, only the modules
+that read or write quoted text import csv, and ``cli.py`` and ``__init__.py``
+may load at import only the standard library, click and ``errors``.
 """
 
 import ast
@@ -71,8 +71,8 @@ def test_no_duplicate_test_names(path):
     assert duplicate_tests(path.read_text(encoding="utf-8")) == []
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Each line of ``source`` that imports scipy, at any depth."""
+def imports_of(source: str, package: str) -> list[str]:
+    """Each line of ``source`` that imports ``package``, at any depth."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -81,7 +81,7 @@ def scipy_imports(source: str) -> list[str]:
             modules = [node.module]
         else:
             continue
-        if any(m.split(".")[0] == "scipy" for m in modules):
+        if any(m.split(".")[0] == package for m in modules):
             found.append(f"line {node.lineno}")
     return found
 
@@ -90,8 +90,16 @@ def test_only_csr_imports_scipy():
     # Every scipy load goes through ``Csr._scipy``, so a command's start-up
     # cost follows from which products it takes.
     importers = [p.name for p in MODULES if p.parent.name == "driftchain"
-                 and scipy_imports(p.read_text(encoding="utf-8"))]
+                 and imports_of(p.read_text(encoding="utf-8"), "scipy")]
     assert importers == ["csr.py"]
+
+
+def test_only_quoted_text_modules_import_csv():
+    # Numeric tables are read by numpy's C reader through ``textio``; only
+    # the modules that read or write quoted text fields may parse rows with csv.
+    importers = [p.name for p in MODULES if p.parent.name == "driftchain"
+                 and imports_of(p.read_text(encoding="utf-8"), "csv")]
+    assert importers == ["bayes.py", "ingest.py", "synth.py"]
 
 
 START_UP_PACKAGES = {*sys.stdlib_module_names, "click"}
@@ -144,7 +152,7 @@ def test_scan_finds_start_up_imports():
 def test_scan_finds_scipy_imports():
     source = ("import numpy as np\nfrom .scipy import x\nimport scipyx\n\ndef f():\n"
               "    import scipy.sparse\n    from scipy import linalg\n")
-    assert scipy_imports(source) == ["line 6", "line 7"]
+    assert imports_of(source, "scipy") == ["line 6", "line 7"]
 
 
 def test_every_export_resolves():

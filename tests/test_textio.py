@@ -1,4 +1,5 @@
-"""The row writer prints each value as the per-value rule does."""
+"""The row writer prints each value as the per-value rule does, and the repeat
+rule finds the first row of each key as a dict of the keys seen so far does."""
 
 import io
 import sys
@@ -57,3 +58,20 @@ def test_columns_may_be_strided_views_and_mixed_widths():
     text = written("%d|%.17g|%.17g\n", [states, table[:, 0], table[:, 2]])
     assert text == "".join(f"{s}|{'%.17g' % a}|{'%.17g' % b}\n"
                            for s, a, b in zip(range(4), table[:, 0], table[:, 2]))
+
+
+def first_seen(*columns) -> list[int]:
+    """Each row's first row by a dict of the keys seen so far."""
+    first = {}
+    return [first.setdefault(key, k) for k, key in enumerate(zip(*(c.tolist() for c in columns)))]
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 3])
+def test_first_rows_matches_first_seen_rule(n_columns):
+    # Values at the int64 limits: a key combined by arithmetic on them would wrap.
+    rng = np.random.default_rng(n_columns)
+    values = np.array(EDGE_INTS + [7, 8], dtype=np.int64)
+    columns = [rng.choice(values, size=300) for _ in range(n_columns)]
+    assert textio.first_rows(*columns).tolist() == first_seen(*columns)
+    increasing = np.unique(columns[0])
+    assert textio.first_rows(increasing).tolist() == list(range(len(increasing)))
