@@ -236,6 +236,7 @@ def spectral_cmd(config_path, out_dir):
         lines.append(f"lambda_{i + 1}_modulus {_fmt(abs(lam))} {conv}{tag}")
     lines += [
         f"eigen_products {eigs.products + basin.products}",
+        f"eigen_block_products {eigs.block_products + basin.block_products}",
         f"eigen_max_residual {_fmt(eigs.max_residual)}",
         f"basin_threshold {_fmt(basin.threshold)}",
         f"basin_size {len(basin.members)}",

@@ -1,34 +1,54 @@
-"""Compressed sparse rows held in numpy; scipy only for products with a block.
+"""Compressed sparse rows held in numpy; every product by scipy's compiled loops.
 
 Every chain and transition matrix is a :class:`Csr`: the three arrays of
 a canonical CSR matrix (columns sorted within each row, no entry twice)
 and its shape.  Building, saving, loading, checking and walking a matrix
 needs numpy only.
 
-Products follow one rule: a real vector in numpy, a block in scipy.
-``m @ x`` and ``m.T @ x`` for a real 1-D ``x`` are one ``np.bincount``
-over the entries' row and column indices, which adds each output's terms
-in the order scipy's ``csr_matvec`` and ``csc_matvec`` add them, so the
-two agree bit for bit (a NaN's sign aside, which IEEE 754 leaves open).
-``evolve`` and ``spectral`` multiply only vectors, so they never import
-scipy.  On a 2-core x86-64 box ``import scipy.sparse`` took 0.14-0.19 s
-and 19 MB, while the 216 products of an ``evolve --steps 3`` on 484 states take
-about 2 ms.  The numpy kernel is the slower one
-(``m.T @ x``: 8 against 10 us at 484 states, 58 against 155 us at 10^4,
-0.58 against 1.7 ms at 10^5), so at 10^5 states the saved import is
-spent after about 120-180 products, two to three annual steps.
-A product with a 2-D block (the Bayes sweep and ``compose_annual``, the
-only users left) and the other scipy-only operations go through one
-``scipy.sparse.csr_matrix`` over the same arrays, made on first use:
-with 40 columns at 256 and 10^4 states, scipy's kernel was 11-40 times
-faster than numpy ones (``bincount`` per column or over the flattened
-block, ``np.add.at``).
+Products have one kernel.  ``m @ x`` runs scipy's ``csr_matvec`` for a
+vector and ``csr_matvecs`` for a block of columns over ``m``'s own arrays;
+``m.T @ x`` runs ``csc_matvec``/``csc_matvecs`` over the same arrays,
+which are the transpose's CSC arrays.  So every product has the bits of
+scipy's own ``csr_matrix`` product, and each column of a block product is
+bit for bit that column's vector product: a caller may gather vectors
+into one block without changing a result.  The operand is cast once to a
+C-contiguous float64 array; a complex operand raises.
+
+The loops live in the extension module ``scipy.sparse._sparsetools``.
+:func:`_sparsetools` loads that file once, by path, at the first product,
+without importing the ``scipy.sparse`` package, so no command imports
+scipy.  On a 2-core x86-64 box (numpy 2.4.6, scipy 1.17.1) the load took
+0.4-0.7 ms and about 0.2 MB, where ``import scipy.sparse`` took
+0.18-0.23 s and 22 MB.  The loader assumes the layout and signatures
+scipy has had since 1.10: the file sits in ``scipy/sparse`` under one of
+the interpreter's extension suffixes, and ::
+
+    csr_matvec(n_row, n_col, indptr, indices, data, x, y)
+    csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+
+(``csc_*`` alike) add into a zeroed ``y`` of ``data``'s dtype, with
+``x`` and ``y`` flattened in C order for a block.  A missing file raises
+ImportError naming the directory searched; there is no fallback kernel.
+
+Per product, on the same box, ``m.T @ x`` with the bench's five-point
+stencil matrix: one vector took 67-69 us at 10^4 states and 0.59-0.70
+ms at 10^5, where the ``np.bincount`` kernel this replaced took 147-177
+us and 1.9 ms; four vectors as one block took 0.17-0.32 ms and 1.9-2.4
+ms, where four ``bincount`` products took 0.60-0.66 ms and 8.0-8.4 ms.
+
+``scipy.sparse`` is imported only by :meth:`Csr.tocsr` and indexing
+(``Csr._scipy``), which tests and the benchmark's tracing use and no
+command calls.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -42,10 +62,8 @@ class Csr:
     Row i holds columns ``indices[indptr[i]:indptr[i+1]]``, ascending, with
     values ``data[...]`` (float64).  Index arrays are int32 unless the
     shape or entry count needs int64, as scipy chooses them.  Treat
-    instances as immutable: the ``intp`` entry indices made at the first
-    vector product may be copies, and the scipy matrix made at the first
-    block product shares the three arrays, so an in-place edit reaches
-    one and not the other.
+    instances as immutable: the arrays are checked once, at the first
+    product, and the scipy matrix ``tocsr()`` makes shares them.
     """
 
     indptr: np.ndarray
@@ -116,26 +134,33 @@ class Csr:
         return out
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The row of each stored entry, as ``intp`` for ``np.bincount``."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.intp), np.diff(self.indptr))
-
-    @cached_property
-    def _cols(self) -> np.ndarray:
-        """``indices`` as ``intp``, cast once rather than at every product."""
-        return self.indices.astype(np.intp, copy=False)
-
-    @cached_property
     def _scipy(self):
         import scipy.sparse
 
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
     @cached_property
-    def _scipy_t(self):
-        """scipy's CSC transpose of ``_scipy``, made once: building one costs
-        about as much as a block product on a 484-state matrix."""
-        return self._scipy.T
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``indptr``, ``indices`` and ``data``, checked once before any kernel reads them.
+
+        The compiled loops trust their arguments, so an index past the
+        operand or an ``indptr`` that runs backwards would read outside
+        the arrays instead of raising.
+        """
+        n_rows, n_cols = self.shape
+        indptr, indices, data = self.indptr, self.indices, self.data
+        if not (indptr.dtype == indices.dtype and indptr.dtype in (np.int32, np.int64)
+                and data.dtype == np.float64):
+            raise TypeError(f"a Csr holds int32 or int64 indices and float64 values, got "
+                            f"{indptr.dtype}, {indices.dtype} and {data.dtype}")
+        if (indptr.shape != (n_rows + 1,) or indptr[0] != 0 or indices.ndim != 1
+                or indices.shape != data.shape or indptr[-1] > indices.size
+                or np.any(np.diff(indptr) < 0)):
+            raise ValueError(f"indptr, indices and data do not form a {n_rows} x {n_cols} CSR")
+        stored = indices[:indptr[-1]]
+        if stored.size and (stored.min() < 0 or stored.max() >= n_cols):
+            raise ValueError(f"a column index lies outside 0..{n_cols - 1}")
+        return tuple(np.ascontiguousarray(a) for a in (indptr, indices, data))
 
     def tocsr(self):
         """The ``scipy.sparse.csr_matrix`` over this matrix's arrays (not a copy)."""
@@ -146,9 +171,7 @@ class Csr:
         return Transposed(self)
 
     def __matmul__(self, x):
-        if _real_vector(x, self.shape[1]):
-            return _gather_add(self._rows, self.data, x, self._cols, self.shape[0])
-        return self._scipy @ x
+        return _product("csr", self, self.shape, x)
 
     def __getitem__(self, key):
         return self._scipy[key]
@@ -158,9 +181,8 @@ class Csr:
 class Transposed:
     """``m.T`` for a :class:`Csr` ``m``: the same arrays, read by column.
 
-    ``t @ x`` for a real vector is the numpy kernel with the row and column
-    indices swapped; any other operand goes through scipy's transposed
-    (CSC) view of ``m``.
+    ``t @ x`` runs scipy's CSC loops over ``m``'s arrays, as ``m``'s CSR
+    arrays are ``t``'s CSC ones.
     """
 
     base: Csr
@@ -186,27 +208,60 @@ class Transposed:
 
     def tocsr(self):
         """This transpose as a new ``scipy.sparse.csr_matrix``."""
-        return self.base._scipy_t.tocsr()
+        return self.base._scipy.T.tocsr()
 
     def __matmul__(self, x):
-        m = self.base
-        if _real_vector(x, m.shape[0]):
-            return _gather_add(m._cols, m.data, x, m._rows, m.shape[1])
-        return m._scipy_t @ x
+        return _product("csc", self.base, self.shape, x)
 
 
-def _gather_add(out: np.ndarray, data: np.ndarray, x: np.ndarray, at: np.ndarray,
-                n_out: int) -> np.ndarray:
-    """y[out[k]] += data[k] * x[at[k]] for each entry k in turn, from y = 0.
+def _product(layout: str, m: Csr, shape: tuple[int, int], x) -> np.ndarray:
+    """``A @ x`` for the ``shape`` matrix A whose ``layout`` ("csr" or "csc")
+    arrays are ``m``'s, by scipy's compiled loop for a vector or a block.
 
-    The same terms added in the same order as scipy's ``csr_matvec``
-    (``at`` the columns) and ``csc_matvec`` (``at`` the rows), so the same
-    bits.
+    ``x`` is cast once to a C-contiguous float64 array, as scipy casts a
+    real operand, so int, bool and float32 operands give scipy's bits.
     """
-    y = np.bincount(out, weights=data * x[at], minlength=n_out)
-    return y.astype(np.float64, copy=False)  # no entries: bincount gives int zeros
+    x = np.asarray(x)
+    if not np.can_cast(x.dtype, np.float64):
+        raise TypeError(f"a sparse product takes a real operand, got {x.dtype}")
+    n_out, n_in = shape
+    if x.ndim not in (1, 2) or x.shape[0] != n_in:
+        raise ValueError(f"an operand of shape {x.shape} does not match a "
+                         f"{n_out} x {n_in} matrix")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.zeros((n_out, *x.shape[1:]))
+    kernels = _sparsetools()
+    if x.ndim == 1:
+        getattr(kernels, f"{layout}_matvec")(n_out, n_in, *m._arrays, x, y)
+    else:
+        getattr(kernels, f"{layout}_matvecs")(n_out, n_in, x.shape[1], *m._arrays,
+                                              x.ravel(), y.ravel())
+    return y
 
 
-def _real_vector(x, n: int) -> bool:
-    """Whether ``x`` is a length-``n`` numpy vector whose values float64 holds."""
-    return isinstance(x, np.ndarray) and x.shape == (n,) and np.can_cast(x.dtype, np.float64)
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse loops, loaded once by path without importing
+    ``scipy.sparse``; the module scipy has loaded, if it has."""
+    if _SPARSETOOLS in sys.modules:
+        return sys.modules[_SPARSETOOLS]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"scipy is not installed, so there is no {_SPARSETOOLS} to load")
+    where = Path(spec.submodule_search_locations[0], "sparse")
+    paths = [where / f"_sparsetools{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no {_SPARSETOOLS} extension in {where}")
+    loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(_SPARSETOOLS, loader, origin=str(path)))
+    loader.exec_module(module)
+    # A single-phase extension enters itself in sys.modules; an entry left
+    # there would keep a later ``import scipy.sparse`` from binding it as an
+    # attribute of the package.  That import reuses the loaded extension.
+    sys.modules.pop(_SPARSETOOLS, None)
+    return module

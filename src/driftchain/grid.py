@@ -341,7 +341,7 @@ def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
         raise ConfigError(f"{where}: box {box} lies outside the {shape[0]} x {shape[1]} grid")
     if len(rows) < len(entries):
         raise ConfigError(f"{path}:{linenos[len(rows)]}: malformed wet mask entry "
-                          f"{entries[len(rows)].strip()!r}")
+                          f"{entries[len(rows)]!r}")
     return np.column_stack((ix, iy)), wet == 1
 
 

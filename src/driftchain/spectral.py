@@ -53,9 +53,10 @@ class EigenResult:
     otherwise to unit 1-norm, and right vectors are scaled so the entry of
     largest modulus equals 1.  Residuals are relative 1-norm defects
     ``|vA - lambda v|_1 / |lambda_1|`` of unit 2-norm vectors.
-    ``iterations`` is the larger side's count of Krylov block steps and
+    ``iterations`` is the larger side's count of Krylov block steps,
     ``products`` the applications of the operator to a vector over both
-    sides.
+    sides, and ``block_products`` the applications to a block, one per
+    pending block.
     """
 
     eigenvalues: np.ndarray
@@ -67,6 +68,7 @@ class EigenResult:
     is_complex_pair: np.ndarray
     iterations: int
     products: int
+    block_products: int
 
     @property
     def moduli(self) -> np.ndarray:
@@ -83,7 +85,7 @@ class BasinResult:
     """Basin of attraction with its restricted spectral retention time.
 
     ``products`` counts the restricted solve's applications of the
-    operator to a vector.
+    operator to a vector and ``block_products`` those to a block.
     """
 
     members: np.ndarray
@@ -91,6 +93,7 @@ class BasinResult:
     lambda_b: float
     transition_time: float
     products: int
+    block_products: int
 
     @property
     def retention_time(self) -> float:
@@ -154,16 +157,18 @@ class _Ritz:
     residuals: np.ndarray
     steps: int               # blocks added to the start block
     products: int            # applications of the operator to a vector
+    block_products: int      # applications to a block, one per pending block
 
 
 def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
     """Leading k eigenpairs of ``mat`` by block Krylov Rayleigh-Ritz.
 
-    ``mat`` needs only ``shape`` and ``mat @ vector``.  The basis starts
-    as ``_start_block`` and each step appends one block: the images of
-    the last block, orthonormalized against the basis.  Every basis
-    vector's image is kept, so the projected matrix and each Ritz pair's
-    residual cost no further product.  When the basis would pass
+    ``mat`` needs only ``shape`` and ``mat @ block`` for a block of
+    columns.  The basis starts as ``_start_block`` and each step appends
+    one block: the images of the last block, taken in one product and
+    orthonormalized against the basis.  Every basis vector's image is
+    kept, so the projected matrix and each Ritz pair's residual cost no
+    further product.  When the basis would pass
     ``_BASIS_BLOCKS`` blocks it restarts from the span of its leading half
     of Ritz vectors (a complex pair kept whole) and goes on from the
     pending block, which is orthogonal to that span.  The solve stops
@@ -181,13 +186,13 @@ def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
     basis, images = np.empty((cap + width, n)), np.empty((cap + width, n))
     h = np.empty((cap + width, cap + width))     # h[i, j] = v_i . A v_j
     basis[:width] = _start_block(n, width, seed).T
-    m, new, steps, products = 0, width, 0, 0
+    m, new, steps, products, block_products = 0, width, 0, 0, 0
     tiny = np.finfo(float).tiny
     while True:
         top = m + new
-        for i in range(m, top):
-            images[i] = mat @ basis[i]
+        images[m:top] = (mat @ basis[m:top].T).T
         products += new
+        block_products += 1
         h[:top, m:top] = _dot(basis[:top], images[m:top])
         h[m:top, :m] = _dot(basis[m:top], images[:m])
         last, m = m, top
@@ -211,7 +216,7 @@ def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
             basis[kept:kept + new] = basis[m:m + new]
             m = kept
         steps += 1
-    return _Ritz(vals[:k], vecs, resid, steps, products)
+    return _Ritz(vals[:k], vecs, resid, steps, products, block_products)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,6 +347,7 @@ def dominant_eigs(p, k: int = 2, tol: float = DEFAULT_TOL,
         is_complex_pair=np.abs(lv.imag) > _REAL_CUTOFF * np.abs(lv),
         iterations=steps,
         products=left.products + right.products,
+        block_products=left.block_products + right.block_products,
     )
 
 
@@ -368,9 +374,10 @@ def retention_time(p, members: np.ndarray, transition_time: float,
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("retention time of an empty set is undefined")
-    lam, products = _restricted_modulus(p, members, tol, max_iter, seed)
+    lam, ritz = _restricted_modulus(p, members, tol, max_iter, seed)
     # The set was not picked by a threshold, hence NaN in that field.
-    return BasinResult(members, math.nan, lam, transition_time, products).retention_time
+    return BasinResult(members, math.nan, lam, transition_time, ritz.products,
+                       ritz.block_products).retention_time
 
 
 def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
@@ -389,19 +396,21 @@ def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
     members = basin_of_attraction(r, threshold)
     if members.size == 0:
         log.warning("no states exceed the basin threshold %.3g", threshold)
-        lam, products = math.nan, 0
+        lam, products, block_products = math.nan, 0, 0
     else:
-        lam, products = _restricted_modulus(tm, members, tol, max_iter, seed)
+        lam, ritz = _restricted_modulus(tm, members, tol, max_iter, seed)
+        products, block_products = ritz.products, ritz.block_products
     return BasinResult(
         members=members, threshold=threshold, lambda_b=lam,
         transition_time=_transition_time_of(tm), products=products,
+        block_products=block_products,
     )
 
 
 def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
-                        seed: int) -> tuple[float, int]:
+                        seed: int) -> tuple[float, _Ritz]:
     """Dominant eigenvalue modulus of ``p`` restricted to the member rows/columns,
-    and the operator products the solve took.
+    and the solve that found it.
 
     A restriction with no entries has lambda_B = 0 (everything leaves
     after one step): the start block maps to zero, so the projected
@@ -416,7 +425,7 @@ def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
             "eigensolver: restricted eigenvalue unconverged after %d iterations "
             "(residual %.2e)", ritz.steps, float(ritz.residuals[0]),
         )
-    return float(np.abs(ritz.values)[0]), ritz.products
+    return float(np.abs(ritz.values)[0]), ritz
 
 
 def _transition_time_of(tm) -> float:

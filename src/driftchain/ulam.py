@@ -418,12 +418,12 @@ def _parse_triplets(entries: list[str], path, first_line: int,
     parsed, bad = read_entries(entries, _TRIPLET)
     if parsed is None:
         raise ConfigError(f"{path}:{first_line + bad}: malformed matrix entry "
-                          f"{entries[bad].strip()!r}")
+                          f"{entries[bad]!r}")
     rows, cols = parsed["i"], parsed["j"]
     outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n_states))
     if outside.size:
         raise ConfigError(f"{path}:{first_line + outside[0]}: matrix index outside "
-                          f"0..{n_states - 1} in {entries[outside[0]].strip()!r}")
+                          f"0..{n_states - 1} in {entries[outside[0]]!r}")
     earlier = first_rows(rows * n_states + cols)
     repeats = np.flatnonzero(earlier < np.arange(len(rows)))
     if repeats.size:

@@ -381,6 +381,32 @@ def scipy_row_steps(f: np.ndarray, factors, n_steps: int) -> list[np.ndarray]:
     return out
 
 
+class ColumnByColumn:
+    """A scipy matrix applied to a block one column at a time, each column by
+    scipy's own vector product; ``.T`` is scipy's transposed (CSC) view."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.shape = ref.shape
+
+    @property
+    def T(self) -> ColumnByColumn:
+        return ColumnByColumn(self.ref.T)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return self.ref @ x
+        return np.column_stack([self.ref @ np.ascontiguousarray(c) for c in x.T])
+
+
+def column_by_column(op):
+    """The annual operator ``op`` with each factor applied vector by vector,
+    as the eigensolve applied it before it took a block per product."""
+    factors = tuple(ColumnByColumn(sparse.csr_matrix((f.data, f.indices, f.indptr),
+                                                     shape=f.shape)) for f in op.factors)
+    return type(op)(factors, op.exponent, op.transition_time)
+
+
 def random_substochastic(rng: np.random.Generator, n: int,
                          min_row: float = 0.5, max_row: float = 1.0,
                          density: float = 1.0) -> np.ndarray:

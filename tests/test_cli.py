@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftchain import absorb, bayes, cli, paths, spectral, ulam
+from driftchain import absorb, bayes, cli, csr, paths, spectral, ulam
 from driftchain.cli import main
 from driftchain.config import _RUN_KEYS
 from driftchain.csr import Csr
@@ -639,6 +639,14 @@ class TestSpectral:
         assert rep["eigen_products"] == str(eigs.products + basin.products)
         assert float(rep["eigen_max_residual"]) == eigs.max_residual <= 1e-10
 
+    def test_report_counts_block_products(self, case):
+        rep = report_dict(case / "spectral_report.txt")
+        op = annual_operator(case)
+        eigs = spectral.dominant_eigs(op, k=2, tol=1e-10, seed=11)
+        basin = spectral.analyze_basin(op, tol=1e-10, seed=11, eigs=eigs)
+        assert rep["eigen_block_products"] == str(eigs.block_products + basin.block_products)
+        assert 0 < int(rep["eigen_block_products"]) <= int(rep["eigen_products"])
+
     def test_basin_geojson(self, case):
         doc = json.loads((case / "basin.geojson").read_text(encoding="utf-8"))
         assert doc["geometry"]["type"] == "MultiPolygon"
@@ -1149,10 +1157,6 @@ finally:
 """
 
 
-# The same run with scipy unimportable: any `import scipy...` raises ImportError.
-WITHOUT_SCIPY = "import sys\nsys.modules['scipy'] = None\n" + RUN_COMMAND
-
-
 def run_fresh(script: str, *args, env_changes=None, exit_code=0) -> str:
     """Run ``script`` in a new interpreter, which must exit with ``exit_code``;
     ``env_changes`` sets variables, None unsets."""
@@ -1175,7 +1179,8 @@ def loaded_modules(*args, exit_code=0) -> set[str]:
 
 
 def scipy_loaded(*args) -> bool:
-    return "scipy" in loaded_modules(*args)
+    """Whether one fresh run of the CLI leaves any ``scipy*`` module in ``sys.modules``."""
+    return any(m.startswith("scipy") for m in loaded_modules(*args))
 
 
 COMMANDS = ("synth", "build", "spectral", "bayes", "paths", "evolve")
@@ -1185,9 +1190,10 @@ COMMAND_MODULES = ("absorb", "schedule", "bayes", "paths", "spectral", "synth")
 
 
 class TestStartUp:
-    """Only bayes loads scipy, for its block products: spectral and evolve
-    multiply only vectors, which run in numpy.  Dispatch alone (help, usage
-    errors) loads no numpy, and each command only the modules it runs."""
+    """No command imports scipy: every product runs scipy's compiled loops,
+    loaded by path without the ``scipy.sparse`` package.  Dispatch alone
+    (help, usage errors) loads no numpy, and each command only the modules
+    it runs."""
 
     def test_package_import_leaves_scipy_out(self):
         assert not scipy_loaded("--help")
@@ -1197,16 +1203,36 @@ class TestStartUp:
                            env=env, capture_output=True, text=True, check=True)
         assert r.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("command, loads", [("build", False), ("paths", False),
-                                                ("evolve", False), ("spectral", False),
-                                                ("bayes", True)])
-    def test_only_products_load_scipy(self, copy, command, loads):
+    @pytest.mark.parametrize("command", ["build", "paths", "evolve", "spectral", "bayes"])
+    def test_no_command_loads_scipy(self, copy, command):
         extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
-        assert scipy_loaded(command, "--config", str(copy / "run.cfg"), *extra) is loads
+        assert not scipy_loaded(command, "--config", str(copy / "run.cfg"), *extra)
 
-    @pytest.mark.parametrize("command", ["build", "spectral", "paths", "evolve"])
+    def test_kernels_are_the_extension_scipy_imports(self):
+        # Loaded first by path, then by scipy: one extension, not a second copy.
+        # The module objects differ (CPython copies a single-phase extension's
+        # namespace into a new module on a second load) but its functions do not.
+        script = (
+            "import sys, numpy as np\n"
+            "from driftchain import csr\n"
+            "m = csr.Csr.from_entries([0, 1], [1, 0], [0.5, 2.0], (2, 2))\n"
+            "y = m.T @ np.ones((2, 3))\n"
+            "names = ('csr_matvec', 'csr_matvecs', 'csc_matvec', 'csc_matvecs')\n"
+            "print(any(n.startswith('scipy') for n in sys.modules))\n"
+            "import scipy.sparse._sparsetools as st\n"
+            "import scipy.sparse\n"
+            "print(scipy.sparse._sparsetools is st,\n"
+            "      all(getattr(st, n) is getattr(csr._sparsetools(), n) for n in names),\n"
+            "      (scipy.sparse.csr_matrix(m.toarray()).T @ np.ones((2, 3))).tobytes()\n"
+            "      == y.tobytes())\n"
+        )
+        assert run_fresh(script) == "False\nTrue True True\n"
+        # with scipy loaded first, its own module is the one used
+        assert csr._sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+
+    @pytest.mark.parametrize("command", ["build", "spectral", "paths", "evolve", "bayes"])
     def test_command_leaves_numpy_ma_out(self, copy, command):
-        # numpy.ma costs about 15 ms to import; only scipy, in bayes, needs it.
+        # numpy.ma costs about 15 ms to import, and scipy.sparse is what imported it.
         extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
         assert "numpy.ma" not in loaded_modules(command, "--config", str(copy / "run.cfg"),
                                                 *extra)
@@ -1237,8 +1263,9 @@ class TestStartUp:
 
     @pytest.mark.parametrize("label", ["annual", "W"])
     def test_evolve_runs_without_scipy(self, case, copy, label):
-        run_fresh(WITHOUT_SCIPY, "evolve", "--config", str(copy / "run.cfg"), "--state", "1",
-                  "--steps", "3", "--matrix", label)
+        # A fresh run loads the kernels by path; this process has scipy's own module.
+        assert not scipy_loaded("evolve", "--config", str(copy / "run.cfg"), "--state", "1",
+                                "--steps", "3", "--matrix", label)
         r = invoke(["evolve", "--config", str(case / "run.cfg"), "--state", "1",
                     "--steps", "3", "--matrix", label])
         assert r.exit_code == 0, all_output(r)
@@ -1249,7 +1276,7 @@ class TestStartUp:
     def test_spectral_runs_without_scipy(self, case, copy):
         for name in SPECTRAL_OUTPUTS:
             (copy / name).unlink()
-        run_fresh(WITHOUT_SCIPY, "spectral", "--config", str(copy / "run.cfg"))
+        assert not scipy_loaded("spectral", "--config", str(copy / "run.cfg"))
         # the case's own files were written by an in-process run
         assert snapshot(copy) == snapshot(case)
 

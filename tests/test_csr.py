@@ -1,11 +1,15 @@
-"""The numpy CSR builders and vector kernel against scipy, array for array.
+"""The numpy CSR builders and the products against scipy, array for array.
 
 Each builder must give the dtype and the bytes of ``indptr``, ``indices``
 and ``data`` that scipy gives for the same entries, so that products,
 row sums and the written files stay bit for bit what they were.  The
 absorbing closure is checked the same way in ``test_absorb.TestOnePass``.
-The numpy vector products must give scipy's bytes too, without scipy.
+The products run scipy's compiled loops without importing ``scipy.sparse``
+and must give the bytes of scipy's own ``csr_matrix`` product.
 """
+
+import importlib.machinery
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from scipy import sparse
 from conftest import make_roles
 from oracles import random_substochastic, scipy_csr, scipy_estimate, scipy_vector_products
 
+from driftchain import csr
 from driftchain.absorb import augment, load_chain, save_chain
 from driftchain.csr import Csr
 from driftchain.grid import OUT_OF_DOMAIN
@@ -159,8 +164,7 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 
     IEEE 754 leaves a NaN result's sign and payload open, and which NaN
     operand an addition returns follows the operand order the compiler
-    chose: inf + -inf then NaN comes out -NaN from numpy's loop and +NaN
-    from scipy's.  Every other value must match bit for bit.
+    chose.  Every other value must match bit for bit.
     """
     nan = np.isnan(want)
     return (got.shape == want.shape and got.dtype == want.dtype
@@ -195,3 +199,86 @@ def test_transposed_view_shares_arrays_and_round_trips():
     assert_same_arrays(Csr.of(t), sparse.csr_matrix(ref.T))
     block = np.random.default_rng(302).random((6, 4))
     assert (t @ block).tobytes() == (ref.T @ block).tobytes()
+
+
+def product_matrix(kind: str) -> Csr:
+    if kind in ("int32", "int64"):
+        m = kernel_matrix("rectangular")
+        idx = np.dtype(kind)
+        return Csr(m.indptr.astype(idx), m.indices.astype(idx), m.data, m.shape)
+    shape = {"no-entries": (7, 5), "no-rows": (0, 6), "no-columns": (6, 0)}[kind]
+    return Csr.from_entries([], [], [], shape)
+
+
+def product_operand(kind: str, n: int, columns: int | None, rng) -> np.ndarray:
+    """An operand with ``n`` rows: a vector, or a block of ``columns`` columns."""
+    shape = (n,) if columns is None else (n, columns)
+    if kind == "int":
+        return rng.integers(-5, 6, size=shape)
+    if kind == "bool":
+        return rng.random(shape) < 0.5
+    if kind == "float32":
+        return rng.standard_normal(shape).astype(np.float32)
+    if kind == "special":
+        return rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5], size=shape)
+    if columns is None:  # every other entry of a longer vector
+        return rng.standard_normal(2 * n)[::2]
+    # rows of a basis read as columns, as the block Krylov solve passes them
+    return rng.standard_normal((columns + 2, n))[1:columns + 1].T
+
+
+@pytest.mark.parametrize("columns", [None, 1, 4, 40], ids=["vector", "1", "4", "40"])
+@pytest.mark.parametrize("operand", ["strided", "int", "bool", "float32", "special"])
+@pytest.mark.parametrize("kind", ["int32", "int64", "no-entries", "no-rows", "no-columns"])
+def test_products_give_scipys_bytes(kind, operand, columns):
+    # Both sides run scipy's compiled loops, so even a NaN's sign must match.
+    m = product_matrix(kind)
+    ref = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    rng = np.random.default_rng(303)
+    for mat, want in ((m, ref), (m.T, ref.T)):
+        x = product_operand(operand, mat.shape[1], columns, rng)
+        got, expected = mat @ x, want @ x
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert "_scipy" not in vars(m)
+
+
+@pytest.mark.parametrize("operand, error", [
+    (lambda n: np.ones(n, dtype=complex), TypeError),
+    (lambda n: np.ones((n, 2), dtype=complex), TypeError),
+    (lambda n: np.ones(n - 1), ValueError),
+    (lambda n: np.ones((n + 1, 3)), ValueError),
+    (lambda n: np.ones((n, 2, 2)), ValueError),
+    (lambda n: np.float64(1.0), ValueError),
+], ids=["complex-vector", "complex-block", "short-vector", "long-block", "3-d", "scalar"])
+def test_bad_operand_raises(operand, error):
+    m = kernel_matrix("rectangular")
+    for mat in (m, m.T):
+        with pytest.raises(error):
+            mat @ operand(mat.shape[1])
+
+
+@pytest.mark.parametrize("arrays, error", [
+    (([0, 1, 2], [0, 5], [0.5, 0.5]), ValueError),      # column 5 of a 2 x 3 matrix
+    (([0, 2, 1], [0, 1], [0.5, 0.5]), ValueError),      # indptr runs backwards
+    (([0, 1, 3], [0, 1], [0.5, 0.5]), ValueError),      # more entries than stored
+    (([0, 1], [0, 1], [0.5, 0.5]), ValueError),         # indptr of the wrong length
+    (([0, 1, 2], [0, 1], np.array([0.5, 0.5], dtype=np.float32)), TypeError),
+], ids=["column-outside", "indptr-backwards", "indptr-past-end", "indptr-length",
+        "float32-values"])
+def test_malformed_arrays_rejected_before_the_kernel(arrays, error):
+    indptr, indices, data = arrays
+    m = Csr(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32),
+            np.asarray(data), (2, 3))
+    with pytest.raises(error):
+        m @ np.ones(3)
+    with pytest.raises(error):
+        m.T @ np.ones(2)
+
+
+def test_missing_extension_names_the_directory_searched(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"^no scipy\.sparse\._sparsetools extension in "
+                                          r".*scipy.sparse$"):
+        csr._sparsetools.__wrapped__()  # the uncached loader

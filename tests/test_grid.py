@@ -243,7 +243,7 @@ def test_mask_lines_only_the_entry_grammar_rejects(tmp_path, line):
     assert row_by_row_wet_mask(path)[0, 0]
     with pytest.raises(ConfigError) as exc:
         load_wet_mask(path)
-    assert str(exc.value) == f"{path}:2: malformed wet mask entry {line.strip()!r}"
+    assert str(exc.value) == f"{path}:2: malformed wet mask entry {line!r}"
 
 
 def test_mask_fault_before_a_malformed_line_comes_first(tmp_path):

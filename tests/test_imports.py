@@ -87,8 +87,9 @@ def imports_of(source: str, package: str) -> list[str]:
 
 
 def test_only_csr_imports_scipy():
-    # Every scipy load goes through ``Csr._scipy``, so a command's start-up
-    # cost follows from which products it takes.
+    # ``csr`` loads scipy's compiled product loops by path, without the
+    # package, and imports ``scipy.sparse`` only in ``Csr._scipy`` (``tocsr()``
+    # and indexing), which no command calls.
     importers = [p.name for p in MODULES if p.parent.name == "driftchain"
                  and imports_of(p.read_text(encoding="utf-8"), "scipy")]
     assert importers == ["csr.py"]

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sparse
 
 from conftest import dense_tm, seasonal_tms
-from oracles import dense_dominant_pair, dense_power_product, random_substochastic
+from oracles import (column_by_column, dense_dominant_pair, dense_power_product,
+                     random_substochastic)
 
 from driftchain.csr import Csr
 from driftchain.grid import build_grid
@@ -22,7 +23,7 @@ from driftchain.spectral import (
     retention_time,
     zonal_profile,
 )
-from driftchain.ulam import annual_operator, compose_annual
+from driftchain.ulam import AnnualOperator, annual_operator, compose_annual
 
 
 class TestDominantEigs:
@@ -324,6 +325,42 @@ class TestAnnualOperator:
         assert not dense[:, 0].any()
         assert _restricted_modulus(op, np.array([0]), tol=1e-10, max_iter=100, seed=0)[0] == 0.0
         assert retention_time(op, np.array([0]), 360.0) == 360.0
+
+
+class TestBlockProducts:
+    """The solve applies the operator to each pending block in one product."""
+
+    @pytest.mark.parametrize("case", ["seasonal-20", "seasonal-60", "restarting-walk"])
+    def test_equal_to_vector_by_vector_products(self, case):
+        if case == "restarting-walk":  # the basis fills and restarts many times
+            op = AnnualOperator((Csr.of(lazy_walk(120, cycle=False)),), 1, 1.0)
+        else:
+            n = int(case.split("-")[1])
+            op, _ = operator_and_product(seasonal_tms(np.random.default_rng(n), n), 18)
+        oracle = column_by_column(op)
+        got, want = dominant_eigs(op, k=2), dominant_eigs(oracle, k=2)
+        for name in ("eigenvalues", "left_vectors", "right_vectors", "left_residuals",
+                     "right_residuals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.iterations, got.products, got.block_products) == \
+            (want.iterations, want.products, want.block_products)
+        basin, want_basin = analyze_basin(op, eigs=got), analyze_basin(oracle, eigs=want)
+        assert basin.members.size and np.array_equal(basin.members, want_basin.members)
+        assert np.float64(basin.lambda_b).tobytes() == np.float64(want_basin.lambda_b).tobytes()
+        assert (basin.products, basin.block_products) == \
+            (want_basin.products, want_basin.block_products)
+
+    def test_block_products_count_the_solve_steps(self):
+        a = Csr.of(lazy_walk(120, cycle=False))
+        loose, tight = (_block_krylov(a, 2, tol, 100_000, 0) for tol in (1e-4, 1e-10))
+        for ritz in (loose, tight):
+            assert ritz.block_products == ritz.steps + 1
+            assert ritz.block_products <= ritz.products
+        assert loose.block_products < tight.block_products
+        res = dominant_eigs(a, k=2)
+        basin = analyze_basin(a, eigs=res)
+        assert 2 < res.block_products <= res.products
+        assert 0 < basin.block_products <= basin.products
 
 
 class TestZonalProfile:

@@ -353,6 +353,22 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=f"m.txt:{len(text) - 1}: "):
             load_matrix(path)
 
+    @pytest.mark.parametrize("line, fault", [
+        ("\x1f1,1,0.5", "malformed matrix entry"),
+        (" 1,x,0.5 ", "malformed matrix entry"),
+        ("\t5,0,0.5", "matrix index outside 0..1 in"),
+    ], ids=["separator-padding", "blank-padding", "padded-index"])
+    def test_bad_entry_quoted_as_written(self, tmp_path, line, fault):
+        # str.strip would drop the padding, \x1f included, that the entry grammar rejects.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        text = path.read_text(encoding="utf-8").splitlines()
+        text[-2] = line
+        path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}:{len(text) - 1}: {fault} {line!r}"
+
 
     def test_repeated_entry_names_both_lines(self, tmp_path):
         # The earlier reader summed a repeat into one entry; save_matrix never writes one.
