@@ -27,7 +27,7 @@ import numpy as np
 from .csr import Csr
 from .errors import ConfigError, NumericalError
 from .grid import ROLE_KINDS, StateRoles, roles_from_records
-from .textio import write_rows
+from .textio import read_lines, write_rows
 from .ulam import _ROW_SUM_TOL, TransitionMatrix, _parse_triplets, _split_header
 
 log = logging.getLogger(__name__)
@@ -210,8 +210,7 @@ def save_chain(chain: AugmentedChain, path: str | Path) -> None:
 
 def load_chain(path: str | Path) -> AugmentedChain:
     """Read a chain written by :func:`save_chain`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     header, body_start = _split_header(lines, "# augmented-chain v1", path)
     body = lines[body_start:]
     try:

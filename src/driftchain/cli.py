@@ -14,6 +14,7 @@ Each command imports the pipeline modules it runs inside its own body, so
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -21,6 +22,12 @@ from typing import TYPE_CHECKING
 import click
 
 from .errors import ConfigError, NumericalError
+
+# OpenBLAS starts a worker thread when numpy loads, which busy-waits for a
+# while after the load and takes CPU time from the command on a small box.
+# No command needs it: the eigensolve's algebra runs in np.einsum, not BLAS.
+# Set before any command imports numpy; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 if TYPE_CHECKING:
     from datetime import date
@@ -434,17 +441,17 @@ def evolve_cmd(config_path, out_dir, initial_state, initial_csv, steps, label):
 
 
 def _read_distribution(path, n: int) -> np.ndarray:
-    """The `state,mass` rows of ``path``, read as matrix entries, blank lines skipped:
-    each state once, each mass finite and nonnegative, the total at most 1."""
+    """The `state,mass` rows of ``path``, read as matrix entries, blank lines
+    (:func:`textio.is_blank`) skipped: each state once, each mass finite and
+    nonnegative, the total at most 1."""
     import numpy as np
 
-    from .textio import first_rows, read_entries
+    from .textio import first_rows, is_blank, read_entries, read_lines
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0].strip() != "state,mass":
+    lines = read_lines(path)
+    if not lines or lines[0].strip() != "state,mass":
         raise ConfigError(f"{path}: expected `state,mass` header")
-    linenos = [k for k, line in enumerate(lines, start=1) if k > 1 and line.strip()]
+    linenos = [k for k, line in enumerate(lines, start=1) if k > 1 and not is_blank(line)]
     entries = [lines[k - 1] for k in linenos]
     rows, malformed = read_entries(entries, [("state", "i8"), ("mass", "f8")])
     if rows is None:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .textio import first_rows, read_entries
+from .textio import first_rows, is_blank, read_entries, read_lines
 
 #: Marker returned for positions that do not fall on an active (wet) box.
 OUT_OF_DOMAIN = -1
@@ -309,15 +309,15 @@ _MASK_ENTRY = np.dtype([("ix", np.int64), ("iy", np.int64), ("wet", np.int64)])
 def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
     """The (ix, iy) boxes and wet flags of a wet mask file, in file order.
 
-    Lines other than blank and `#` ones are matrix-style entries
-    (:func:`textio.read_entries`).  A malformed line, a wet flag other than 0
-    or 1, a repeated box, a box outside an ``(n_lon, n_lat)`` ``shape`` and an
-    empty file raise ConfigError naming the first offending `path:line`.
+    Lines other than those blank (:func:`textio.is_blank`) before their first
+    `#` are matrix-style entries (:func:`textio.read_entries`).  A malformed
+    line, a wet flag other than 0 or 1, a repeated box, a box outside an
+    ``(n_lon, n_lat)`` ``shape`` and an empty file raise ConfigError naming
+    the first offending `path:line`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_lines(path)
     linenos = [k for k, line in enumerate(lines, start=1)
-               if line.strip() and not line.lstrip().startswith("#")]
+               if not is_blank(line.partition("#")[0])]
     if not linenos:
         raise ConfigError(f"{path}: empty wet mask")
     entries = [lines[k - 1] for k in linenos]

@@ -177,7 +177,8 @@ def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
     lies in its span.
 
     Products with the basis go through ``np.einsum``, never BLAS, so the
-    result does not depend on the BLAS thread count.
+    result does not depend on the BLAS thread count, and the CLI runs
+    OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
     """
     n = mat.shape[0]
     width = min(n, k + _GUARD_VECTORS)

@@ -11,6 +11,8 @@ in a matrix, chain, wet mask or ``evolve --initial`` file every entry line must
 pass, so it is an error naming the first rejected line (:func:`read_entries`);
 in a trajectory file it only sends those lines to the Python row rule
 (``ingest``).  Those tables name a repeated key by one rule, :func:`first_rows`.
+Their lines are split by one rule, :func:`read_lines`, and skipped by one,
+:func:`is_blank`, so that a message's line number is the file's.
 
 Writing: :func:`write_rows` prints every numeric table, floats at 17
 significant digits so that each value reads back bit for bit.
@@ -31,6 +33,28 @@ _NOT_PLAIN_ASCII = "\x00\x1c\x1d\x1e\x1f"
 def is_plain(text: str) -> bool:
     """True if the C reader parses the fields of ``text`` exactly as Python does."""
     return text.isascii() and not any(c in text for c in _NOT_PLAIN_ASCII)
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, ``lines[k]`` being its line k + 1.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only (universal newlines),
+    not at the other breaks of :meth:`str.splitlines` such as ``\\x0c`` or
+    ``\\x85``, which stay in the line they are in.  A line end at the end of
+    the file starts no further line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def is_blank(text: str) -> bool:
+    """True if ``text`` is empty or plain whitespace: spaces, tabs, ``\\x0b``
+    and ``\\x0c``.  The separators ``\\x1c``-``\\x1f`` and non-ASCII breaks
+    such as ``\\x85``, which :meth:`str.strip` also removes, are not blank."""
+    return not text.strip() and is_plain(text)
 
 
 def read_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:

@@ -22,7 +22,7 @@ from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import TransitionPairs
-from .textio import first_rows, read_entries, write_rows
+from .textio import first_rows, read_entries, read_lines, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -352,8 +352,7 @@ def load_matrix(path: str | Path,
     another date than ``crash_date`` raises ConfigError, and a file
     without the line is read unchecked.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     header, body_start = _split_header(lines, "# transition-matrix v1", path)
     built_on = header.get("grid")
     if grid is not None and built_on is not None and built_on != grid[0].bounds_text():

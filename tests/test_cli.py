@@ -954,12 +954,22 @@ class TestEvolve:
 
     def test_initial_skips_blank_lines(self, copy, tmp_path):
         init = tmp_path / "init.csv"
-        init.write_text("state,mass\n\n 3 , 0.25\n\n0,0.5\n\n", encoding="utf-8")
+        init.write_text("state,mass\n\n 3 , 0.25\n\x0b\x0c\n0,0.5\n\n", encoding="utf-8")
         r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init),
                     "--steps", "0", "--matrix", "W"])
         assert r.exit_code == 0, all_output(r)
         _, rows = read_csv(copy / "evolve_step0000.csv")
         assert [float(row[1]) for row in rows] == [0.5, 0.0, 0.0, 0.25]
+
+    @pytest.mark.parametrize("line", ["\x1c", "\x85"], ids=["separator", "next-line"])
+    def test_initial_break_line_is_a_row(self, copy, tmp_path, line):
+        # str.strip() empties both, but only plain whitespace makes a blank line.
+        init = tmp_path / "init.csv"
+        init.write_text(f"state,mass\n0,0.5\n{line}\n3,0.25\n", encoding="utf-8")
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init),
+                    "--steps", "0", "--matrix", "W"])
+        assert r.exit_code == 2
+        assert f"{init}:3: malformed row" in all_output(r)
 
     def test_state_and_initial_are_exclusive(self, case, tmp_path):
         init = tmp_path / "init.csv"
@@ -1157,6 +1167,19 @@ finally:
 """
 
 
+# Runs one command in a fresh interpreter, then prints its OpenBLAS thread
+# setting and how many threads the process holds.
+BLAS_THREADS = """
+import os, sys
+from driftchain.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 0
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
 def run_fresh(script: str, *args, env_changes=None, exit_code=0) -> str:
     """Run ``script`` in a new interpreter, which must exit with ``exit_code``;
     ``env_changes`` sets variables, None unsets."""
@@ -1280,6 +1303,22 @@ class TestStartUp:
         # the case's own files were written by an in-process run
         assert snapshot(copy) == snapshot(case)
 
+    @pytest.mark.parametrize("command", ["evolve", "spectral"])
+    def test_commands_run_one_blas_thread(self, copy, command):
+        # OpenBLAS's worker busy-waits after numpy loads, taking CPU time from
+        # the command; a value the caller set is kept.
+        extra = ["--state", "0", "--steps", "2"] if command == "evolve" else []
+        args = [command, "--config", str(copy / "run.cfg"), *extra]
+        # An in-process import of `cli` may have set the variable here.
+        threads, tasks = run_fresh(BLAS_THREADS, *args, env_changes={
+            "OPENBLAS_NUM_THREADS": None}).splitlines()[-1].split()
+        assert threads == "1"
+        if sys.platform == "linux":
+            assert tasks == "1"
+        threads, _ = run_fresh(BLAS_THREADS, *args, env_changes={
+            "OPENBLAS_NUM_THREADS": "2"}).splitlines()[-1].split()
+        assert threads == "2"
+
     def test_synth_leaves_scipy_out(self, case, tmp_path):
         assert not scipy_loaded("synth", "--spec", str(case.parent / "spec.json"),
                                 "--out", str(tmp_path / "synth"))
@@ -1324,7 +1363,7 @@ def walk_case(root: Path, side: int = 24) -> Path:
 class TestDeterminism:
     def test_spectral_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         outputs = []
-        for threads in ("1", None):
+        for threads in ("1", "2"):
             case = walk_case(tmp_path / f"threads_{threads}")
             run_fresh(RUN_COMMAND, "spectral", "--config", str(case / "run.cfg"),
                       env_changes={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})

@@ -151,7 +151,7 @@ def test_box_area_decreases_away_from_equator():
 
 def test_wet_mask_restricts_states(tmp_path):
     mask_file = tmp_path / "mask.csv"
-    mask_file.write_text("# ix,iy,wet\n0,0,1\n1,0,0\n0,1,1\n1,1,1\n")
+    mask_file.write_text("# ix,iy,wet\n0,0,1\n \t\n1,0,0\n\x0b\n0,1,1\n\x0c # dry\n1,1,1\n")
     mask = load_wet_mask(mask_file)
     g = build_grid((0.0, 2.0, 0.0, 2.0), cell_size=1.0, wet_mask=mask)
     assert g.n_states == 3
@@ -241,6 +241,17 @@ def test_mask_lines_only_the_entry_grammar_rejects(tmp_path, line):
     path = tmp_path / "mask.csv"
     path.write_text(f"0,0,1\n{line}\n", encoding="utf-8")
     assert row_by_row_wet_mask(path)[0, 0]
+    with pytest.raises(ConfigError) as exc:
+        load_wet_mask(path)
+    assert str(exc.value) == f"{path}:2: malformed wet mask entry {line!r}"
+
+
+@pytest.mark.parametrize("line", ["\x1c", "\x85", "\x1c# dry coast", " \x85 # dry coast"],
+                         ids=["separator", "next-line", "separator-comment", "next-line-comment"])
+def test_mask_break_line_is_an_entry(tmp_path, line):
+    # str.strip() empties these lines, which the mask used to skip as blank.
+    path = tmp_path / "mask.csv"
+    path.write_text(f"0,0,1\n{line}\n1,0,1\n", encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
         load_wet_mask(path)
     assert str(exc.value) == f"{path}:2: malformed wet mask entry {line!r}"

@@ -12,8 +12,9 @@ only they need would otherwise pass every other test.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
 that imports scipy, at module level or inside a function, only the modules
-that read or write quoted text import csv, and ``cli.py`` and ``__init__.py``
-may load at import only the standard library, click and ``errors``.
+that read or write quoted text import csv, ``cli.py`` and ``__init__.py``
+may load at import only the standard library, click and ``errors``, and
+only ``cli.py``, at module level, may write the process environment.
 """
 
 import ast
@@ -148,6 +149,60 @@ def test_scan_finds_start_up_imports():
               "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
               "def f():\n    import numpy\n")
     assert start_up_imports(source) == ["line 4", "line 5", "line 6", "line 11"]
+
+
+#: Methods of ``os.environ`` that change it.
+ENVIRON_WRITERS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__",
+                   "__delitem__"}
+
+
+def is_environ(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os") \
+        or (isinstance(node, ast.Name) and node.id == "environ")
+
+
+def environ_writes(source: str) -> list[tuple[int, bool]]:
+    """Each line of ``source`` that writes the process environment, and
+    whether it runs at import: outside every function, lambda and class body."""
+    found = []
+
+    def visit(node, at_import):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            at_import = False
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        call = node.func if isinstance(node, ast.Call) else None
+        if (stored and is_environ(node)) \
+                or (stored and isinstance(node, ast.Subscript) and is_environ(node.value)) \
+                or (isinstance(call, ast.Attribute) and (
+                    (is_environ(call.value) and call.attr in ENVIRON_WRITERS)
+                    or (isinstance(call.value, ast.Name) and call.value.id == "os"
+                        and call.attr in ("putenv", "unsetenv")))):
+            found.append((node.lineno, at_import))
+        for child in ast.iter_child_nodes(node):
+            visit(child, at_import)
+
+    visit(ast.parse(source), True)
+    return found
+
+
+def test_only_cli_writes_the_environment():
+    # Importing the library leaves its caller's environment alone; the CLI
+    # owns its process and sets its defaults before any command runs.
+    writes = {p.name: environ_writes(p.read_text(encoding="utf-8"))
+              for p in MODULES if p.parent.name == "driftchain"}
+    assert [name for name, found in writes.items() if found] == ["cli.py"]
+    assert all(at_import for _, at_import in writes["cli.py"])
+
+
+def test_scan_finds_environ_writes():
+    source = ("import os\nfrom os import environ\nos.environ.setdefault('A', '1')\n"
+              "x = os.environ.get('A')\nif x:\n    os.environ['B'] = x\n"
+              "def f():\n    del environ['B']\n    os.putenv('C', '1')\n"
+              "class K:\n    g = lambda: os.environ.update(D='1')\n"
+              "os.environ = {}\nprint(os.environ['A'])\n")
+    assert environ_writes(source) == [(3, True), (6, True), (8, False), (9, False),
+                                      (11, False), (12, True)]
 
 
 def test_scan_finds_scipy_imports():

@@ -75,3 +75,22 @@ def test_first_rows_matches_first_seen_rule(n_columns):
     assert textio.first_rows(*columns).tolist() == first_seen(*columns)
     increasing = np.unique(columns[0])
     assert textio.first_rows(increasing).tolist() == list(range(len(increasing)))
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"", []), (b"a", ["a"]), (b"a\n", ["a"]), (b"a\n\n", ["a", ""]),
+    ("a\x0cb\r\nc\x85\rd\x1c\u2028\n\ne\n".encode(), ["a\x0cb", "c\x85", "d\x1c\u2028", "", "e"]),
+], ids=["empty", "no-line-end", "line-end", "blank-last", "breaks"])
+def test_read_lines_breaks_only_at_line_ends(tmp_path, data, lines):
+    # str.splitlines would also break at \x0c, \x85, \x1c and \u2028.
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    assert textio.read_lines(path) == lines
+
+
+@pytest.mark.parametrize("text, blank", [
+    ("", True), (" \t\x0b\x0c", True), ("\x1c", False), (" \x85", False), ("\u2028", False),
+    (" 0 ", False),
+])
+def test_is_blank_takes_only_plain_whitespace(text, blank):
+    assert textio.is_blank(text) is blank

@@ -369,6 +369,35 @@ class TestRoundTrip:
             load_matrix(path)
         assert str(exc.value) == f"{path}:{len(text) - 1}: {fault} {line!r}"
 
+    @pytest.mark.parametrize("line", ["0,0,0.5\x0c", "0,0\x0b,0.5"],
+                             ids=["form-feed", "vertical-tab"])
+    def test_whitespace_break_stays_in_its_entry(self, tmp_path, line):
+        # str.splitlines breaks at \x0b and \x0c; int() and float() read them as padding.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        text = path.read_text(encoding="utf-8").split("\n")
+        assert text[6] == "0,0,0.5"  # line 7, the first entry
+        text[6] = line
+        path.write_text("\n".join(text), encoding="utf-8")
+        assert load_matrix(path).matrix.toarray().tolist() == [[0.5, 0.25], [0.0, 1.0]]
+
+    def test_non_ascii_break_names_its_own_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]])), path)
+        text = path.read_text(encoding="utf-8").split("\n")
+        text[6] = "0,0,0.5\x85"
+        path.write_text("\n".join(text), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}:7: malformed matrix entry '0,0,0.5\\x85'"
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "m.txt"
+        tm = dense_tm(np.array([[0.5, 0.25], [0.0, 1.0]]))
+        save_matrix(tm, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_matrix(path).matrix.toarray().tolist() == tm.matrix.toarray().tolist()
+
 
     def test_repeated_entry_names_both_lines(self, tmp_path):
         # The earlier reader summed a repeat into one entry; save_matrix never writes one.
