@@ -24,8 +24,7 @@ _EXPORTS = {
               "sticky_fit_map"),
     "errors": ("ConfigError", "NumericalError", "UnreachableTargetError",
                "ZeroEvidenceError"),
-    "grid": ("OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles",
-             "load_wet_mask"),
+    "grid": ("OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles"),
     "ingest": ("Season", "Trajectory", "TransitionPairs", "extract_pairs",
                "parse_trajectories", "season_split"),
     "paths": ("PathResult", "PathSet", "most_probable_path", "most_probable_paths",

@@ -164,7 +164,7 @@ def _load_run(config_path, out_dir, *keys: str) -> tuple[RunConfig, GridCovering
 def build(config_path, out_dir):
     """Estimate the seasonal matrices and write them with a build report."""
     from . import ulam
-    from .ingest import Season, extract_pairs, parse_trajectories, season_split
+    from .ingest import YEAR_BLOCKS, Season, extract_pairs, parse_trajectories, season_split
 
     cfg, g = _load_run(config_path, out_dir, "grid", "trajectories")
     trajectories, report = parse_trajectories(cfg.trajectories)
@@ -197,7 +197,8 @@ def build(config_path, out_dir):
             f"row_sum_max_{season.value} {_fmt(sums.max())}",
         ]
 
-    lines.append(f"annual_transition_days {_fmt(4 * cfg.season_exponent * cfg.lag_days)}")
+    lines.append("annual_transition_days "
+                 f"{_fmt(len(YEAR_BLOCKS) * cfg.season_exponent * cfg.lag_days)}")
 
     (out / "build_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"built {len(Season)} matrices in {out}")
@@ -213,6 +214,7 @@ def spectral_cmd(config_path, out_dir):
     import numpy as np
 
     from . import spectral
+    from .ingest import YEAR_DAYS
 
     cfg, g = _load_run(config_path, out_dir)
     op = _load_annual(cfg, g)
@@ -249,7 +251,7 @@ def spectral_cmd(config_path, out_dir):
         f"basin_size {len(basin.members)}",
         f"lambda_basin {_fmt(basin.lambda_b)}",
         f"retention_days {_fmt(basin.retention_time)}",
-        f"retention_years {_fmt(basin.retention_time / 360.0)}",
+        f"retention_years {_fmt(basin.retention_time / YEAR_DAYS)}",
     ]
     (out / "spectral_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(
@@ -488,7 +490,8 @@ def _read_distribution(path, n: int) -> np.ndarray:
 def synth_cmd(spec_path, out_dir):
     """Generate a full synthetic input set (plus ground-truth sidecar)."""
     from . import synth
-    from .config import SEASON_BLOCK_DAYS, RunConfig
+    from .config import RunConfig
+    from .ingest import SEASON_BLOCK_DAYS
 
     spec = synth.load_spec(spec_path)
     # Reject a spec that no later command could run before writing anything.

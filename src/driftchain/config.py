@@ -12,8 +12,8 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ConfigError
-from .grid import GridCovering, build_grid, masked_grid
-from .ingest import DEFAULT_EPOCH
+from .grid import GridCovering, build_grid
+from .ingest import DEFAULT_EPOCH, SEASON_BLOCK_DAYS
 
 
 def _input_file(text: str) -> Path:
@@ -32,10 +32,6 @@ _RUN_KEYS = {
 }
 
 _GRID_KEYS = {"lon_min", "lon_max", "lat_min", "lat_max", "cell_size", "wet_mask"}
-
-#: The annual operator applies each seasonal matrix season_exponent times,
-#: so the lag must tile the 90-day season block exactly.
-SEASON_BLOCK_DAYS = 90.0
 
 
 @dataclass(frozen=True)
@@ -151,6 +147,5 @@ def load_grid_config(path: str | Path) -> GridCovering:
     bounds = tuple(_parse_value(path, raw, k, float)
                    for k in ("lon_min", "lon_max", "lat_min", "lat_max"))
     cell = _parse_value(path, raw, "cell_size", float)
-    if "wet_mask" in raw:
-        return masked_grid(bounds, cell, path.parent / raw["wet_mask"][1])
-    return build_grid(bounds, cell)
+    mask = path.parent / raw["wet_mask"][1] if "wet_mask" in raw else None
+    return build_grid(bounds, cell, mask)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -236,35 +236,15 @@ def roles_from_records(records: Iterable[tuple[str, str, int, str | None]],
 def build_grid(
     bounds: tuple[float, float, float, float],
     cell_size: float = 0.25,
-    wet_mask: Mapping[BoxId, bool] | None = None,
+    wet_mask: str | Path | None = None,
 ) -> GridCovering:
     """Build the box covering of a (lon_min, lon_max, lat_min, lat_max) rectangle.
 
-    ``cell_size`` must divide both extents to within 1e-9 degrees.  Boxes
-    flagged true in ``wet_mask`` become states; ``None`` marks every box wet.
-    Boxes missing from the mask are dry; keys outside the rectangle are ignored.
+    ``cell_size`` must divide both extents to within 1e-9 degrees.  The
+    boxes that the wet mask file ``wet_mask`` flags wet become states (see
+    :func:`_read_wet_mask`); boxes missing from it are dry, and ``None``
+    marks every box wet.
     """
-    rect, wet = _rectangle(bounds, cell_size), None
-    if wet_mask is not None:
-        # As floats, an index too large for int64 still compares as outside.
-        keys = np.array(list(wet_mask), dtype=float).reshape(-1, 2)
-        on = np.fromiter(wet_mask.values(), dtype=bool, count=len(wet_mask))
-        wet = keys[on & ((keys >= 0) & (keys < rect[-2:])).all(axis=1)].astype(np.int64)
-    return _covering(rect, wet)
-
-
-def masked_grid(bounds: tuple[float, float, float, float], cell_size: float,
-                mask_path: str | Path) -> GridCovering:
-    """:func:`build_grid` over the boxes a wet mask file flags wet, where a box
-    outside the rectangle is a fault of its line (see :func:`load_wet_mask`)."""
-    rect = _rectangle(bounds, cell_size)
-    boxes, wet = _read_wet_mask(mask_path, rect[-2:])
-    return _covering(rect, boxes[wet])
-
-
-def _rectangle(bounds, cell_size) -> tuple:
-    """The checked bounds, cell size, n_lon and n_lat of a covering, in the
-    order of GridCovering's fields."""
     lon_min, lon_max, lat_min, lat_max = map(float, bounds)
     if not all(map(math.isfinite, (lon_min, lon_max, lat_min, lat_max, cell_size))):
         raise ConfigError(f"grid bounds and cell_size must be finite, got {bounds}, {cell_size}")
@@ -274,20 +254,15 @@ def _rectangle(bounds, cell_size) -> tuple:
         raise ConfigError(f"cell_size must be positive, got {cell_size}")
     n_lon = _checked_count(lon_max - lon_min, cell_size, "longitude")
     n_lat = _checked_count(lat_max - lat_min, cell_size, "latitude")
-    return lon_min, lon_max, lat_min, lat_max, float(cell_size), n_lon, n_lat
-
-
-def _covering(rect: tuple, wet_boxes: np.ndarray | None) -> GridCovering:
-    """The covering of a checked rectangle whose wet boxes are the in-bounds
-    (ix, iy) rows of ``wet_boxes``, or every box when None."""
-    n_lon, n_lat = rect[-2:]
-    wet = np.full((n_lat, n_lon), wet_boxes is None)
-    if wet_boxes is not None:
-        wet[wet_boxes[:, 1], wet_boxes[:, 0]] = True
+    wet = np.full((n_lat, n_lon), wet_mask is None)
+    if wet_mask is not None:
+        ix, iy = _read_wet_mask(wet_mask, (n_lon, n_lat)).T
+        wet[iy, ix] = True
     iy, ix = np.nonzero(wet)
     if not ix.size:
         raise ConfigError("wet mask leaves no active boxes")
-    return GridCovering(*rect, boxes=np.column_stack((ix, iy)))
+    return GridCovering(lon_min, lon_max, lat_min, lat_max, float(cell_size), n_lon, n_lat,
+                        boxes=np.column_stack((ix, iy)))
 
 
 def _checked_count(extent: float, cell: float, axis: str) -> int:
@@ -297,23 +272,17 @@ def _checked_count(extent: float, cell: float, axis: str) -> int:
     return count
 
 
-def load_wet_mask(path: str | Path) -> dict[BoxId, bool]:
-    """Read a wet mask file with one `lon_index,lat_index,wet{0|1}` line per box."""
-    boxes, wet = _read_wet_mask(path)
-    return dict(zip(map(tuple, boxes.tolist()), wet.tolist()))
-
-
 _MASK_ENTRY = np.dtype([("ix", np.int64), ("iy", np.int64), ("wet", np.int64)])
 
 
-def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
-    """The (ix, iy) boxes and wet flags of a wet mask file, in file order.
+def _read_wet_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
+    """The (ix, iy) boxes that a wet mask file flags wet, in file order.
 
     Lines other than those blank (:func:`textio.is_blank`) before their first
-    `#` are matrix-style entries (:func:`textio.read_entries`).  A malformed
-    line, a wet flag other than 0 or 1, a repeated box, a box outside an
-    ``(n_lon, n_lat)`` ``shape`` and an empty file raise ConfigError naming
-    the first offending `path:line`.
+    `#` are `ix,iy,wet` matrix-style entries (:func:`textio.read_entries`).
+    A malformed line, a wet flag other than 0 or 1, a repeated box, a box
+    outside the ``(n_lon, n_lat)`` ``shape`` and an empty file raise
+    ConfigError naming the first offending `path:line`.
     """
     lines = read_lines(path)
     linenos = [k for k, line in enumerate(lines, start=1)
@@ -328,8 +297,7 @@ def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
     earlier = first_rows(iy, ix)
     bad_flag = (wet != 0) & (wet != 1)
     repeated = earlier < np.arange(len(rows))
-    outside = np.zeros(len(rows), dtype=bool) if shape is None else \
-        (np.minimum(ix, iy) < 0) | (ix >= shape[0]) | (iy >= shape[1])
+    outside = (np.minimum(ix, iy) < 0) | (ix >= shape[0]) | (iy >= shape[1])
     bad = np.flatnonzero(bad_flag | repeated | outside)
     if bad.size:
         i = bad[0]
@@ -342,7 +310,7 @@ def _read_wet_mask(path: str | Path, shape: tuple[int, int] | None = None):
     if len(rows) < len(entries):
         raise ConfigError(f"{path}:{linenos[len(rows)]}: malformed wet mask entry "
                           f"{entries[len(rows)]!r}")
-    return np.column_stack((ix, iy)), wet == 1
+    return np.column_stack((ix, iy))[wet == 1]
 
 
 def load_roles(g: GridCovering, path: str | Path) -> StateRoles:

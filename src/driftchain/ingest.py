@@ -44,14 +44,25 @@ class Season(Enum):
 #: Season order behind the ``TransitionPairs.season`` codes.
 SEASONS = tuple(Season)
 
-#: The monsoon calendar, month number to season.  The annual map's W, SF,
-#: S, SF factor order (``ulam.annual_operator``) is only right for it.
+#: The monsoon calendar, month number to season.
 MONTH_SEASONS = {
     1: Season.W, 2: Season.W, 3: Season.W,
     4: Season.SF, 5: Season.SF, 6: Season.SF,
     7: Season.S, 8: Season.S, 9: Season.S,
     10: Season.SF, 11: Season.SF, 12: Season.SF,
 }
+
+#: Days in one season block of the calendar's year.  The annual map applies
+#: each block's seasonal matrix season_exponent times, so the lag must tile
+#: a block exactly.
+SEASON_BLOCK_DAYS = 90.0
+
+#: The season of each block of the year, in year order: a block takes the
+#: season of its first month.  This is the annual map's factor order.
+YEAR_BLOCKS = tuple(MONTH_SEASONS[month] for month in (1, 4, 7, 10))
+
+#: Days in the calendar's year, the span of one annual map: 360.
+YEAR_DAYS = len(YEAR_BLOCKS) * SEASON_BLOCK_DAYS
 
 
 def season_of_day(day: float, epoch: date = DEFAULT_EPOCH) -> Season:

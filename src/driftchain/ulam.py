@@ -21,7 +21,7 @@ import numpy as np
 from .csr import Csr, Transposed
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
-from .ingest import TransitionPairs
+from .ingest import YEAR_BLOCKS, Season, TransitionPairs
 from .textio import first_rows, read_entries, read_lines, write_rows
 
 log = logging.getLogger(__name__)
@@ -164,10 +164,11 @@ def compose_annual(
 class AnnualOperator:
     """The annual map P_W^e * P_SF^e * P_S^e * P_SF^e, kept as its factors.
 
-    ``factors`` holds the seasonal matrices in product order (W, SF, S, SF);
-    their product is never formed, so the operator costs the seasonal
-    matrices' memory, not the near-dense annual matrix's.  ``op @ x``
-    applies the 4e factors right to left to a vector or a block of columns.
+    ``factors`` holds the seasonal matrices in product order, which is the
+    calendar's year order (W, SF, S, SF); their product is never formed, so
+    the operator costs the seasonal matrices' memory, not the near-dense
+    annual matrix's.  ``op @ x`` applies the 4e factors right to left to a
+    vector or a block of columns.
     ``op.T`` is the transposed map: the factors transposed (views, no
     copies) in reverse order, so ``propagate`` over the operator advances a
     distribution one year per step.
@@ -205,9 +206,9 @@ def annual_operator(
 ) -> AnnualOperator:
     """The annual map P_W^e * P_SF^e * P_S^e * P_SF^e over the seasonal matrices.
 
-    The factor order is fixed by the monsoon calendar's year, which starts
-    in winter.  The operator refers to the seasonal matrices; it copies
-    none of them.
+    The factors follow the calendar's season blocks in year order
+    (``ingest.YEAR_BLOCKS``).  The operator refers to the seasonal
+    matrices; it copies none of them.
     """
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
@@ -216,9 +217,10 @@ def annual_operator(
             raise ValueError("seasonal matrices must share the state count")
         if other.transition_time != p_w.transition_time:
             raise ValueError("seasonal matrices must share the transition time")
-    sf = p_sf.matrix
-    return AnnualOperator(factors=(p_w.matrix, sf, p_s.matrix, sf), exponent=exponent,
-                          transition_time=4 * exponent * p_w.transition_time)
+    by_season = {Season.W: p_w, Season.S: p_s, Season.SF: p_sf}
+    return AnnualOperator(factors=tuple(by_season[s].matrix for s in YEAR_BLOCKS),
+                          exponent=exponent,
+                          transition_time=len(YEAR_BLOCKS) * exponent * p_w.transition_time)
 
 
 def propagate(f: np.ndarray,
@@ -389,15 +391,27 @@ def load_matrix(path: str | Path,
 
 
 def _split_header(lines: list[str], magic: str, path) -> tuple[dict[str, str], int]:
-    """Header fields, and the index of the first line after `i,j,value`."""
+    """Header fields, and the index of the first line after `i,j,value`.
+
+    Blank lines are skipped; a key given twice raises ConfigError naming
+    both lines.
+    """
     if not lines or lines[0].strip() != magic:
         raise ConfigError(f"{path}: not a {magic!r} file")
     header: dict[str, str] = {}
-    for idx, line in enumerate(lines[1:], start=1):
+    line_of: dict[str, int] = {}
+    # Line k of the file is lines[k - 1], so the body starts at lines[lineno].
+    for lineno, line in enumerate(lines[1:], start=2):
         if line.strip() == "i,j,value":
-            return header, idx + 1
+            return header, lineno
+        if not line.strip():
+            continue
         key, _, value = line.partition(" ")
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key in header:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}, "
+                              f"first given on line {line_of[key]}")
+        header[key], line_of[key] = value.strip(), lineno
     raise ConfigError(f"{path}: missing i,j,value section")
 
 

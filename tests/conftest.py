@@ -33,6 +33,14 @@ def seasonal_tms(rng, n, min_row=0.97, density=0.3) -> dict[str, TransitionMatri
             for lbl in ("W", "S", "SF")}
 
 
+def write_mask(path, mask: dict):
+    """Write a ``{(ix, iy): wet}`` dict as a wet mask file, one `ix,iy,wet` line
+    per box in dict order, and return ``path``."""
+    path.write_text("".join(f"{ix},{iy},{int(wet)}\n" for (ix, iy), wet in mask.items()),
+                    encoding="utf-8")
+    return path
+
+
 def make_roles(n, leaky=(), sticky=None, debris=(), candidates=None) -> StateRoles:
     """StateRoles with sensible defaults for toy chains."""
     if candidates is None:

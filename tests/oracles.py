@@ -476,12 +476,12 @@ def row_by_row_parse(path):
     return tracks, counts
 
 
-def row_by_row_wet_mask(path, shape=None) -> dict:
+def row_by_row_wet_mask(path, shape) -> dict:
     """Wet mask read one csv row at a time: each box and its wet flag.
 
     Blank rows and rows whose first field starts with `#` are skipped and
     fields are stripped.  A flag other than 0 or 1, a box given twice, a box
-    outside an ``(n_lon, n_lat)`` ``shape`` and a file without rows raise
+    outside the ``(n_lon, n_lat)`` ``shape`` and a file without rows raise
     ValueError with the package's message, and a row that is not three ints
     one in this reader's own words; the first offending row in file order is
     named.
@@ -502,7 +502,7 @@ def row_by_row_wet_mask(path, shape=None) -> dict:
                 raise ValueError(f"{where}: wet flag must be 0 or 1, got {wet}")
             if (ix, iy) in first:
                 raise ValueError(f"{where}: box {(ix, iy)} repeats line {first[ix, iy][0]}")
-            if shape is not None and not (0 <= ix < shape[0] and 0 <= iy < shape[1]):
+            if not (0 <= ix < shape[0] and 0 <= iy < shape[1]):
                 raise ValueError(f"{where}: box {(ix, iy)} lies outside the "
                                  f"{shape[0]} x {shape[1]} grid")
             first[ix, iy] = (lineno, bool(wet))

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_roles
+from conftest import make_roles, write_mask
 from oracles import (
     quadrature_box_area_km2,
     raster_box_facts,
@@ -21,8 +22,6 @@ from driftchain.grid import (
     StateRoles,
     build_grid,
     load_roles,
-    load_wet_mask,
-    masked_grid,
     states_by_latitude_row,
 )
 
@@ -72,10 +71,12 @@ def test_point_to_state_matches_box_bounds(lon, lat):
         assert -32.0 + iy <= lat < -32.0 + iy + 1
 
 
-# A 0.1-degree grid: its cell edges lower + i*cell are inexact in binary.
-_FINE_GRID = build_grid((40.0, 41.0, -30.0, -29.5), cell_size=0.1,
-                        wet_mask={(ix, iy): (ix * iy) % 4 != 1
-                                  for ix in range(10) for iy in range(5)})
+@pytest.fixture(scope="module")
+def fine_grid(tmp_path_factory):
+    """A 0.1-degree grid: its cell edges lower + i*cell are inexact in binary."""
+    mask = {(ix, iy): (ix * iy) % 4 != 1 for ix in range(10) for iy in range(5)}
+    path = write_mask(tmp_path_factory.mktemp("fine") / "mask.csv", mask)
+    return build_grid((40.0, 41.0, -30.0, -29.5), cell_size=0.1, wet_mask=path)
 
 
 def _near_edge(lower, count, cell):
@@ -95,8 +96,8 @@ def _near_edge(lower, count, cell):
     )
 )
 @settings(max_examples=300, deadline=None)
-def test_points_to_states_matches_scalar_rule(points):
-    g = _FINE_GRID
+def test_points_to_states_matches_scalar_rule(fine_grid, points):
+    g = fine_grid
     lons = np.array([p[0] for p in points])
     lats = np.array([p[1] for p in points])
     got = g.points_to_states(lons, lats)
@@ -149,11 +150,27 @@ def test_box_area_decreases_away_from_equator():
     assert all(a > b for a, b in zip(areas, areas[1:]))
 
 
+#: The rectangle of the mask tests below: 6 x 4 boxes of 1 degree.
+_MASK_BOUNDS = (0.0, 6.0, -2.0, 2.0)
+
+
+def _masked(path):
+    return build_grid(_MASK_BOUNDS, 1.0, path)
+
+
+def _row_by_row_boxes(path) -> list:
+    """The wet boxes of the mask tests' grid, in raster order, by the row-by-row reader."""
+    mask = row_by_row_wet_mask(path, (6, 4))
+    boxes = [[ix, iy] for iy in range(4) for ix in range(6) if mask.get((ix, iy), False)]
+    if not boxes:
+        raise ValueError("wet mask leaves no active boxes")
+    return boxes
+
+
 def test_wet_mask_restricts_states(tmp_path):
     mask_file = tmp_path / "mask.csv"
     mask_file.write_text("# ix,iy,wet\n0,0,1\n \t\n1,0,0\n\x0b\n0,1,1\n\x0c # dry\n1,1,1\n")
-    mask = load_wet_mask(mask_file)
-    g = build_grid((0.0, 2.0, 0.0, 2.0), cell_size=1.0, wet_mask=mask)
+    g = build_grid((0.0, 2.0, 0.0, 2.0), cell_size=1.0, wet_mask=mask_file)
     assert g.n_states == 3
     assert g.state_of_box((1, 0)) == OUT_OF_DOMAIN
     assert g.point_to_state(1.5, 0.5) == OUT_OF_DOMAIN
@@ -166,7 +183,16 @@ def test_repeated_mask_box_rejected(tmp_path):
     mask_file.write_text("# ix,iy,wet\n0,0,1\n\n0,0,0\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(mask_file))}:4: box \\(0, 0\\) "
                                           "repeats line 2$"):
-        load_wet_mask(mask_file)
+        _masked(mask_file)
+
+
+def test_mask_box_outside_the_grid_rejected(tmp_path):
+    # The library names the line, as the commands do (test_cli).
+    path = tmp_path / "mask.csv"
+    path.write_text("0,0,1\n7,5,1\n1,0,1\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        build_grid((0.0, 4.0, 0.0, 1.0), cell_size=1.0, wet_mask=path)
+    assert str(exc.value) == f"{path}:2: box (7, 5) lies outside the 4 x 1 grid"
 
 
 def _mask_text(seed: int) -> str:
@@ -213,12 +239,8 @@ def _same_outcome(new: str, reference: str) -> bool:
 def test_wet_mask_reader_matches_row_by_row_rule(tmp_path, seed):
     path = tmp_path / "mask.csv"
     path.write_bytes(_mask_text(seed).encode("utf-8"))
-    bounds = (0.0, 6.0, -2.0, 2.0)
-    assert _same_outcome(_outcome(lambda: list(load_wet_mask(path).items())),
-                         _outcome(lambda: list(row_by_row_wet_mask(path).items())))
-    assert _same_outcome(
-        _outcome(lambda: masked_grid(bounds, 1.0, path).boxes.tolist()),
-        _outcome(lambda: build_grid(bounds, 1.0, row_by_row_wet_mask(path, (6, 4))).boxes.tolist()))
+    assert _same_outcome(_outcome(lambda: _masked(path).boxes.tolist()),
+                         _outcome(lambda: _row_by_row_boxes(path)))
 
 
 @pytest.mark.parametrize("text", ["", "# ix,iy,wet\n\n  \n", "\r\n"],
@@ -226,7 +248,7 @@ def test_wet_mask_reader_matches_row_by_row_rule(tmp_path, seed):
 def test_mask_without_entries_rejected(tmp_path, text):
     path = tmp_path / "mask.csv"
     path.write_bytes(text.encode("utf-8"))
-    for read in (load_wet_mask, row_by_row_wet_mask):
+    for read in (_masked, _row_by_row_boxes):
         with pytest.raises((ConfigError, ValueError),
                            match=f"^{re.escape(str(path))}: empty wet mask$"):
             read(path)
@@ -240,9 +262,9 @@ def test_mask_lines_only_the_entry_grammar_rejects(tmp_path, line):
     # The per-row csv rule read these; wet masks now take the matrix-entry grammar.
     path = tmp_path / "mask.csv"
     path.write_text(f"0,0,1\n{line}\n", encoding="utf-8")
-    assert row_by_row_wet_mask(path)[0, 0]
+    assert row_by_row_wet_mask(path, (math.inf, math.inf))[0, 0]
     with pytest.raises(ConfigError) as exc:
-        load_wet_mask(path)
+        _masked(path)
     assert str(exc.value) == f"{path}:2: malformed wet mask entry {line!r}"
 
 
@@ -253,7 +275,7 @@ def test_mask_break_line_is_an_entry(tmp_path, line):
     path = tmp_path / "mask.csv"
     path.write_text(f"0,0,1\n{line}\n1,0,1\n", encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
-        load_wet_mask(path)
+        _masked(path)
     assert str(exc.value) == f"{path}:2: malformed wet mask entry {line!r}"
 
 
@@ -261,15 +283,16 @@ def test_mask_fault_before_a_malformed_line_comes_first(tmp_path):
     path = tmp_path / "mask.csv"
     path.write_text("0,0,1\n1,0,2\n1_0,0,1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=":2: wet flag must be 0 or 1, got 2$"):
-        load_wet_mask(path)
+        _masked(path)
     path.write_text("0,0,1\n1_0,0,1\n1,0,2\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r":2: malformed wet mask entry '1_0,0,1'$"):
-        load_wet_mask(path)
+        _masked(path)
 
 
-def test_all_dry_mask_rejected():
-    with pytest.raises(ConfigError):
-        build_grid((0.0, 1.0, 0.0, 1.0), cell_size=1.0, wet_mask={(0, 0): False})
+def test_all_dry_mask_rejected(tmp_path):
+    path = write_mask(tmp_path / "mask.csv", {(0, 0): False})
+    with pytest.raises(ConfigError, match="^wet mask leaves no active boxes$"):
+        build_grid((0.0, 1.0, 0.0, 1.0), cell_size=1.0, wet_mask=path)
 
 
 def test_states_by_latitude_row(square_grid):
@@ -280,9 +303,9 @@ def test_states_by_latitude_row(square_grid):
 
 
 def _random_mask(seed: int) -> dict:
-    """Random wet flags on a 20 x 12 grid, keys outside it included, row 3 dry."""
+    """Random wet flags on part of a 20 x 12 grid, row 3 dry."""
     rng = np.random.default_rng(seed)
-    keys = rng.integers(-3, 25, size=(300, 2)).tolist()
+    keys = rng.integers(0, (20, 12), size=(300, 2)).tolist()
     mask = {(ix, iy): bool(rng.random() < 0.6) for ix, iy in keys}
     mask.update({(ix, 3): False for ix in range(20)})
     return mask
@@ -290,9 +313,10 @@ def _random_mask(seed: int) -> dict:
 
 @pytest.mark.parametrize("mask", [None, *(_random_mask(seed) for seed in range(3))],
                          ids=["all-wet", "mask0", "mask1", "mask2"])
-def test_box_table_matches_per_box_formulas(mask):
+def test_box_table_matches_per_box_formulas(tmp_path, mask):
     # Compared by repr: bit for bit, and box indices must be Python ints.
-    g = build_grid((-3.5, 1.5, -40.0, -37.0), cell_size=0.25, wet_mask=mask)
+    path = None if mask is None else write_mask(tmp_path / "mask.csv", mask)
+    g = build_grid((-3.5, 1.5, -40.0, -37.0), cell_size=0.25, wet_mask=path)
     facts, rows = raster_box_facts(g, mask, EARTH_RADIUS_KM)
     got = [(g.box_of_state(s), g.box_center(s), g.box_corners(s), g.box_area_km2(s))
            for s in range(g.n_states)]

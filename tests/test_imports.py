@@ -8,7 +8,9 @@ nothing, so both are exempt.  A second ``test_`` definition in one module
 or class silently replaces the first, so the tests are scanned for those
 too.  The benchmark scripts under ``bench/`` are not imported by any
 test, so the driftchain names they use are resolved here: deleting a name
-only they need would otherwise pass every other test.  The benchmark's own
+only they need would otherwise pass every other test.  Likewise every
+driftchain name the README cites must resolve, so the documentation cannot
+keep naming a deleted function.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
 that imports scipy, at module level or inside a function, only the modules
@@ -19,6 +21,7 @@ only ``cli.py``, at module level, may write the process environment.
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +31,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "driftchain").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
+PACKAGE_MODULES = {p.stem for p in (ROOT / "src" / "driftchain").glob("*.py")} - {"__init__"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -300,6 +304,61 @@ def test_bench_scan_reports_missing_names():
         "driftchain.ingest.Season.W", "driftchain.ingest.Season.Q", "driftchain.grid.build_grid"])
     assert [name for name in names if not resolves(name)] == [
         "driftchain.gone", "driftchain.absorb.vanished", "driftchain.ingest.Season.Q"]
+
+
+#: Suffixes that make a backtick span a file name (`cli.py`, `grid.cfg`), not a name.
+FILE_SUFFIXES = {".py", ".cfg", ".csv", ".txt", ".json", ".geojson"}
+
+_FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
+
+
+def readme_names(text: str) -> dict[str, int]:
+    """Each driftchain name a markdown text cites, with the first line citing it.
+
+    An inline backtick span cites a name when it starts with a package module
+    and a dot, or with ``driftchain.``: `ulam.propagate`, `ulam.save_matrix(tm,
+    path)` and `driftchain.csr.Csr` cite ``driftchain.ulam.propagate``,
+    ``driftchain.ulam.save_matrix`` and ``driftchain.csr.Csr``; a file name
+    such as `cli.py` cites none.  A fenced ``python`` block is read as code by
+    :func:`driftchain_names`; other fenced blocks are skipped.
+    """
+    names: dict[str, int] = {}
+
+    def code(fence: re.Match) -> str:
+        fence_line = text.count("\n", 0, fence.start()) + 1
+        if fence[1] == "python":
+            for name, line in driftchain_names(fence[2]).items():
+                names.setdefault(name, fence_line + line)
+        return "\n" * fence[0].count("\n")  # keeps the line numbers after the block
+
+    prose = _FENCE.sub(code, text)
+    for span in re.finditer(r"`([^`]+)`", prose):
+        m = re.match(r"(driftchain\.)?(\w+)((?:\.[A-Za-z_]\w*)*)", span[1])
+        if m and m[2] in PACKAGE_MODULES and (m[1] or m[3]) \
+                and Path(span[1]).suffix not in FILE_SUFFIXES:
+            names.setdefault(f"driftchain.{m[2]}{m[3]}", prose.count("\n", 0, span.start()) + 1)
+    return names
+
+
+def test_readme_cites_only_existing_names():
+    names = readme_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "driftchain.ulam.propagate" in names and "driftchain.csr.Csr" in names
+    assert [f"line {line}: {name}" for name, line in names.items() if not resolves(name)] == []
+
+
+def test_readme_scan_reports_missing_names():
+    text = ("Call `ulam.propagate` or `grid.gone(x, y)`; `cli.py` reads `grid.cfg`,\n"
+            "`driftchain.csr.Csr` and `driftchain.errors`, not `grid` or `Season.W`.\n"
+            "```sh\nls `grid.nothing`\n```\n"
+            "```python\nfrom driftchain import ulam\nulam.vanished()\n```\n"
+            "Then `ingest.MONTH_SEASONS.nope`.\n")
+    names = readme_names(text)
+    assert names == {"driftchain.ulam.propagate": 1, "driftchain.grid.gone": 1,
+                     "driftchain.csr.Csr": 2, "driftchain.errors": 2, "driftchain.ulam": 7,
+                     "driftchain.ulam.vanished": 8, "driftchain.ingest.MONTH_SEASONS.nope": 10}
+    assert sorted(name for name in names if not resolves(name)) == [
+        "driftchain.grid.gone", "driftchain.ingest.MONTH_SEASONS.nope",
+        "driftchain.ulam.vanished"]
 
 
 def test_bench_selftest_passes():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import write_mask
 from driftchain import ingest
 from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN, build_grid
@@ -347,9 +348,10 @@ def _jittered_tracks(rng, dyadic: bool):
 
 
 @pytest.mark.parametrize("dyadic, lag", [(True, 5.0), (False, 0.3)])
-def test_extract_matches_sample_by_sample_oracle(dyadic, lag):
+def test_extract_matches_sample_by_sample_oracle(tmp_path, dyadic, lag):
     wet = {(ix, iy): (ix + iy) % 5 != 0 for ix in range(6) for iy in range(2)}
-    g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0, wet_mask=wet)
+    g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0,
+                   wet_mask=write_mask(tmp_path / "mask.csv", wet))
     epoch = date(2015, 6, 1)
     rng = np.random.default_rng(7 if dyadic else 8)
     total = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import dense_tm, seasonal_tms
+from conftest import dense_tm, seasonal_tms, write_mask
 from oracles import (column_by_column, dense_dominant_pair, dense_power_product,
                      random_substochastic)
 
@@ -377,8 +377,8 @@ class TestZonalProfile:
         prof = zonal_profile(3.0 * lat_of + 1.0, g)
         assert np.allclose(prof.derivative, 3.0, atol=1e-12)
 
-    def test_masked_row_yields_nan(self):
-        mask = {(0, 0): True, (0, 1): False, (0, 2): True}
+    def test_masked_row_yields_nan(self, tmp_path):
+        mask = write_mask(tmp_path / "mask.csv", {(0, 0): True, (0, 1): False, (0, 2): True})
         g = build_grid((0.0, 1.0, 0.0, 3.0), cell_size=1.0, wet_mask=mask)
         prof = zonal_profile(np.ones(g.n_states), g)
         assert math.isnan(prof.mean[1])

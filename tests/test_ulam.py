@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import dense_tm, seasonal_tms
+from conftest import dense_tm, seasonal_tms, write_mask
 from oracles import dense_power_product, random_substochastic
 
 from driftchain.errors import ConfigError
 from driftchain.grid import OUT_OF_DOMAIN, build_grid
-from driftchain.ingest import SEASONS, Season, TransitionPairs
+from driftchain.ingest import (MONTH_SEASONS, SEASON_BLOCK_DAYS, SEASONS, YEAR_BLOCKS,
+                               YEAR_DAYS, Season, TransitionPairs)
 from driftchain.synth import sample_pairs
 from driftchain.ulam import (
     TransitionMatrix,
@@ -150,6 +151,17 @@ class TestAnnualOperator:
         for a, b in zip(t.factors, reversed(op.factors)):
             assert np.shares_memory(a.data, b.data) and np.shares_memory(a.indices, b.indices)
             assert np.array_equal(a.toarray(), b.toarray().T)
+
+    def test_factors_follow_the_calendar_blocks(self):
+        # A year is four season blocks, each taking the season of its first month.
+        tms = seasonal_tms(np.random.default_rng(8), 3)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=2)
+        order = [MONTH_SEASONS[month] for month in range(1, 13, 3)]
+        assert order == [Season.W, Season.SF, Season.S, Season.SF] == list(YEAR_BLOCKS)
+        assert len(op.factors) == len(order)
+        assert all(f is tms[s.value].matrix for f, s in zip(op.factors, order))
+        assert YEAR_DAYS == 360.0
+        assert op.transition_time == YEAR_DAYS / SEASON_BLOCK_DAYS * 2 * 5.0
 
     def test_propagate_is_one_year_per_step(self):
         rng = np.random.default_rng(7)
@@ -298,6 +310,22 @@ class TestRoundTrip:
         save_matrix(dense_tm(np.eye(2) * 0.5), path)
         assert load_matrix(path, crash_date=date(2014, 8, 1)).n_states == 2
 
+    def test_repeated_header_key_rejected(self, tmp_path):
+        # A second value must not replace the first without a word.
+        path = tmp_path / "m.txt"
+        save_matrix(dense_tm(np.eye(2) * 0.5, label="W"), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = lines.index("label W\n") + 1
+        blanks = lines[:at] + ["\n", " \n"] + lines[at:]
+        path.write_text("".join(blanks), encoding="utf-8")
+        assert load_matrix(path).label == "W"
+        path.write_text("".join(blanks[:at + 2] + ["label S\n"] + blanks[at + 2:]),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == (f"{path}:{at + 3}: duplicate key 'label', "
+                                  f"first given on line {at}")
+
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
@@ -431,7 +459,8 @@ class TestRoundTrip:
         # The same bounds with box (2, 0) left dry: only the state count can tell.
         bounds = (40.0, 43.0, -30.0, -29.0)
         built = build_grid(bounds, cell_size=1.0)
-        masked = build_grid(bounds, cell_size=1.0, wet_mask={(0, 0): True, (1, 0): True})
+        mask = write_mask(tmp_path / "mask.csv", {(0, 0): True, (1, 0): True})
+        masked = build_grid(bounds, cell_size=1.0, wet_mask=mask)
         path = tmp_path / "m.txt"
         save_matrix(dense_tm(np.eye(3) * 0.5), path, grid=built)
         load_matrix(path, grid=(built, "grid.cfg"))
