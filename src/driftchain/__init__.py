@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 
 #: Each submodule with the names the package exports from it.
 _EXPORTS = {
-    "absorb": ("AugmentedChain", "absorption_split", "augment"),
-    "bayes": ("Observation", "PosteriorResult", "absorption_cdf", "estimate_source",
-              "first_absorption_pmf", "joint_likelihood", "load_observations", "posterior",
-              "sticky_fit_map"),
+    "absorb": ("AugmentedChain", "augment"),
+    "bayes": ("Observation", "PosteriorResult", "absorption_cdf_all", "estimate_source",
+              "first_absorption_pmf", "load_observations", "posterior", "sticky_fit_map"),
     "errors": ("ConfigError", "NumericalError", "UnreachableTargetError",
                "ZeroEvidenceError"),
     "grid": ("OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles"),
@@ -31,7 +30,7 @@ _EXPORTS = {
               "path_to_geojson", "unconstrained_best_path"),
     "schedule": ("SeasonalSchedule",),
     "spectral": ("BasinResult", "EigenResult", "analyze_basin", "basin_of_attraction",
-                 "dominant_eigs", "retention_time", "zonal_profile"),
+                 "dominant_eigs", "zonal_profile"),
     "ulam": ("AnnualOperator", "TransitionMatrix", "annual_operator", "compose_annual",
              "estimate", "load_matrix", "markov_test", "push_forward", "save_matrix"),
 }

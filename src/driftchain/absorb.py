@@ -27,7 +27,7 @@ import numpy as np
 from .csr import Csr
 from .errors import ConfigError, NumericalError
 from .grid import ROLE_KINDS, StateRoles, roles_from_records
-from .textio import read_lines, write_rows
+from .textio import is_blank, read_lines, write_rows
 from .ulam import _ROW_SUM_TOL, TransitionMatrix, _parse_triplets, _split_header
 
 log = logging.getLogger(__name__)
@@ -170,19 +170,6 @@ def augment(tm: TransitionMatrix, roles: StateRoles) -> AugmentedChain:
         raise NumericalError(f"augmented chain: {exc}") from None
 
 
-def absorption_split(chain: AugmentedChain):
-    """Split into the transient block Q and the absorption block R.
-
-    Q holds transitions among the N grid states; R holds their transitions
-    into the cemetery (column 0) and the M target states (columns 1..M).
-    Both are ``scipy.sparse.csr_matrix``.
-    """
-    n = chain.n_grid_states
-    q = chain.matrix[:n, :n].tocsr()
-    r = chain.matrix[:n, n:].tocsr()
-    return q, r
-
-
 def save_chain(chain: AugmentedChain, path: str | Path) -> None:
     """Write the augmented chain: matrix triplets plus a role appendix.
 
@@ -245,12 +232,13 @@ def load_chain(path: str | Path) -> AugmentedChain:
 def _appendix_records(lines: list[str], first_line: int, path):
     """Role records of the `[roles]` appendix, one `kind,state[,value]` line each.
 
-    ``first_line`` is the 1-based file line number of ``lines[0]``.
+    ``first_line`` is the 1-based file line number of ``lines[0]``.  A line
+    blank (:func:`textio.is_blank`) before its first `#` is skipped.
     """
     for lineno, line in enumerate(lines, start=first_line):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if is_blank(line.partition("#")[0]):
             continue
+        line = line.strip()
         kind, *fields = line.split(",")
         try:
             if kind not in ROLE_KINDS or len(fields) != 1 + ROLE_KINDS[kind]:

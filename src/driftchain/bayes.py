@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ZeroEvidenceError
 from .grid import GridCovering
 from .schedule import SeasonalSchedule
+from .textio import is_blank
 from .ulam import propagate
 
 log = logging.getLogger(__name__)
@@ -64,7 +65,10 @@ class Observation:
 
 
 def load_observations(path: str | Path) -> list[Observation]:
-    """Read a `target_label,days_since_crash,name` CSV; a bad row's error names `path:line`."""
+    """Read a `target_label,days_since_crash,name` CSV; a bad row's error names `path:line`.
+
+    A row is skipped only when it is one field that :func:`textio.is_blank`.
+    """
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -75,7 +79,7 @@ def load_observations(path: str | Path) -> list[Observation]:
         if [h.strip() for h in header[:2]] != ["target_label", "days_since_crash"]:
             raise ConfigError(f"{path}: expected header target_label,days_since_crash,name")
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if not row or (len(row) == 1 and is_blank(row[0])):
                 continue
             if len(row) < 2:
                 raise ConfigError(f"{path}:{lineno}: expected at least 2 fields")
@@ -129,13 +133,6 @@ def absorption_cdf_all(schedule: SeasonalSchedule, candidates, n_steps: int) -> 
     return out
 
 
-def absorption_cdf(schedule: SeasonalSchedule, c: int, b: int, n_steps: int) -> np.ndarray:
-    """Cumulative first-absorption probability into target label b."""
-    if not 1 <= b <= schedule.n_targets:
-        raise ValueError(f"target label {b} outside 1..{schedule.n_targets}")
-    return absorption_cdf_all(schedule, [c], n_steps)[:, b - 1, 0]
-
-
 def first_absorption_pmf(cdf: np.ndarray) -> np.ndarray:
     """Difference a cumulative absorption curve into per-step increments.
 
@@ -167,20 +164,6 @@ def pmf_mass_at(pmf: np.ndarray, k: int, window_steps: int = 0) -> float:
     lo = max(1, k - window_steps)
     hi = min(last, k + window_steps)
     return float(pmf[lo:hi + 1].sum())
-
-
-def joint_likelihood(factors: np.ndarray) -> np.ndarray:
-    """Per-candidate log-likelihood from the (candidate, observation) factors.
-
-    Independence across observations turns the joint into a product; a
-    zero factor sends the candidate's log-likelihood to -inf.
-    """
-    f = np.atleast_2d(np.asarray(factors, dtype=float))
-    if f.min(initial=0.0) < 0:
-        raise ValueError("likelihood factors must be nonnegative")
-    with np.errstate(divide="ignore"):
-        logs = np.log(f)
-    return logs.sum(axis=1)
 
 
 @dataclass(frozen=True)

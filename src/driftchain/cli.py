@@ -65,7 +65,7 @@ def handle_errors(fn):
             return fn(*args, **kwargs)
         except ConfigError as exc:
             _fail(2, str(exc))
-        except (FileNotFoundError, PermissionError) as exc:
+        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             _fail(2, str(exc))
         except NumericalError as exc:
             _fail(3, str(exc))

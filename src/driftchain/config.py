@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .grid import GridCovering, build_grid
 from .ingest import DEFAULT_EPOCH, SEASON_BLOCK_DAYS
+from .textio import is_blank, read_lines
 
 
 def _input_file(text: str) -> Path:
@@ -92,22 +93,24 @@ class RunConfig:
 
 
 def _parse_kv(path: str | Path, allowed: set[str]) -> dict[str, tuple[int, str]]:
-    """Each key's line number and value text."""
+    """Each key's line number and value text.
+
+    A line blank (:func:`textio.is_blank`) before its first `#` is skipped.
+    """
     values: dict[str, tuple[int, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key = key.strip()
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = (lineno, value.strip())
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if is_blank(line.partition("#")[0]):
+            continue
+        key, sep, value = line.strip().partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}, "
+                              f"first given on line {values[key][0]}")
+        values[key] = (lineno, value.strip())
     return values
 
 
@@ -147,5 +150,10 @@ def load_grid_config(path: str | Path) -> GridCovering:
     bounds = tuple(_parse_value(path, raw, k, float)
                    for k in ("lon_min", "lon_max", "lat_min", "lat_max"))
     cell = _parse_value(path, raw, "cell_size", float)
-    mask = path.parent / raw["wet_mask"][1] if "wet_mask" in raw else None
+    mask = None
+    if "wet_mask" in raw:
+        lineno, text = raw["wet_mask"]
+        mask = path.parent / text
+        if not mask.is_file():  # an empty value names the grid file's directory
+            raise ConfigError(f"{path}:{lineno}: wet_mask: no file at {mask}")
     return build_grid(bounds, cell, mask)

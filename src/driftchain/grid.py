@@ -89,10 +89,6 @@ class GridCovering:
             self.lat_min + (iy + 0.5) * self.cell_size,
         ))
 
-    def box_corners(self, state: int) -> list[tuple[float, float]]:
-        """Counterclockwise (lon, lat) corners of a state's box."""
-        return [tuple(corner) for corner in self.box_corners_of([state])[0].tolist()]
-
     def box_corners_of(self, states) -> np.ndarray:
         """(lon, lat) box corners of many states, counterclockwise: shape (m, 4, 2)."""
         ix, iy = self.boxes[np.asarray(states, dtype=np.int64)].T
@@ -100,19 +96,12 @@ class GridCovering:
         x1, y1 = x0 + self.cell_size, y0 + self.cell_size
         return np.stack((x0, y0, x1, y0, x1, y1, x0, y1), axis=1).reshape(-1, 4, 2)
 
-    def point_to_state(self, lon: float, lat: float) -> int:
-        """Map a position to its state index (total: never raises).
-
-        Returns OUT_OF_DOMAIN for out-of-bounds positions and for positions
-        on dry boxes.  Boundary points belong to the upper cell (half-open
-        convention); the top edges lie outside the domain.
-        """
-        return int(self.points_to_states(lon, lat))
-
     def points_to_states(self, lons, lats) -> np.ndarray:
-        """Vectorised :meth:`point_to_state` over paired lon/lat arrays (int64).
+        """State index (int64) of each paired lon/lat position; never raises.
 
-        Non-finite positions map to OUT_OF_DOMAIN.
+        Positions outside the rectangle, on dry boxes or non-finite map to
+        OUT_OF_DOMAIN.  Boundary points belong to the upper cell (half-open
+        convention); the top edges lie outside the domain.
         """
         ix = self._cell_indices(lons, self.lon_min, self.n_lon)
         iy = self._cell_indices(lats, self.lat_min, self.n_lat)
@@ -323,28 +312,28 @@ def load_roles(g: GridCovering, path: str | Path) -> StateRoles:
 
 
 def _role_file_records(g: GridCovering, path: str | Path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            kind, _, rest = line.partition(":")
-            kind = kind.strip().lower()
-            fields = [f.strip() for f in rest.split(",")]
-            if kind not in ROLE_KINDS:
-                raise ConfigError(f"{where}: unknown record kind {kind!r}")
-            want = 2 + ROLE_KINDS[kind]
-            if len(fields) != want:
-                raise ConfigError(f"{where}: {kind} record needs {want} fields")
-            try:
-                box = (int(fields[0]), int(fields[1]))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            state = g.state_of_box(box)
-            if state == OUT_OF_DOMAIN:
-                raise ConfigError(f"{where}: box {box} is not an active box")
-            yield where, kind, state, fields[2] if want == 3 else None
+    """Role records of a roles file; a line blank (:func:`textio.is_blank`)
+    before its first `#` is skipped."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if is_blank(line.partition("#")[0]):
+            continue
+        where = f"{path}:{lineno}"
+        kind, _, rest = line.strip().partition(":")
+        kind = kind.strip().lower()
+        fields = [f.strip() for f in rest.split(",")]
+        if kind not in ROLE_KINDS:
+            raise ConfigError(f"{where}: unknown record kind {kind!r}")
+        want = 2 + ROLE_KINDS[kind]
+        if len(fields) != want:
+            raise ConfigError(f"{where}: {kind} record needs {want} fields")
+        try:
+            box = (int(fields[0]), int(fields[1]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        state = g.state_of_box(box)
+        if state == OUT_OF_DOMAIN:
+            raise ConfigError(f"{where}: box {box} is not an active box")
+        yield where, kind, state, fields[2] if want == 3 else None
 
 
 def states_by_latitude_row(g: GridCovering) -> list[np.ndarray]:

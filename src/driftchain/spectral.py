@@ -363,24 +363,6 @@ def basin_of_attraction(r: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return np.flatnonzero(r > threshold)
 
 
-def retention_time(p, members: np.ndarray, transition_time: float,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                   seed: int = 0) -> float:
-    """Expected retention time of the set: T/(1 - lambda_B).
-
-    lambda_B is the dominant eigenvalue modulus of the matrix restricted
-    to the member rows/columns.  A closed (non-leaking) set has
-    lambda_B = 1 and infinite retention, reported as ``math.inf``.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise ValueError("retention time of an empty set is undefined")
-    lam, ritz = _restricted_modulus(p, members, tol, max_iter, seed)
-    # The set was not picked by a threshold, hence NaN in that field.
-    return BasinResult(members, math.nan, lam, transition_time, ritz.products,
-                       ritz.block_products).retention_time
-
-
 def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, seed: int = 0,
                   eigs: EigenResult | None = None) -> BasinResult:

@@ -72,10 +72,6 @@ class TransitionMatrix:
     def row_sums(self) -> np.ndarray:
         return self.matrix.row_sums()
 
-    def deficits(self) -> np.ndarray:
-        """Per-row missing mass 1 - row sum (out-of-domain leakage)."""
-        return np.clip(1.0 - self.row_sums(), 0.0, None)
-
     def empty_rows(self) -> np.ndarray:
         """Indices of states with no samples (or no entries if counts unknown)."""
         if self.row_counts is not None:

@@ -9,7 +9,6 @@ from oracles import mc_first_absorption, random_substochastic, two_stage_augment
 
 from driftchain.absorb import (
     AugmentedChain,
-    absorption_split,
     augment,
     load_chain,
     save_chain,
@@ -216,26 +215,16 @@ class TestChainValidation:
 
 
 class TestAbsorptionStructure:
-    def test_split_shapes(self):
-        rng = np.random.default_rng(1)
-        a = random_substochastic(rng, 5)
-        roles = make_roles(5, leaky=range(5), sticky={0: 0.2, 3: 0.5}, debris=(3,))
-        chain = make_chain(a, roles)
-        q, r = absorption_split(chain)
-        assert q.shape == (5, 5)
-        assert r.shape == (5, 2)
-        recombined = np.hstack([q.toarray(), r.toarray()])
-        assert np.allclose(recombined, chain_dense(chain)[:5], atol=0)
-
     def test_absorption_probabilities_match_monte_carlo(self):
         rng = np.random.default_rng(9)
         a = random_substochastic(rng, 4, min_row=0.75)
         roles = make_roles(4, leaky=range(4), sticky={2: 0.45}, debris=(2,))
-        chain = make_chain(a, roles)
-        q, r = absorption_split(chain)
-        hit = np.linalg.solve(np.eye(4) - q.toarray(), r.toarray())
+        full = chain_dense(make_chain(a, roles))
+        # Transient block Q among the grid states, absorption block R into
+        # the cemetery and the target.
+        q, r = full[:4, :4], full[:4, 4:]
+        hit = np.linalg.solve(np.eye(4) - q, r)
 
-        full = chain_dense(chain)
         counts = mc_first_absorption(
             lambda k: full, c=0, absorbing=[4, 5], n_walkers=200_000,
             max_steps=400, seed=3,
@@ -306,6 +295,17 @@ class TestChainRolesAppendix:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{saved}:{lineno}: ')}") as exc:
             load_chain(saved)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["\x1c", "\x85"], ids=["x1c", "x85"])
+    def test_separator_line_is_a_record(self, saved, line):
+        # Only a line blank before its first `#` is skipped.
+        text = saved.read_text(encoding="utf-8")
+        lineno = text[:text.index("source,3\n")].count("\n") + 3
+        saved.write_text(text.replace("source,3\n", f"source,3\n \t# note\n{line}\n"),
+                         encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_chain(saved)
+        assert str(exc.value) == f"{saved}:{lineno}: malformed roles line ''"
 
     @pytest.mark.parametrize("old, new, message", [
         ("debris,4,2\n", "debris,4,3\n", "debris target labels must be exactly 1..M, got [1, 3]"),

@@ -22,13 +22,11 @@ from oracles import (
 
 from driftchain.bayes import (
     Observation,
-    absorption_cdf,
     absorption_cdf_all,
     central_interval,
     elapsed_steps,
     estimate_source,
     first_absorption_pmf,
-    joint_likelihood,
     load_observations,
     pmf_mass_at,
     posterior,
@@ -95,15 +93,19 @@ def test_load_observations_rejects_bad_files(tmp_path):
     bad_header.write_text("label,days\n1,5\n")
     with pytest.raises(ConfigError):
         load_observations(bad_header)
-    # malformed rows, and rows that parse but are out of range, name their line
+    # malformed rows, and rows that parse but are out of range, name their line;
+    # a row is skipped only when it is one blank field (not \x1c or \x85)
     for row, message in [("one,5,x", "malformed observation row"),
+                         ("\x1c", "expected at least 2 fields"),
+                         ("\x85", "expected at least 2 fields"),
                          ("0,5,x", "target label must be >= 1, got 0"),
                          ("1,0,x", "days_since_crash must be positive and finite, got 0.0"),
                          ("1,-5,x", "days_since_crash must be positive and finite, got -5.0"),
                          ("1,nan,x", "days_since_crash must be positive and finite, got nan"),
                          ("1,inf,x", "days_since_crash must be positive and finite, got inf")]:
         bad_row = tmp_path / "r.csv"
-        bad_row.write_text(f"target_label,days_since_crash,name\n1,5,ok\n\n{row}\n")
+        bad_row.write_text(f"target_label,days_since_crash,name\n1,5,ok\n\n{row}\n",
+                           encoding="utf-8")
         with pytest.raises(ConfigError) as err:
             load_observations(bad_row)
         assert str(err.value) == f"{bad_row}:4: {message}"
@@ -112,7 +114,7 @@ def test_load_observations_rejects_bad_files(tmp_path):
 class TestAbsorptionCurves:
     def test_corridor_closed_form(self):
         sched = corridor_schedule()
-        cdf = absorption_cdf(sched, c=0, b=1, n_steps=6)
+        cdf = absorption_cdf_all(sched, [0], 6)[:, 0, 0]
         want = np.array([0.0, 0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875])
         assert np.allclose(cdf, want, atol=1e-15)
         pmf = first_absorption_pmf(cdf)
@@ -126,7 +128,7 @@ class TestAbsorptionCurves:
         sched = autonomous(a, roles)
         mats = schedule_step_mats(sched, 5)
         for b in (1, 2):
-            got = first_absorption_pmf(absorption_cdf(sched, 1, b, 5))
+            got = first_absorption_pmf(absorption_cdf_all(sched, [1], 5)[:, b - 1, 0])
             want = enumerate_first_absorption(
                 mats, c=1, target_col=sched.target_state(b),
                 transient=list(range(4)), n_steps=5,
@@ -154,8 +156,6 @@ class TestAbsorptionCurves:
             absorption_cdf_all(sched, candidates=[2], n_steps=3)  # cemetery is not a start
         with pytest.raises(ValueError):
             absorption_cdf_all(sched, candidates=[0], n_steps=-1)
-        with pytest.raises(ValueError):
-            absorption_cdf(sched, c=0, b=2, n_steps=3)
 
 
 class TestPmf:
@@ -181,21 +181,6 @@ class TestPmf:
             pmf_mass_at(pmf, 0)
         with pytest.raises(ValueError):
             pmf_mass_at(pmf, 5)
-
-
-class TestJointLikelihood:
-    def test_product_in_log_space(self):
-        logl = joint_likelihood(np.array([[0.5, 0.2], [0.1, 0.1]]))
-        assert logl[0] == pytest.approx(np.log(0.1))
-        assert logl[1] == pytest.approx(np.log(0.01))
-
-    def test_zero_factor_gives_minus_inf(self):
-        logl = joint_likelihood(np.array([[0.5, 0.0]]))
-        assert logl[0] == -np.inf
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            joint_likelihood(np.array([[-0.1]]))
 
 
 class TestPosterior:
@@ -308,6 +293,22 @@ class TestEstimateSource:
         with pytest.raises(ConfigError):
             estimate_source(corridor_schedule(), [])
 
+    def test_product_in_log_space(self):
+        # Factors at steps 2 and 3: 0.5 and 0.25 from box 0, 0.25 and 0.125 from box 1.
+        sched = corridor_schedule()
+        obs = [Observation(target_label=1, days_since_crash=10.0),
+               Observation(target_label=1, days_since_crash=15.0)]
+        res = estimate_source(sched, obs)
+        assert res.log_likelihood[0] == pytest.approx(np.log(0.5 * 0.25))
+        assert res.log_likelihood[1] == pytest.approx(np.log(0.25 * 0.125))
+
+    def test_zero_factor_gives_minus_inf(self):
+        # Only box 1 can beach on step 1; box 0 keeps no posterior mass.
+        sched = corridor_schedule()
+        res = estimate_source(sched, [Observation(target_label=1, days_since_crash=5.0)])
+        assert res.log_likelihood.tolist() == [-np.inf, np.log(0.5)]
+        assert res.posterior.tolist() == [0.0, 1.0]
+
     def test_impossible_observation_raises_zero_evidence(self):
         sched = corridor_schedule()
         # Nothing can reach the coast by step 1 when starting from box 0.
@@ -338,7 +339,7 @@ class TestStickyFitMap:
     def test_total_eventually_reaches_absorbed_mass(self):
         sched = corridor_schedule()
         surf = sticky_fit_map(sched, c=0, n_steps=60)
-        cdf = absorption_cdf(sched, 0, 1, 60)
+        cdf = absorption_cdf_all(sched, [0], 60)[:, 0, 0]
         assert surf.total() == pytest.approx(cdf[-1], abs=1e-12)
 
     def test_no_sticky_states(self):

@@ -518,6 +518,16 @@ class TestOutOfRangeInputs:
         assert f"{copy / 'mask.csv'}:{line}: {message}" in all_output(r)
         assert snapshot(copy) == before
 
+    @pytest.mark.parametrize("value", ["", "."], ids=["empty", "directory"])
+    def test_wet_mask_that_names_no_file_rejected(self, copy, value):
+        set_keys(copy / "grid.cfg", wet_mask=value)
+        lineno = len((copy / "grid.cfg").read_text(encoding="utf-8").splitlines())
+        before = snapshot(copy)
+        r = invoke(["spectral", "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{copy / 'grid.cfg'}:{lineno}: wet_mask: no file at {copy}\n" in all_output(r)
+        assert snapshot(copy) == before
+
     @pytest.mark.parametrize("args", [["spectral"], ["bayes"], ["paths"],
                                       ["evolve", "--state", "0"]])
     def test_grid_moved_after_build_rejected(self, copy, args):
@@ -1003,6 +1013,13 @@ class TestEvolve:
         r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init)])
         assert r.exit_code == 2
         assert f"{init}{message}" in all_output(r)
+        assert snapshot(copy) == before
+
+    def test_initial_directory_rejected(self, copy, tmp_path):
+        before = snapshot(copy)
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(tmp_path)])
+        assert r.exit_code == 2
+        assert f"Is a directory: '{tmp_path}'" in all_output(r)
         assert snapshot(copy) == before
 
     def test_malformed_distribution(self, case, tmp_path):

@@ -18,7 +18,7 @@ def write_inputs(tmp_path):
 
 def write_config(tmp_path, body):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(body)
+    cfg.write_text(body, encoding="utf-8")
     return cfg
 
 
@@ -85,12 +85,22 @@ class TestRunConfig:
         bad = write_config(tmp_path, "wavelength = 5\n")
         with pytest.raises(ConfigError):
             load_config(bad)
-        dup = write_config(tmp_path, "seed = 1\nseed = 2\n")
-        with pytest.raises(ConfigError):
+        dup = write_config(tmp_path, "seed = 1\n# the seed again\nseed = 2\n")
+        with pytest.raises(ConfigError) as err:
             load_config(dup)
+        assert str(err.value) == f"{dup}:3: duplicate key 'seed', first given on line 1"
         nosep = write_config(tmp_path, "seed 1\n")
         with pytest.raises(ConfigError):
             load_config(nosep)
+
+    @pytest.mark.parametrize("line", ["\x1c", "\x85", "\x1c# note"],
+                             ids=["x1c", "x85", "x1c-comment"])
+    def test_separator_line_is_not_skipped(self, tmp_path, line):
+        # Only a line blank before its first `#` is skipped; grid.cfg is read alike.
+        path = write_config(tmp_path, f"seed = 1\n \t# note\n\x0b\n{line}\nlag_days = 5\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:4: expected `key = value`"
 
     def test_lag_must_tile_season_block(self):
         with pytest.raises(ConfigError):
@@ -149,6 +159,15 @@ class TestGridConfig:
         )
         g = load_grid_config(tmp_path / "grid.cfg")
         assert g.n_states == 1
+
+    @pytest.mark.parametrize("value", ["", ".", "nope.csv"], ids=["empty", "directory", "missing"])
+    def test_wet_mask_that_names_no_file_rejected(self, tmp_path, value):
+        path = tmp_path / "grid.cfg"
+        path.write_text("lon_min = 0\nlon_max = 2\nlat_min = 0\nlat_max = 1\n"
+                        f"wet_mask = {value}\ncell_size = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_grid_config(path)
+        assert str(err.value) == f"{path}:5: wet_mask: no file at {tmp_path / value}"
 
     def test_malformed_value_names_line_and_key(self, tmp_path):
         path = tmp_path / "grid.cfg"

@@ -45,13 +45,13 @@ def test_state_order_is_south_to_north_raster(square_grid):
 
 def test_point_to_state_half_open_edges(square_grid):
     g = square_grid
-    assert g.point_to_state(40.0, -32.0) == 0
+    assert g.points_to_states(40.0, -32.0) == 0
     # Interior shared corner belongs to the box north-east of it.
-    assert g.point_to_state(41.0, -31.0) == g.state_of_box((1, 1))
+    assert g.points_to_states(41.0, -31.0) == g.state_of_box((1, 1))
     # The outer max edges are out of domain under half-open cells.
-    assert g.point_to_state(44.0, -30.0) == OUT_OF_DOMAIN
-    assert g.point_to_state(42.0, -28.0) == OUT_OF_DOMAIN
-    assert g.point_to_state(39.999, -30.5) == OUT_OF_DOMAIN
+    assert g.points_to_states(44.0, -30.0) == OUT_OF_DOMAIN
+    assert g.points_to_states(42.0, -28.0) == OUT_OF_DOMAIN
+    assert g.points_to_states(39.999, -30.5) == OUT_OF_DOMAIN
 
 
 @given(
@@ -61,7 +61,7 @@ def test_point_to_state_half_open_edges(square_grid):
 @settings(max_examples=200, deadline=None)
 def test_point_to_state_matches_box_bounds(lon, lat):
     g = build_grid((40.0, 44.0, -32.0, -28.0), cell_size=1.0)
-    s = g.point_to_state(lon, lat)
+    s = g.points_to_states(lon, lat)
     inside = 40.0 <= lon < 44.0 and -32.0 <= lat < -28.0
     if not inside:
         assert s == OUT_OF_DOMAIN
@@ -103,14 +103,14 @@ def test_points_to_states_matches_scalar_rule(fine_grid, points):
     got = g.points_to_states(lons, lats)
     assert got.dtype == np.int64
     assert got.tolist() == [scalar_cell_state(g, x, y) for x, y in points]
-    assert got.tolist() == [g.point_to_state(x, y) for x, y in points]
+    assert got.tolist() == [g.points_to_states(x, y) for x, y in points]
 
 
 def test_non_finite_positions_are_out_of_domain(square_grid):
     lons = np.array([np.nan, np.inf, -np.inf, 40.5, 40.5])
     lats = np.array([-31.5, -31.5, -31.5, np.nan, np.inf])
     assert square_grid.points_to_states(lons, lats).tolist() == [OUT_OF_DOMAIN] * 5
-    assert square_grid.point_to_state(np.nan, -31.5) == OUT_OF_DOMAIN
+    assert square_grid.points_to_states(np.nan, -31.5) == OUT_OF_DOMAIN
 
 
 def test_cell_size_must_divide_extent():
@@ -173,8 +173,7 @@ def test_wet_mask_restricts_states(tmp_path):
     g = build_grid((0.0, 2.0, 0.0, 2.0), cell_size=1.0, wet_mask=mask_file)
     assert g.n_states == 3
     assert g.state_of_box((1, 0)) == OUT_OF_DOMAIN
-    assert g.point_to_state(1.5, 0.5) == OUT_OF_DOMAIN
-    assert g.point_to_state(1.5, 1.5) == 2
+    assert g.points_to_states([1.5, 1.5], [0.5, 1.5]).tolist() == [OUT_OF_DOMAIN, 2]
 
 
 def test_repeated_mask_box_rejected(tmp_path):
@@ -318,8 +317,9 @@ def test_box_table_matches_per_box_formulas(tmp_path, mask):
     path = None if mask is None else write_mask(tmp_path / "mask.csv", mask)
     g = build_grid((-3.5, 1.5, -40.0, -37.0), cell_size=0.25, wet_mask=path)
     facts, rows = raster_box_facts(g, mask, EARTH_RADIUS_KM)
-    got = [(g.box_of_state(s), g.box_center(s), g.box_corners(s), g.box_area_km2(s))
-           for s in range(g.n_states)]
+    corners = g.box_corners_of(range(g.n_states)).tolist()
+    got = [(g.box_of_state(s), g.box_center(s), [tuple(c) for c in corners[s]],
+            g.box_area_km2(s)) for s in range(g.n_states)]
     assert repr(got) == repr(facts)
     by_row = states_by_latitude_row(g)
     assert all(r.dtype == np.int64 for r in by_row)
@@ -385,11 +385,14 @@ def test_load_roles_file(tmp_path, square_grid):
     ("sticky: 0,0,0.5\nsticky: 0,0,0.25\n", "2: duplicate sticky record"),
     ("sticky: 0,0,0.5\ndebris: 0,0,1\ndebris: 0,0,1\n", "3: duplicate debris label 1"),
     ("source: 1,1\n# a comment\nsource: 1,1\n", "3: duplicate source record"),
+    # only a line blank before its first `#` is skipped
+    ("leaky: 0,0\n \t# note\n\x0b\n\x1c\nsource: 1,0\n", "4: unknown record kind ''"),
+    ("leaky: 0,0\n\x85\n", "2: unknown record kind ''"),
 ], ids=["kind", "fields", "box-int", "dry-box", "ell", "dup-leaky", "dup-sticky", "dup-label",
-        "dup-source"])
+        "dup-source", "x1c-line", "x85-line"])
 def test_load_roles_errors_name_their_line(tmp_path, square_grid, text, message):
     path = tmp_path / "roles.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
         load_roles(square_grid, path)
     assert str(exc.value) == f"{path}:{message}"

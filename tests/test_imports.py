@@ -361,6 +361,30 @@ def test_readme_scan_reports_missing_names():
         "driftchain.ulam.vanished"]
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The "Library use" block as written, on tracks that drift east along its
+    # one-row grid into box 3, so that box 3 beaches within the 7 steps observed.
+    import numpy as np
+
+    from driftchain.ingest import Season
+    from driftchain.synth import SyntheticSpec, simulate_tracks, write_tracks_csv
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = _FENCE.search(text, text.index("## Library use"))
+    assert block[1] == "python"
+    east = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+                     [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    spec = SyntheticSpec(bounds=(40.0, 44.0, -30.0, -29.0), cell_size=1.0,
+                         kernels=dict.fromkeys(Season, east), n_drifters=50,
+                         duration_days=60.0, seed=1)
+    monkeypatch.chdir(tmp_path)
+    write_tracks_csv(simulate_tracks(spec), "trajectories.csv")
+    exec(compile(block[2], "README.md", "exec"), {})
+    c_max, interval = capsys.readouterr().out.rstrip("\n").split(" ", 1)
+    assert c_max in {"0", "1"}
+    assert interval == "(-29.5, -29.5)"
+
+
 def test_bench_selftest_passes():
     # Runs the benchmark's pipeline, traced and untraced, at a tiny size; it
     # writes only under the git-ignored .bench_tmp/ and removes what it made.

@@ -20,7 +20,6 @@ from driftchain.spectral import (
     analyze_basin,
     basin_of_attraction,
     dominant_eigs,
-    retention_time,
     zonal_profile,
 )
 from driftchain.ulam import AnnualOperator, annual_operator, compose_annual
@@ -211,22 +210,32 @@ class TestBasin:
         assert basin_of_attraction(r, threshold=0.05).tolist() == [0, 1, 2, 3, 4]
 
     def test_closed_set_has_infinite_retention(self):
-        a = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert retention_time(a, np.array([0]), 360.0) == math.inf
+        # State 0 keeps all its mass; state 1 feeds it (right vector 0.4 there).
+        res = analyze_basin(dense_tm([[1.0, 0.0], [0.2, 0.5]], transition_time=360.0))
+        assert res.members.tolist() == [0]
+        assert res.lambda_b == 1.0
+        assert res.retention_time == math.inf
 
     def test_uniform_leak_rate(self):
         # Restricted to itself, a single state with self-loop 0.5 has
         # lambda_B = 0.5, so a 10-day step retains for 20 days.
-        a = np.array([[0.5, 0.5], [0.0, 0.0]])
-        assert retention_time(a, np.array([0]), 10.0) == pytest.approx(20.0)
+        res = analyze_basin(dense_tm([[0.5, 0.5], [0.0, 0.0]], transition_time=10.0))
+        assert res.members.tolist() == [0]
+        assert res.retention_time == pytest.approx(20.0)
 
     def test_no_recurrence_returns_single_step(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert retention_time(a, np.array([0]), 7.0) == 7.0
+        lam, _ = _restricted_modulus(a, np.array([0]), tol=1e-10, max_iter=100, seed=0)
+        assert lam == 0.0
+        assert 7.0 / (1.0 - lam) == 7.0
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            retention_time(np.eye(2), np.array([], dtype=int), 5.0)
+    def test_empty_basin_has_no_retention(self, caplog):
+        # Right vectors peak at exactly 1, so a threshold of 1 selects no state.
+        with caplog.at_level("WARNING", logger="driftchain.spectral"):
+            res = analyze_basin(dense_tm([[0.5, 0.5], [0.0, 0.0]]), threshold=1.0)
+        assert res.members.size == 0 and res.products == 0
+        assert math.isnan(res.lambda_b) and math.isnan(res.retention_time)
+        assert "no states exceed the basin threshold" in caplog.text
 
     def test_analyze_basin_combines_steps(self):
         # Two nearly closed communities; the right vector separates them.
@@ -250,8 +259,9 @@ class TestBasin:
         # T_B = T / (1 - lambda_B) equals the tail-sum of survival mass for
         # a one-state basin: sum_k k (1-q) q^(k-1) * T = T / (1 - q).
         q = 0.5103
-        a = np.array([[q, 1 - q], [0.0, 1.0]])
-        t_b = retention_time(a, np.array([0]), 360.0)
+        res = analyze_basin(dense_tm([[q, 1 - q], [0.0, 0.0]], transition_time=360.0))
+        assert res.members.tolist() == [0]
+        t_b = res.retention_time
         steps = np.arange(1, 4000)
         expect_steps = np.sum(steps * (1 - q) * q ** (steps - 1))
         assert t_b == pytest.approx(360.0 * expect_steps, rel=1e-6)
@@ -324,7 +334,6 @@ class TestAnnualOperator:
         op, dense = operator_and_product(tms, 18)
         assert not dense[:, 0].any()
         assert _restricted_modulus(op, np.array([0]), tol=1e-10, max_iter=100, seed=0)[0] == 0.0
-        assert retention_time(op, np.array([0]), 360.0) == 360.0
 
 
 class TestBlockProducts:

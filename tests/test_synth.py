@@ -146,8 +146,7 @@ class TestSimulateTracks:
         g = spec.grid()
         for tr in simulate_tracks(spec):
             assert (tr.states >= 0).all()
-            states = {g.point_to_state(lon, lat) for lon, lat in zip(tr.lons, tr.lats)}
-            assert states == {int(tr.states[0])}
+            assert set(g.points_to_states(tr.lons, tr.lats).tolist()) == {int(tr.states[0])}
 
     def test_deterministic_given_seed(self):
         a = simulate_tracks(toy_spec())
@@ -165,7 +164,7 @@ class TestSimulateTracks:
             assert tr.states[-1] == -1
             assert (tr.states[:-1] >= 0).all()
             assert tr.lons[-1] == g.lon_max + spec.cell_size
-            assert g.point_to_state(tr.lons[-1], tr.lats[-1]) == -1
+            assert g.points_to_states(tr.lons[-1], tr.lats[-1]) == -1
 
     @pytest.mark.parametrize("nx, ny, seed", [(1, 1, 0), (1, 1, 1), (3, 1, 2),
                                               (4, 3, 3), (8, 5, 4)])

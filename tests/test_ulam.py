@@ -43,7 +43,7 @@ class TestEstimate:
         assert a[0].tolist() == [0.2, 0.6, 0.0]
         assert a[1].tolist() == [1.0, 0.0, 0.0]
         assert tm.row_counts.tolist() == [5, 2, 0]
-        assert tm.deficits()[0] == pytest.approx(0.2)
+        assert 1.0 - tm.row_sums()[0] == pytest.approx(0.2)
         assert tm.empty_rows().tolist() == [2]
         assert tm.empty_row_fraction() == pytest.approx(1 / 3)
 
