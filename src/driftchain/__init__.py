@@ -24,7 +24,7 @@ _EXPORTS = {
     "errors": ("ConfigError", "NumericalError", "UnreachableTargetError",
                "ZeroEvidenceError"),
     "grid": ("OUT_OF_DOMAIN", "GridCovering", "StateRoles", "build_grid", "load_roles"),
-    "ingest": ("Season", "Trajectory", "TransitionPairs", "extract_pairs",
+    "ingest": ("Season", "Tracks", "TransitionPairs", "extract_pairs",
                "parse_trajectories", "season_split"),
     "paths": ("PathResult", "PathSet", "most_probable_path", "most_probable_paths",
               "path_to_geojson", "unconstrained_best_path"),

@@ -11,6 +11,7 @@ candidate set.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ZeroEvidenceError
 from .grid import GridCovering
 from .schedule import SeasonalSchedule
-from .textio import is_blank
+from .textio import is_blank, read_text
 from .ulam import propagate
 
 log = logging.getLogger(__name__)
@@ -70,29 +71,31 @@ def load_observations(path: str | Path) -> list[Observation]:
     A row is skipped only when it is one field that :func:`textio.is_blank`.
     """
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty observations file") from None
+    if [h.strip() for h in header[:2]] != ["target_label", "days_since_crash"]:
+        raise ConfigError(f"{path}: expected header target_label,days_since_crash,name")
+    next_line = reader.line_num + 1
+    for row in reader:
+        # A quoted field may span lines: a row is numbered by its first one.
+        lineno, next_line = next_line, reader.line_num + 1
+        if not row or (len(row) == 1 and is_blank(row[0])):
+            continue
+        if len(row) < 2:
+            raise ConfigError(f"{path}:{lineno}: expected at least 2 fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty observations file") from None
-        if [h.strip() for h in header[:2]] != ["target_label", "days_since_crash"]:
-            raise ConfigError(f"{path}: expected header target_label,days_since_crash,name")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and is_blank(row[0])):
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"{path}:{lineno}: expected at least 2 fields")
-            try:
-                label = int(row[0])
-                days = float(row[1])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed observation row") from None
-            name = row[2].strip() if len(row) > 2 else ""
-            try:
-                out.append(Observation(target_label=label, days_since_crash=days, name=name))
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            label = int(row[0])
+            days = float(row[1])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed observation row") from None
+        name = row[2].strip() if len(row) > 2 else ""
+        try:
+            out.append(Observation(target_label=label, days_since_crash=days, name=name))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not out:
         raise ConfigError(f"{path}: no observations")
     return out

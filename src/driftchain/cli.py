@@ -65,7 +65,7 @@ def handle_errors(fn):
             return fn(*args, **kwargs)
         except ConfigError as exc:
             _fail(2, str(exc))
-        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        except OSError as exc:
             _fail(2, str(exc))
         except NumericalError as exc:
             _fail(3, str(exc))
@@ -249,7 +249,7 @@ def spectral_cmd(config_path, out_dir):
         f"eigen_max_residual {_fmt(eigs.max_residual)}",
         f"basin_threshold {_fmt(basin.threshold)}",
         f"basin_size {len(basin.members)}",
-        f"lambda_basin {_fmt(basin.lambda_b)}",
+        f"lambda_basin {_fmt(basin.lambda_b)}" + ("" if basin.converged else " NOT CONVERGED"),
         f"retention_days {_fmt(basin.retention_time)}",
         f"retention_years {_fmt(basin.retention_time / YEAR_DAYS)}",
     ]
@@ -257,7 +257,7 @@ def spectral_cmd(config_path, out_dir):
     click.echo(
         f"lambda_1 modulus {abs(eigs.eigenvalues[0]):.6g}, basin of {len(basin.members)} states"
     )
-    if not eigs.converged.all():
+    if not (eigs.converged.all() and basin.converged):
         _fail(3, "eigensolver did not converge; see spectral_report.txt")
 
 

@@ -6,8 +6,8 @@ the winter season W, July-September the summer season S, and the remaining
 six months form the transition season SF.
 
 Ingest is columnar: the trajectory file is parsed in blocks by numpy's C
-reader, lag-T pairs are found with array operations, and the pairs travel
-as one table of parallel arrays (:class:`TransitionPairs`).
+reader, lag-T pairs are found with array operations, and tracks and pairs
+travel as tables of parallel arrays (:class:`Tracks`, :class:`TransitionPairs`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
-from .textio import is_plain, read_rows
+from .textio import is_plain, line_breaks, read_rows, read_text
 
 log = logging.getLogger(__name__)
 
@@ -102,14 +102,16 @@ class TransitionPairs:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    drifter_id: str
+class Tracks:
+    """Drifter tracks as one table: track k is drifter ``ids[k]``, rows
+    ``starts[k]:starts[k + 1]`` of the ``times``, ``lons`` and ``lats``
+    columns in time order.  ``parse_trajectories`` sorts the ids."""
+
+    ids: tuple[str, ...]
+    starts: np.ndarray
     times: np.ndarray
     lons: np.ndarray
     lats: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass
@@ -138,14 +140,15 @@ def _plain(text: str) -> bool:
     return '"' not in text and is_plain(text)
 
 
-def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]:
-    """Read a `id,time_days,lon,lat[,drogued]` CSV into per-drifter tracks.
+def parse_trajectories(path: str | Path) -> tuple[Tracks, ParseReport]:
+    """Read a `id,time_days,lon,lat[,drogued]` CSV into one table of tracks.
 
     Rows are grouped by drifter id and sorted by time; drifters come back
     sorted by id.  Malformed rows are skipped and counted, duplicate
     timestamps within a drifter keep the first occurrence, and rows with a
     drogued flag other than 0 are dropped when the optional column is
-    present.  Raises ConfigError if the header is wrong or no row survives.
+    present.  Raises ConfigError if the header is wrong, no row survives or
+    a byte is not UTF-8 (naming its line, by :func:`textio.read_text`).
 
     The file is read in blocks of lines.  numpy's C reader parses a block
     of plain lines; a block with a quote or other characters, and lines the
@@ -158,17 +161,21 @@ def parse_trajectories(path: str | Path) -> tuple[list[Trajectory], ParseReport]
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file {path}: {exc}") from None
-    with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ConfigError(f"{path}: empty trajectory file")
-        header = [h.strip() for h in header]
-        if header[:4] != ["id", "time_days", "lon", "lat"]:
-            raise ConfigError(f"{path}: expected header id,time_days,lon,lat[,drogued]")
-        has_drogued = len(header) > 4 and header[4] == "drogued"
-        rows = _Rows(width=5 if has_drogued else 4, capacity=capacity)
-        while block := list(islice(fh, _BLOCK_LINES)):
-            rows.add_block(block, fh)
+    try:
+        with fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ConfigError(f"{path}: empty trajectory file")
+            header = [h.strip() for h in header]
+            if header[:4] != ["id", "time_days", "lon", "lat"]:
+                raise ConfigError(f"{path}: expected header id,time_days,lon,lat[,drogued]")
+            has_drogued = len(header) > 4 and header[4] == "drogued"
+            rows = _Rows(width=5 if has_drogued else 4, capacity=capacity)
+            while block := list(islice(fh, _BLOCK_LINES)):
+                rows.add_block(block, fh)
+    except UnicodeDecodeError:
+        read_text(path)  # raises the ConfigError that names the line
+        raise
     return _group_tracks(rows, path)
 
 
@@ -181,10 +188,8 @@ def _line_breaks(path: str | Path) -> int:
     breaks = 0
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
-            breaks += chunk.count(b"\n")
-            if b"\r" in chunk:
-                # A \r\n split between chunks counts twice, which keeps the bound.
-                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+            # A \r\n split between chunks counts twice, which keeps the bound.
+            breaks += line_breaks(chunk)
     return breaks
 
 
@@ -296,8 +301,8 @@ class _Rows:
         return columns
 
 
-def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
-    """Sort the accepted rows by (id, time) and split them into per-drifter tracks.
+def _group_tracks(rows: _Rows, path) -> tuple[Tracks, ParseReport]:
+    """Sort the accepted rows by (id, time) and mark where each drifter's track starts.
 
     Each column is rebound as soon as its successor exists, so at most one
     column is held twice.
@@ -307,16 +312,16 @@ def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
         valid_rows=rows.n,
         skipped_rows=rows.skipped,
         drogued_dropped=rows.drogued,
+        n_drifters=len(rows.codes),
     )
     if report.valid_rows == 0:
         raise ConfigError(f"{path}: no valid trajectory rows")
     if report.skipped_rows:
         log.warning("%s: skipped %d malformed rows", path, report.skipped_rows)
 
-    names = list(rows.codes)
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int32)
-    rank[by_name] = np.arange(len(names))
+    ids = tuple(sorted(rows.codes))
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[[rows.codes[name] for name in ids]] = np.arange(len(ids))
     code, t, lon, lat = rows.take()
     key = rank[code]
     del code
@@ -334,17 +339,13 @@ def _group_tracks(rows: _Rows, path) -> tuple[list[Trajectory], ParseReport]:
     lon = lon[order]
     lat = lat[order]
 
-    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
-    trajectories = [
-        Trajectory(drifter_id=names[by_name[key[a]]], times=t[a:b], lons=lon[a:b], lats=lat[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    report.n_drifters = len(trajectories)
-    return trajectories, report
+    # Every id has an accepted row, so each id's track is non-empty.
+    starts = np.searchsorted(key, np.arange(len(ids) + 1, dtype=key.dtype)).astype(np.int64)
+    return Tracks(ids=ids, starts=starts, times=t, lons=lon, lats=lat), report
 
 
 def extract_pairs(
-    trajectories: list[Trajectory],
+    tracks: Tracks,
     g: GridCovering,
     transition_time: float,
     epoch: date = DEFAULT_EPOCH,
@@ -361,7 +362,8 @@ def extract_pairs(
     if transition_time <= 0:
         raise ValueError(f"transition_time must be positive, got {transition_time}")
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-    parts = [empty] + [_batch_pairs(batch, g, transition_time) for batch in _batches(trajectories)]
+    parts = [empty] + [_batch_pairs(tracks, a, b, g, transition_time)
+                       for a, b in _batches(tracks.starts)]
     from_state, to_state, start_date = (np.concatenate(col) for col in zip(*parts))
     pairs = TransitionPairs(
         from_state=from_state,
@@ -379,37 +381,35 @@ def extract_pairs(
 _BATCH_SAMPLES = 1 << 16
 
 
-def _batches(trajectories: list[Trajectory]):
-    """Consecutive non-empty tracks, grouped into batches of about _BATCH_SAMPLES."""
-    batch, size = [], 0
-    for traj in trajectories:
-        if len(traj):
-            batch.append(traj)
-            size += len(traj)
-        if size >= _BATCH_SAMPLES:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
+def _batches(starts: np.ndarray):
+    """Ranges [a, b) of whole tracks holding about _BATCH_SAMPLES samples each."""
+    a, n = 0, len(starts) - 1
+    while a < n:
+        b = min(int(np.searchsorted(starts, starts[a] + _BATCH_SAMPLES)), n)
+        yield a, b
+        a = b
 
 
-def _batch_pairs(batch: list[Trajectory], g: GridCovering, transition_time: float):
-    """(from_state, to_state, start_date) of the pairs of a batch of tracks.
+def _batch_pairs(tracks: Tracks, a: int, b: int, g: GridCovering, transition_time: float):
+    """(from_state, to_state, start_date) of the pairs of tracks a to b - 1.
 
-    The tracks are concatenated; sample i of the batch belongs to the
-    track occupying [lo[i], hi[i]).  With k the insertion point of t+T in
-    that track, k-1 matches when its error is at most T/10; k matches
-    instead when its error is at most T/10 and either k-1 did not match
-    or k is strictly nearer (the earlier sample wins ties).
+    The batch's samples are slices of the table's columns; sample i of the
+    batch belongs to the track occupying [lo[i], hi[i]).  With k the
+    insertion point of t+T in that track, k-1 matches when its error is at
+    most T/10; k matches instead when its error is at most T/10 and either
+    k-1 did not match or k is strictly nearer (the earlier sample wins ties).
     """
-    lengths = np.array([len(tr) for tr in batch])
-    hi_track = np.cumsum(lengths)
-    lo_track = hi_track - lengths
-    lo, hi = np.repeat(lo_track, lengths), np.repeat(hi_track, lengths)
-    times = np.concatenate([tr.times for tr in batch])
+    rows = slice(tracks.starts[a], tracks.starts[b])
+    bounds = tracks.starts[a:b + 1] - tracks.starts[a]
+    lengths = np.diff(bounds)
+    lo, hi = np.repeat(bounds[:-1], lengths), np.repeat(bounds[1:], lengths)
+    times = tracks.times[rows]
     targets = times + transition_time
-    k = lo + np.concatenate([np.searchsorted(tr.times, targets[a:b])
-                             for tr, a, b in zip(batch, lo_track, hi_track)])
+    # Complex numbers order by real part, then imaginary part, so with the
+    # track as the real part one search places each target within its track.
+    track = np.repeat(np.arange(b - a, dtype=np.float64), lengths)
+    keys = np.column_stack((track, times)).view(complex).ravel()
+    k = np.searchsorted(keys, np.column_stack((track, targets)).view(complex).ravel())
     tol = transition_time / 10.0
     err_before = np.abs(times[np.maximum(k - 1, 0)] - targets)
     err_after = np.abs(times[np.minimum(k, len(times) - 1)] - targets)
@@ -417,10 +417,9 @@ def _batch_pairs(batch: list[Trajectory], g: GridCovering, transition_time: floa
     take_after = (k < hi) & (err_after <= tol) & (~take_before | (err_after < err_before))
     match = np.where(take_after, k, np.where(take_before, k - 1, -1))
 
-    states = g.points_to_states(np.concatenate([tr.lons for tr in batch]),
-                                np.concatenate([tr.lats for tr in batch]))
+    states = g.points_to_states(tracks.lons[rows], tracks.lats[rows])
     opens = (match >= 0) & (states != OUT_OF_DOMAIN)
-    starts = _walk(opens, match, lo_track)
+    starts = _walk(opens, match, bounds[:-1])
     return states[starts], states[match[starts]], times[starts]
 
 

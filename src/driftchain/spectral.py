@@ -85,7 +85,9 @@ class BasinResult:
     """Basin of attraction with its restricted spectral retention time.
 
     ``products`` counts the restricted solve's applications of the
-    operator to a vector and ``block_products`` those to a block.
+    operator to a vector and ``block_products`` those to a block;
+    ``converged`` is False when that solve reached ``max_iter`` steps with
+    its residual above ``tol`` (an empty basin has no solve).
     """
 
     members: np.ndarray
@@ -94,6 +96,7 @@ class BasinResult:
     transition_time: float
     products: int
     block_products: int
+    converged: bool
 
     @property
     def retention_time(self) -> float:
@@ -158,6 +161,7 @@ class _Ritz:
     steps: int               # blocks added to the start block
     products: int            # applications of the operator to a vector
     block_products: int      # applications to a block, one per pending block
+    capped: bool             # stopped by max_iter with a residual above tol
 
 
 def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
@@ -217,7 +221,11 @@ def _block_krylov(mat, k: int, tol: float, max_iter: int, seed: int) -> _Ritz:
             basis[kept:kept + new] = basis[m:m + new]
             m = kept
         steps += 1
-    return _Ritz(vals[:k], vecs, resid, steps, products, block_products)
+    # A basis that spans the space or stopped growing is invariant, so its
+    # Ritz pairs are as exact as the projected eigensolve: only the step
+    # cap leaves a solve short of its tolerance.
+    capped = steps >= max_iter and m < n and not np.all(resid <= tol)
+    return _Ritz(vals[:k], vecs, resid, steps, products, block_products, capped)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -379,14 +387,15 @@ def analyze_basin(tm, threshold: float = 0.5, tol: float = DEFAULT_TOL,
     members = basin_of_attraction(r, threshold)
     if members.size == 0:
         log.warning("no states exceed the basin threshold %.3g", threshold)
-        lam, products, block_products = math.nan, 0, 0
+        lam, products, block_products, converged = math.nan, 0, 0, True
     else:
         lam, ritz = _restricted_modulus(tm, members, tol, max_iter, seed)
         products, block_products = ritz.products, ritz.block_products
+        converged = not ritz.capped
     return BasinResult(
         members=members, threshold=threshold, lambda_b=lam,
         transition_time=_transition_time_of(tm), products=products,
-        block_products=block_products,
+        block_products=block_products, converged=converged,
     )
 
 
@@ -403,7 +412,7 @@ def _restricted_modulus(p, members: np.ndarray, tol: float, max_iter: int,
     # lambda_B is a left eigenvalue modulus, so only the left side is solved;
     # the value equals dominant_eigs(sub, k=1).moduli[0] bit for bit.
     ritz = _block_krylov(sub.T, 1, tol, max_iter, seed)
-    if ritz.residuals[0] > tol:
+    if ritz.capped:
         log.warning(
             "eigensolver: restricted eigenvalue unconverged after %d iterations "
             "(residual %.2e)", ritz.steps, float(ritz.residuals[0]),

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .grid import GridCovering, StateRoles, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import SeasonalSchedule
-from .textio import write_rows
+from .textio import read_text, write_rows
 from .ulam import TransitionMatrix
 
 
@@ -167,8 +167,10 @@ _SPEC_KEYS = {
 
 def load_spec(path: str | Path) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON description."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a synthetic spec is a JSON object")
     for key in raw:

@@ -12,7 +12,9 @@ pass, so it is an error naming the first rejected line (:func:`read_entries`);
 in a trajectory file it only sends those lines to the Python row rule
 (``ingest``).  Those tables name a repeated key by one rule, :func:`first_rows`.
 Their lines are split by one rule, :func:`read_lines`, and skipped by one,
-:func:`is_blank`, so that a message's line number is the file's.
+:func:`is_blank`, so that a message's line number is the file's.  Every
+input file is decoded by one rule, :func:`read_text`: strict UTF-8, a
+byte that does not decode naming its ``path:line``.
 
 Writing: :func:`write_rows` prints every numeric table, floats at 17
 significant digits so that each value reads back bit for bit.
@@ -25,6 +27,8 @@ import warnings
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: ASCII characters kept from the C reader: NUL, which csv rejects on some
 #: Python versions, and the separators it strips as whitespace.
 _NOT_PLAIN_ASCII = "\x00\x1c\x1d\x1e\x1f"
@@ -35,16 +39,43 @@ def is_plain(text: str) -> bool:
     return text.isascii() and not any(c in text for c in _NOT_PLAIN_ASCII)
 
 
+def read_text(path) -> str:
+    """The text of a file, its bytes decoded as strict UTF-8, line ends kept.
+
+    A byte that does not decode raises ConfigError naming ``path:line``,
+    the line counted as :func:`read_lines` counts it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + line_breaks(data[:exc.start])
+        raise ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") \
+            from None
+
+
+def line_breaks(data: bytes) -> int:
+    """The line ends in ``data`` by the rule of :func:`read_lines`: ``\\n``,
+    ``\\r\\n`` or ``\\r``."""
+    breaks = data.count(b"\n")
+    if b"\r" in data:  # counting \r\n is slow, and most files have no \r
+        breaks += data.count(b"\r") - data.count(b"\r\n")
+    return breaks
+
+
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, ``lines[k]`` being its line k + 1.
+    """The lines of a UTF-8 text file (:func:`read_text`), ``lines[k]`` being its line k + 1.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only (universal newlines),
     not at the other breaks of :meth:`str.splitlines` such as ``\\x0c`` or
     ``\\x85``, which stay in the line they are in.  A line end at the end of
     the file starts no further line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    text = read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -111,6 +111,19 @@ def test_load_observations_rejects_bad_files(tmp_path):
         assert str(err.value) == f"{bad_row}:4: {message}"
 
 
+@pytest.mark.parametrize("rows, line", [
+    ('1,5,"two\nlines"\n0,5,x\n', 4), ('0,5,"two\r\nlines"\n1,5,x\n', 2),
+    ('1,5,"a\rb\rc"\r\r0,5,x\r', 6),
+], ids=["after-quoted-break", "spans-lines", "cr-breaks"])
+def test_observation_rows_are_numbered_by_their_first_line(tmp_path, rows, line):
+    # A quoted name may hold line breaks: a row's number is the line it starts on.
+    path = tmp_path / "obs.csv"
+    path.write_bytes(("target_label,days_since_crash,name\n" + rows).encode())
+    with pytest.raises(ConfigError) as err:
+        load_observations(path)
+    assert str(err.value) == f"{path}:{line}: target label must be >= 1, got 0"
+
+
 class TestAbsorptionCurves:
     def test_corridor_closed_form(self):
         sched = corridor_schedule()

@@ -298,6 +298,18 @@ class TestSynth:
         assert "seed must be nonnegative, got -1" in all_output(r)
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (b'{\n  "bounds": [0, 1, 0, 1],\n', ":3: malformed JSON (Expecting property name"),
+        (b'{"bounds": [0, 1, 0, 1],\n"n": "\xff"}\n', ":2: byte 0xff is not UTF-8 text"),
+    ], ids=["truncated", "not-utf8"])
+    def test_unreadable_spec_names_its_line(self, tmp_path, text, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(text)
+        r = invoke(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+        assert r.exit_code == 2
+        assert f"{spec_path}{message}" in all_output(r)
+        assert not (tmp_path / "a").exists()
+
     def test_no_observations_file_when_none_requested(self, bare_case):
         assert not (bare_case / "observations.csv").exists()
         assert "observations" not in (bare_case / "run.cfg").read_text(encoding="utf-8")
@@ -614,6 +626,22 @@ SPECTRAL_OUTPUTS = ("left_1.csv", "left_2.csv", "right_1.csv", "right_2.csv",
                     "zonal.csv", "basin.geojson", "spectral_report.txt")
 
 
+class TestUndecodableInputs:
+    @pytest.mark.parametrize("command, name", [
+        ("build", "trajectories.csv"), ("bayes", "roles.csv"), ("bayes", "observations.csv"),
+        ("paths", "observations.csv"), ("spectral", "run.cfg"), ("spectral", "grid.cfg"),
+        ("spectral", "matrix_SF.txt"),
+    ])
+    def test_byte_that_is_not_utf8_names_its_line(self, copy, command, name):
+        path = copy / name
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"# \xff\n")
+        r = invoke([command, "--config", str(copy / "run.cfg")])
+        assert r.exit_code == 2
+        assert f"{path}:{line}: byte 0xff is not UTF-8 text" in all_output(r)
+
+
 class TestSpectral:
     def test_artifacts(self, case):
         for name in SPECTRAL_OUTPUTS:
@@ -683,6 +711,22 @@ class TestSpectral:
         rep = report_dict(case / "spectral_report.txt")
         assert rep["lambda_basin"] == "1"
         assert rep["retention_days"] == rep["retention_years"] == "inf"
+
+    def test_unconverged_basin_exits_3_after_writing(self, tmp_path):
+        # With three Krylov steps both eigenpairs of this walk converge, but
+        # the restricted solve behind lambda_basin is still above eigen_tol.
+        case = walk_case(tmp_path / "walk", side=9, stay=2.0)
+        set_keys(case / "run.cfg", eigen_max_iter=3)
+        r = invoke(["spectral", "--config", str(case / "run.cfg")])
+        assert r.exit_code == 3
+        assert "eigensolver did not converge; see spectral_report.txt" in all_output(r)
+        assert all((case / name).exists() for name in SPECTRAL_OUTPUTS)
+        lines = (case / "spectral_report.txt").read_text(encoding="utf-8").splitlines()
+        ends = [line.split(" ", 2)[2] for line in lines if line.startswith("lambda_")]
+        assert ends == ["converged", "converged", "NOT CONVERGED"]
+        set_keys(case / "run.cfg", eigen_max_iter=4)
+        assert invoke(["spectral", "--config", str(case / "run.cfg")]).exit_code == 0
+        assert report_dict(case / "spectral_report.txt")["lambda_basin"].count(" ") == 0
 
 
 class TestBayes:
@@ -1022,6 +1066,14 @@ class TestEvolve:
         assert f"Is a directory: '{tmp_path}'" in all_output(r)
         assert snapshot(copy) == before
 
+    def test_initial_path_through_a_file_rejected(self, copy):
+        before = snapshot(copy)
+        init = copy / "run.cfg" / "x"
+        r = invoke(["evolve", "--config", str(copy / "run.cfg"), "--initial", str(init)])
+        assert r.exit_code == 2
+        assert f"Not a directory: '{init}'" in all_output(r)
+        assert snapshot(copy) == before
+
     def test_malformed_distribution(self, case, tmp_path):
         init = tmp_path / "init.csv"
         init.write_text("state,mass\n0,half\n", encoding="utf-8")
@@ -1341,11 +1393,11 @@ class TestStartUp:
                                 "--out", str(tmp_path / "synth"))
 
 
-def walk_case(root: Path, side: int = 24) -> Path:
+def walk_case(root: Path, side: int = 24, stay: float = 30.0) -> Path:
     """A case for `spectral` alone on a side x side grid of 1-degree boxes.
 
-    Each season is a lazy nearest-neighbour walk with random weights, 30
-    times heavier on staying, that keeps 99.9 % of the mass a step.  It
+    Each season is a lazy nearest-neighbour walk with random weights,
+    ``stay`` times heavier on staying, that keeps 99.9 % of the mass a step.  It
     mixes so slowly that both Krylov solves fill their 64-vector basis and
     restart, and a product of a vector with the basis (64 x 576) is past
     the size at which OpenBLAS threads one.
@@ -1358,7 +1410,7 @@ def walk_case(root: Path, side: int = 24) -> Path:
         inside = (0 <= col + dc) & (col + dc < side) & (0 <= row + dr) & (row + dr < side)
         rows.append(np.flatnonzero(inside))
         cols.append(((col + dc) * side + row + dr)[inside])
-        weights.append(np.full(inside.sum(), 30.0 if dc == dr == 0 else 1.0))
+        weights.append(np.full(inside.sum(), stay if dc == dr == 0 else 1.0))
     rows, cols, weights = map(np.concatenate, (rows, cols, weights))
     root.mkdir()
     for label in ("W", "S", "SF"):

@@ -15,8 +15,9 @@ self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
 that imports scipy, at module level or inside a function, only the modules
 that read or write quoted text import csv, ``cli.py`` and ``__init__.py``
-may load at import only the standard library, click and ``errors``, and
-only ``cli.py``, at module level, may write the process environment.
+may load at import only the standard library, click and ``errors``,
+only ``cli.py``, at module level, may write the process environment, and
+only ``textio`` and ``ingest`` may open a file to read it.
 """
 
 import ast
@@ -207,6 +208,53 @@ def test_scan_finds_environ_writes():
               "os.environ = {}\nprint(os.environ['A'])\n")
     assert environ_writes(source) == [(3, True), (6, True), (8, False), (9, False),
                                       (11, False), (12, True)]
+
+
+def file_reads(source: str) -> list[int]:
+    """Each line of ``source`` that opens a file to read it: a call of ``open``,
+    ``io.open`` or a path's ``.open`` whose mode is not a write-only constant,
+    or of a ``.read_text`` or ``.read_bytes`` method (``textio.read_text`` is
+    the one reader the rule allows)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+            else None
+        if isinstance(f, ast.Attribute) and f.attr in ("read_text", "read_bytes"):
+            if owner != "textio":
+                found.append(node.lineno)
+            continue
+        if not ((isinstance(f, ast.Name) and f.id == "open")
+                or (isinstance(f, ast.Attribute) and f.attr == "open" and owner != "os")):
+            continue
+        # builtin and io.open take the path first; a path's .open takes the mode first
+        at = 0 if isinstance(f, ast.Attribute) and owner != "io" else 1
+        mode = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        text = mode.value if isinstance(mode, ast.Constant) else "r"
+        if not (any(c in text for c in "wax") and "+" not in text):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_textio_and_ingest_open_files_to_read():
+    # Every input is decoded by one rule, textio.read_text; ingest streams the
+    # trajectory file and falls back to that rule to name an undecodable line.
+    readers = [p.name for p in MODULES if p.parent.name == "driftchain"
+               and file_reads(p.read_text(encoding="utf-8"))]
+    assert readers == ["ingest.py", "textio.py"]
+
+
+def test_scan_finds_file_reads():
+    source = ("import io, os\nfrom pathlib import Path\nfrom . import textio\n"
+              "open(p)\nopen(p, 'w')\nopen(p, mode='rb')\nopen(p, 'a', encoding='utf-8')\n"
+              "def f(p, m):\n    with open(p, 'r+') as fh:\n        pass\n    open(p, m)\n"
+              "io.open(p)\nio.open(p, 'x')\nPath(p).open()\nPath(p).open('w')\n"
+              "p.read_text(encoding='utf-8')\np.read_bytes()\ntextio.read_text(p)\n"
+              "p.write_text('x')\nos.open(p, os.O_RDONLY)\nfh.read()\n")
+    assert file_reads(source) == [4, 6, 9, 11, 12, 14, 16, 17]
 
 
 def test_scan_finds_scipy_imports():

@@ -14,7 +14,7 @@ from driftchain.ingest import (
     MONTH_SEASONS,
     SEASONS,
     Season,
-    Trajectory,
+    Tracks,
     extract_pairs,
     parse_trajectories,
     season_of_day,
@@ -32,14 +32,26 @@ def edges(pairs):
     return list(zip(pairs.from_state.tolist(), pairs.to_state.tolist()))
 
 
-def track(drifter_id, samples):
-    t, lons, lats = zip(*samples)
-    return Trajectory(
-        drifter_id=drifter_id,
-        times=np.asarray(t, float),
-        lons=np.asarray(lons, float),
-        lats=np.asarray(lats, float),
+def tracks_of(columns, ids=None):
+    """A track table of the (times, lons, lats) of each track, ids "0", "1", ... by default."""
+    return Tracks(
+        ids=tuple(ids or map(str, range(len(columns)))),
+        starts=np.cumsum([0, *(len(t) for t, _, _ in columns)]),
+        times=np.concatenate([np.empty(0), *(np.asarray(c[0], float) for c in columns)]),
+        lons=np.concatenate([np.empty(0), *(np.asarray(c[1], float) for c in columns)]),
+        lats=np.concatenate([np.empty(0), *(np.asarray(c[2], float) for c in columns)]),
     )
+
+
+def track(drifter_id, samples):
+    return tracks_of([tuple(zip(*samples))], ids=[drifter_id])
+
+
+def split(tracks):
+    """(id, times, lons, lats) of each track of a table, as views of its columns."""
+    bounds = tracks.starts.tolist()
+    return [(name, tracks.times[a:b], tracks.lons[a:b], tracks.lats[a:b])
+            for name, a, b in zip(tracks.ids, bounds[:-1], bounds[1:])]
 
 
 class TestParse:
@@ -49,9 +61,10 @@ class TestParse:
             ["b,5,41.0,-30.0", "a,0,40.2,-29.5", "a,10,40.9,-29.1", "a,5,40.5,-29.3"],
         )
         trajs, report = parse_trajectories(path)
-        assert [t.drifter_id for t in trajs] == ["a", "b"]
-        assert trajs[0].times.tolist() == [0.0, 5.0, 10.0]
-        assert trajs[0].lons.tolist() == [40.2, 40.5, 40.9]
+        assert trajs.ids == ("a", "b")
+        assert trajs.starts.dtype == np.int64 and trajs.starts.tolist() == [0, 3, 4]
+        assert trajs.times.tolist() == [0.0, 5.0, 10.0, 5.0]
+        assert trajs.lons.tolist() == [40.2, 40.5, 40.9, 41.0]
         assert report.valid_rows == 4
         assert report.n_drifters == 2
 
@@ -63,7 +76,7 @@ class TestParse:
         )
         trajs, report = parse_trajectories(path)
         assert report.skipped_rows == 3
-        assert len(trajs[0]) == 2
+        assert trajs.starts.tolist() == [0, 2]
 
     def test_drogued_rows_dropped(self, tmp_path):
         path = write_csv(
@@ -73,7 +86,7 @@ class TestParse:
         )
         trajs, report = parse_trajectories(path)
         assert report.drogued_dropped == 1
-        assert trajs[0].times.tolist() == [0.0, 10.0]
+        assert trajs.times.tolist() == [0.0, 10.0]
 
     def test_duplicate_times_keep_first(self, tmp_path):
         path = write_csv(
@@ -81,7 +94,7 @@ class TestParse:
         )
         trajs, report = parse_trajectories(path)
         assert report.duplicate_times == 1
-        assert trajs[0].lons[0] == 40.0
+        assert trajs.lons[0] == 40.0
 
     def test_bad_header_and_empty_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -117,60 +130,60 @@ class TestExtractPairs:
 
     def test_exact_stride(self):
         traj = track("a", [(0, 40.5, -29.5), (5, 41.5, -29.5), (10, 42.5, -29.5)])
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         assert edges(pairs) == [(0, 1), (1, 2)]
         assert SEASONS[pairs.season[0]] is Season.W
 
     def test_pairs_do_not_overlap(self):
         # Samples every day; 5-day pairs must start where the last ended.
         samples = [(float(t), 40.5 + 0.2 * t, -29.5) for t in range(21)]
-        pairs = extract_pairs([track("a", samples)], self.grid, 5.0)
+        pairs = extract_pairs(track("a", samples), self.grid, 5.0)
         assert pairs.start_date.tolist() == [0.0, 5.0, 10.0, 15.0]
 
     def test_nearest_sample_within_tolerance(self):
         # End sample at 5.4 days is within T/10 = 0.5 of the 5-day target.
         traj = track("a", [(0, 40.5, -29.5), (5.4, 41.5, -29.5)])
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         assert len(pairs) == 1
         # At 5.6 days the gap exceeds the tolerance: no pair.
         traj = track("a", [(0, 40.5, -29.5), (5.6, 41.5, -29.5)])
-        assert len(extract_pairs([traj], self.grid, 5.0)) == 0
+        assert len(extract_pairs(traj, self.grid, 5.0)) == 0
 
     def test_gap_resumes_at_next_sample(self):
         traj = track(
             "a",
             [(0, 40.5, -29.5), (2, 41.5, -29.5), (7, 42.5, -29.5), (12, 43.5, -29.5)],
         )
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         # No match for 0 + 5; extraction restarts at t=2 and chains onward.
         assert pairs.start_date.tolist() == [2.0, 7.0]
         assert edges(pairs) == [(1, 2), (2, 3)]
 
     def test_out_of_domain_end_recorded(self):
         traj = track("a", [(0, 45.5, -29.5), (5, 46.5, -29.5)])
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         assert edges(pairs) == [(5, OUT_OF_DOMAIN)]
 
     def test_out_of_domain_start_skipped(self):
         traj = track("a", [(0, 39.5, -29.5), (5, 40.5, -29.5), (10, 41.5, -29.5)])
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         assert edges(pairs) == [(0, 1)]
 
     def test_season_tag_follows_start_date(self):
         # Start 22 days after the epoch (still March, W); end in April.
         traj = track("a", [(22, 40.5, -29.5), (27, 41.5, -29.5), (32, 42.5, -29.5)])
-        pairs = extract_pairs([traj], self.grid, 5.0)
+        pairs = extract_pairs(traj, self.grid, 5.0)
         assert [SEASONS[c] for c in pairs.season] == [Season.W, Season.SF]
 
     def test_bad_transition_time(self):
         with pytest.raises(ValueError):
-            extract_pairs([], self.grid, 0.0)
+            extract_pairs(tracks_of([]), self.grid, 0.0)
 
 
 def test_season_split_partitions():
     g = build_grid((40.0, 46.0, -30.0, -29.0), cell_size=1.0)
     samples = [(float(5 * k), 40.5 + 0.1 * k, -29.5) for k in range(40)]
-    pairs = extract_pairs([track("a", samples)], g, 5.0)
+    pairs = extract_pairs(track("a", samples), g, 5.0)
     split = season_split(pairs)
     assert set(split) == set(Season)
     assert sum(len(v) for v in split.values()) == len(pairs)
@@ -243,9 +256,9 @@ def test_parse_matches_row_by_row_oracle(tmp_path, monkeypatch, block_lines, flo
             continue
         got, report = parse_trajectories(path)
         assert vars(report) == counts, path.read_bytes()
-        assert [t.drifter_id for t in got] == [w[0] for w in want]
-        for traj, (_, times, lons, lats) in zip(got, want):
-            for a, b in ((traj.times, times), (traj.lons, lons), (traj.lats, lats)):
+        assert list(got.ids) == [w[0] for w in want]
+        for traj, track_want in zip(split(got), want):
+            for a, b in zip(traj[1:], track_want[1:]):
                 assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
         compared += 1
     assert compared > 100
@@ -255,18 +268,32 @@ def test_parse_keeps_first_of_duplicate_times_across_paths(tmp_path):
     # The first row at t=0 only parses in Python (quoted), the second in C;
     # file position, not parse path, decides which one is kept.
     path = write_csv(tmp_path / "t.csv", ['"a",0,40.0,-30.0', "a,0,41.0,-30.0", "a,1,42.0,-30.0"])
-    (traj,), report = parse_trajectories(path)
-    assert traj.lons.tolist() == [40.0, 42.0]
+    got, report = parse_trajectories(path)
+    assert got.ids == ("a",) and got.lons.tolist() == [40.0, 42.0]
     assert report.duplicate_times == 1
 
 
 def assert_matches_oracle(path, got, report):
     want, counts = oracles.row_by_row_parse(path)
     assert vars(report) == counts
-    assert [t.drifter_id for t in got] == [w[0] for w in want]
-    for traj, (_, times, lons, lats) in zip(got, want):
-        for a, b in ((traj.times, times), (traj.lons, lons), (traj.lats, lats)):
+    assert list(got.ids) == [w[0] for w in want]
+    for traj, track_want in zip(split(got), want):
+        for a, b in zip(traj[1:], track_want[1:]):
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("plain_rows", [0, 5000])
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_undecodable_byte_names_its_line(tmp_path, ending, plain_rows):
+    # The stream is decoded as it is read, in the header or many blocks in;
+    # the line is counted by physical lines, a quoted line break included.
+    rows = ["id,time_days,lon,lat", *(f"a,{k},40.5,-29.5" for k in range(plain_rows)),
+            '"q', 'r",1,40.5,-29.5', "b?,2,40.5,-29.5"]
+    path = tmp_path / "t.csv"
+    path.write_bytes(ending.join(rows).encode().replace(b"?", b"\xff"))
+    with pytest.raises(ConfigError) as err:
+        parse_trajectories(path)
+    assert str(err.value) == f"{path}:{len(rows)}: byte 0xff is not UTF-8 text"
 
 
 def archive_text(rng, n_rows: int) -> str:
@@ -312,10 +339,30 @@ def test_parse_peak_memory_is_bounded_by_its_tracks(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = sum(tr.times.nbytes + tr.lons.nbytes + tr.lats.nbytes for tr in got)
+    returned = got.times.nbytes + got.lons.nbytes + got.lats.nbytes
     assert report.skipped_rows > 50 and report.duplicate_times > 1000
     assert peak - base <= 3.5 * returned
     assert_matches_oracle(path, got, report)
+
+
+def test_track_table_holds_no_object_per_track(tmp_path):
+    # Beyond its 24 bytes per fix, the table holds per track one start
+    # offset and one id string (about 70 bytes for a six-character id); a
+    # record per track with its own array views would take about 430 more.
+    n_tracks = 20_000
+    path = tmp_path / "short.csv"
+    path.write_text("id,time_days,lon,lat\n" + "".join(
+        f"D{k:05d},0,40.5,-29.5\nD{k:05d},5,41.5,-29.5\n" for k in range(n_tracks)),
+        encoding="utf-8")
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        got, report = parse_trajectories(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_drifters == len(got.ids) == n_tracks and len(got.times) == 2 * n_tracks
+    assert (held - base - 24 * len(got.times)) / n_tracks <= 100
 
 
 @pytest.mark.parametrize("ending", _ENDINGS)
@@ -357,8 +404,7 @@ def test_extract_matches_sample_by_sample_oracle(tmp_path, dyadic, lag):
     total = 0
     for _ in range(200):
         tracks = _jittered_tracks(rng, dyadic)
-        trajs = [Trajectory(str(k), t, x, y) for k, (t, x, y) in enumerate(tracks)]
-        pairs = extract_pairs(trajs, g, lag, epoch=epoch)
+        pairs = extract_pairs(tracks_of(tracks), g, lag, epoch=epoch)
         want = oracles.sample_by_sample_pairs(tracks, g, lag,
                                               lambda d: season_of_day(d, epoch))
         got = list(zip(pairs.from_state.tolist(), pairs.to_state.tolist(),
@@ -372,14 +418,25 @@ def test_extract_across_batches(monkeypatch):
     # Tracks spread over several batches give the same pairs as one batch.
     g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0)
     rng = np.random.default_rng(3)
-    trajs = [Trajectory(str(k), t, x, y)
-             for k, (t, x, y) in enumerate(_jittered_tracks(rng, True) * 4)]
+    trajs = tracks_of(_jittered_tracks(rng, True) * 4)
     whole = extract_pairs(trajs, g, 5.0)
     monkeypatch.setattr(ingest, "_BATCH_SAMPLES", 10)
     split = extract_pairs(trajs, g, 5.0)
     for name in ("from_state", "to_state", "start_date", "season"):
         assert np.array_equal(getattr(whole, name), getattr(split, name))
 
+
+
+def test_empty_tracks_give_no_pairs(monkeypatch):
+    # A table may hold tracks without fixes, even at the end of a batch.
+    g = build_grid((40.0, 46.0, -30.0, -28.0), cell_size=1.0)
+    one = ([0.0, 5.0, 10.0], [40.5, 41.5, 42.5], [-29.5] * 3)
+    empty = ([], [], [])
+    assert len(extract_pairs(tracks_of([]), g, 5.0)) == 0
+    assert len(extract_pairs(tracks_of([empty, empty]), g, 5.0)) == 0
+    monkeypatch.setattr(ingest, "_BATCH_SAMPLES", 1)
+    pairs = extract_pairs(tracks_of([empty, one, empty, empty, one, empty]), g, 5.0)
+    assert edges(pairs) == [(0, 1), (1, 2)] * 2
 
 
 def assert_walk_matches_loop(rng, lengths, open_rate):

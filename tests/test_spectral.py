@@ -237,6 +237,21 @@ class TestBasin:
         assert math.isnan(res.lambda_b) and math.isnan(res.retention_time)
         assert "no states exceed the basin threshold" in caplog.text
 
+    def test_only_the_step_cap_leaves_the_basin_unconverged(self, caplog):
+        a = random_substochastic(np.random.default_rng(14), 12)
+        eigs = dominant_eigs(a, k=1, tol=1e-12)
+        with caplog.at_level("WARNING", logger="driftchain.spectral"):
+            capped = analyze_basin(a, threshold=0.0, tol=1e-15, max_iter=1, eigs=eigs)
+        assert len(capped.members) == 12 and not capped.converged
+        assert "restricted eigenvalue unconverged after 1 iterations" in caplog.text
+        assert analyze_basin(a, threshold=0.0, tol=1e-12, eigs=eigs).converged
+        # A basis that spans the basin is invariant: its Ritz value is exact up
+        # to the projected eigensolve's roundoff, which no tolerance can undercut.
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="driftchain.spectral"):
+            spanned = analyze_basin(a, threshold=0.0, tol=1e-300, eigs=eigs)
+        assert spanned.converged and spanned.products == 12 and caplog.text == ""
+
     def test_analyze_basin_combines_steps(self):
         # Two nearly closed communities; the right vector separates them.
         a = np.array(

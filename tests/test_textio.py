@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from driftchain import textio
+from driftchain.errors import ConfigError
 from driftchain.textio import write_rows
 
 EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -86,6 +87,22 @@ def test_read_lines_breaks_only_at_line_ends(tmp_path, data, lines):
     path = tmp_path / "t.txt"
     path.write_bytes(data)
     assert textio.read_lines(path) == lines
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"\xff", 1, "ff"), (b"a\nb\xffc\n", 2, "ff"), (b"a\r\nb\r\n\r\n\xfe", 4, "fe"),
+    (b"a\rb\r\r\x85\n", 4, "85"), ("\u2028\x0c\x1c".encode() + b"\n\xc3", 2, "c3"),
+], ids=["first-line", "newline", "crlf", "cr", "other-breaks"])
+def test_undecodable_byte_names_the_line_read_lines_counts(tmp_path, data, line, byte):
+    # The byte's line is the one read_lines would give it: the number of
+    # lines before it, by \n, \r\n and \r alone, plus one.
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        textio.read_text(path)
+    assert str(err.value) == f"{path}:{line}: byte 0x{byte} is not UTF-8 text"
+    path.write_bytes(data.replace(bytes.fromhex(byte), b"?"))
+    assert len(textio.read_lines(path)) >= line and "?" in textio.read_lines(path)[line - 1]
 
 
 @pytest.mark.parametrize("text, blank", [
