@@ -30,15 +30,6 @@ log = logging.getLogger(__name__)
 _PMF_TOL = 1e-12
 
 
-def elapsed_steps(days: float, transition_time: float) -> int:
-    """Observation time in whole steps: round(days / T), half away from zero."""
-    if days <= 0:
-        raise ValueError(f"elapsed days must be positive, got {days}")
-    if transition_time <= 0:
-        raise ValueError("transition time must be positive")
-    return int(math.floor(days / transition_time + 0.5))
-
-
 @dataclass(frozen=True)
 class Observation:
     """One debris discovery: target label, elapsed days, display name."""
@@ -56,7 +47,10 @@ class Observation:
             )
 
     def steps(self, transition_time: float) -> int:
-        k = elapsed_steps(self.days_since_crash, transition_time)
+        """Observation time in whole steps: round(days / T), half away from zero."""
+        if transition_time <= 0:
+            raise ValueError("transition time must be positive")
+        k = int(math.floor(self.days_since_crash / transition_time + 0.5))
         if k < 1:
             raise ConfigError(
                 f"observation {self.name!r} at {self.days_since_crash} d is below "
@@ -155,62 +149,52 @@ def first_absorption_pmf(cdf: np.ndarray) -> np.ndarray:
     return out
 
 
-def pmf_mass_at(pmf: np.ndarray, k: int, window_steps: int = 0) -> float:
-    """Observation factor: pmf at step k, or summed over k +- window."""
-    last = pmf.shape[0] - 1
-    if not 1 <= k <= last:
-        raise ValueError(f"step {k} outside the computed horizon 1..{last}")
-    if window_steps < 0:
-        raise ValueError("window half-width must be nonnegative")
-    if window_steps == 0:
-        return float(pmf[k])
-    lo = max(1, k - window_steps)
-    hi = min(last, k + window_steps)
-    return float(pmf[lo:hi + 1].sum())
-
-
 @dataclass(frozen=True)
 class PosteriorResult:
     """Posterior over candidate source boxes.
 
-    ``interval`` holds the central-interval latitude endpoints at
-    ``level`` when candidate latitudes are known, else None.  Single-
-    observation posteriors (one column per observation) are present when
-    per-observation factors were supplied.
+    ``single_posteriors`` holds one column per observation: the posterior
+    that observation alone gives.  ``interval`` holds the central-interval
+    latitude endpoints at ``level`` when candidate latitudes are known,
+    else None.
     """
 
     candidates: np.ndarray
     log_likelihood: np.ndarray
     posterior: np.ndarray
+    single_posteriors: np.ndarray
     c_max: int
     c_max_index: int
     level: float
     interval: tuple[float, float] | None = None
     latitudes: np.ndarray | None = None
     longitudes: np.ndarray | None = None
-    single_posteriors: np.ndarray | None = None
 
 
 def posterior(
-    log_likelihood: np.ndarray,
+    obs_log: np.ndarray,
+    candidates: np.ndarray,
     prior: np.ndarray | None = None,
     level: float = 0.95,
     *,
-    candidates: np.ndarray | None = None,
     latitudes: np.ndarray | None = None,
     longitudes: np.ndarray | None = None,
-    per_observation_log: np.ndarray | None = None,
 ) -> PosteriorResult:
     """Normalize likelihood x prior into the posterior over candidates.
 
-    The normalization shifts by the largest finite log-likelihood before
+    ``obs_log[i, j]`` is the log of observation j's factor for
+    ``candidates[i]``; the joint log-likelihood is its row sum.  The
+    normalization shifts by the largest finite log-likelihood before
     exponentiating, so only likelihood ratios matter.  Raises
     ZeroEvidenceError when every candidate has zero posterior mass.
     """
-    logl = np.asarray(log_likelihood, dtype=float)
-    n = logl.shape[0]
+    cand = np.asarray(candidates)
+    obs_log = np.asarray(obs_log, dtype=float)
+    n = len(cand)
     if n == 0:
         raise ValueError("no candidates")
+    if obs_log.ndim != 2 or obs_log.shape[0] != n:
+        raise ValueError("obs_log must hold one row of per-observation logs per candidate")
     if not 0 < level < 1:
         raise ValueError(f"interval level must be in (0, 1), got {level}")
     if prior is None:
@@ -225,8 +209,8 @@ def posterior(
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"prior must sum to 1, got {total}")
         pri = pri / total
-    cand = np.arange(n) if candidates is None else np.asarray(candidates)
 
+    logl = obs_log.sum(axis=1)
     post = _normalize(logl, pri)
     idx = int(np.argmax(post))
 
@@ -235,30 +219,25 @@ def posterior(
         latitudes = np.asarray(latitudes, dtype=float)
         interval = central_interval(post, latitudes, level)
 
-    singles = None
-    if per_observation_log is not None:
-        obs_log = np.asarray(per_observation_log, dtype=float)
-        if obs_log.shape[0] != n:
-            raise ValueError("per-observation factors must match the candidate count")
-        singles = np.empty_like(obs_log)
-        for j in range(obs_log.shape[1]):
-            try:
-                singles[:, j] = _normalize(obs_log[:, j], pri)
-            except ZeroEvidenceError:
-                log.warning("observation %d has zero evidence on all candidates", j + 1)
-                singles[:, j] = np.nan
+    singles = np.empty_like(obs_log)
+    for j in range(obs_log.shape[1]):
+        try:
+            singles[:, j] = _normalize(obs_log[:, j], pri)
+        except ZeroEvidenceError:
+            log.warning("observation %d has zero evidence on all candidates", j + 1)
+            singles[:, j] = np.nan
 
     return PosteriorResult(
         candidates=cand,
         log_likelihood=logl,
         posterior=post,
+        single_posteriors=singles,
         c_max=int(cand[idx]),
         c_max_index=idx,
         level=level,
         interval=interval,
         latitudes=latitudes,
         longitudes=None if longitudes is None else np.asarray(longitudes, dtype=float),
-        single_posteriors=singles,
     )
 
 
@@ -322,29 +301,25 @@ def estimate_source(
     else:
         cand = np.asarray(candidates, dtype=np.int64)
 
-    steps = np.array(observation_steps(schedule, observations), dtype=np.int64)
-    horizon = int(steps.max() + window_steps)
+    if window_steps < 0:
+        raise ValueError("window half-width must be nonnegative")
+    steps = observation_steps(schedule, observations)
+    horizon = max(steps) + window_steps
 
+    # Steps contiguous per (target, candidate): each factor column is one
+    # row sum, added pairwise like a sum over that candidate's own curve.
     pmf = first_absorption_pmf(absorption_cdf_all(schedule, cand, horizon))
+    pmf = np.ascontiguousarray(pmf.transpose(1, 2, 0))
     factors = np.empty((len(cand), len(observations)))
-    for oi, (o, k) in enumerate(zip(observations, steps.tolist())):
-        for ci in range(len(cand)):
-            factors[ci, oi] = pmf_mass_at(pmf[:, o.target_label - 1, ci], k, window_steps)
+    for oi, (o, k) in enumerate(zip(observations, steps)):
+        window = pmf[o.target_label - 1, :, max(1, k - window_steps):k + window_steps + 1]
+        factors[:, oi] = window.sum(axis=1)
 
     with np.errstate(divide="ignore"):
         obs_log = np.log(factors)
 
     lons, lats = (None, None) if grid is None else grid.box_centers(cand).T
-
-    return posterior(
-        obs_log.sum(axis=1),
-        prior,
-        level,
-        candidates=cand,
-        latitudes=lats,
-        longitudes=lons,
-        per_observation_log=obs_log,
-    )
+    return posterior(obs_log, cand, prior, level, latitudes=lats, longitudes=lons)
 
 
 @dataclass(frozen=True)

@@ -55,34 +55,9 @@ class RunConfig:
     window_steps: int = 0
 
     def __post_init__(self):
-        # NaN makes every comparison below false, so none of them would catch it.
-        for name in ("lag_days", "eigen_tol", "basin_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lag_days <= 0:
-            raise ConfigError(f"lag_days must be positive, got {self.lag_days}")
-        block = self.season_exponent * self.lag_days
-        if self.season_exponent < 1 or abs(block - SEASON_BLOCK_DAYS) > 1e-9:
-            raise ConfigError(
-                f"season_exponent x lag_days must equal {SEASON_BLOCK_DAYS:g} days "
-                f"(one season block), got {self.season_exponent} x {self.lag_days} = {block:g}"
-            )
-        # Right vectors peak at exactly 1, so a threshold of 1 or more
-        # leaves the basin empty.
-        if self.basin_threshold >= 1:
-            raise ConfigError(f"basin_threshold must be below 1, got {self.basin_threshold}")
-        if not 0 < self.cpi_level < 1:
-            raise ConfigError(f"cpi_level must be in (0, 1), got {self.cpi_level}")
-        if self.window_steps < 0:
-            raise ConfigError("window_steps must be nonnegative")
-        if self.eigen_tol <= 0 or self.eigen_max_iter < 1:
-            raise ConfigError("eigen_tol must be positive and eigen_max_iter >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for name, parse in _RUN_KEYS.items():
-            p = getattr(self, name)
-            if parse is _input_file and p is not None and not Path(p).is_file():
-                raise ConfigError(f"{name} file does not exist: {p}")
+        fault = next(_run_faults(self), None)
+        if fault is not None:
+            raise _RunValueError(*fault)
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if getattr(self, n) is None]
@@ -90,6 +65,49 @@ class RunConfig:
             raise ConfigError(
                 "config is missing required keys: " + ", ".join(sorted(missing))
             )
+
+
+class _RunValueError(ConfigError):
+    """A run value that breaks its rule; ``keys`` are the run keys whose
+    line names it, the first one a file sets."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+def _run_faults(c: RunConfig):
+    """Each rule that ``c``'s values break, in the order checked, as the run
+    keys that name it and the message."""
+    # NaN makes every comparison below false, so none of them would catch it.
+    for key in ("lag_days", "eigen_tol", "basin_threshold"):
+        if not math.isfinite(getattr(c, key)):
+            yield (key,), f"{key} must be finite, got {getattr(c, key)}"
+    if c.lag_days <= 0:
+        yield ("lag_days",), f"lag_days must be positive, got {c.lag_days}"
+    block = c.season_exponent * c.lag_days
+    if c.season_exponent < 1 or abs(block - SEASON_BLOCK_DAYS) > 1e-9:
+        yield ("season_exponent", "lag_days"), (
+            f"season_exponent x lag_days must equal {SEASON_BLOCK_DAYS:g} days "
+            f"(one season block), got {c.season_exponent} x {c.lag_days} = {block:g}")
+    # Right vectors peak at exactly 1, so a threshold of 1 or more leaves
+    # the basin empty.
+    if c.basin_threshold >= 1:
+        yield ("basin_threshold",), f"basin_threshold must be below 1, got {c.basin_threshold}"
+    if not 0 < c.cpi_level < 1:
+        yield ("cpi_level",), f"cpi_level must be in (0, 1), got {c.cpi_level}"
+    if c.window_steps < 0:
+        yield ("window_steps",), f"window_steps must be nonnegative, got {c.window_steps}"
+    if c.eigen_tol <= 0:
+        yield ("eigen_tol",), f"eigen_tol must be positive, got {c.eigen_tol}"
+    if c.eigen_max_iter < 1:
+        yield ("eigen_max_iter",), f"eigen_max_iter must be at least 1, got {c.eigen_max_iter}"
+    if c.seed < 0:
+        yield ("seed",), f"seed must be nonnegative, got {c.seed}"
+    for key, parse in _RUN_KEYS.items():
+        p = getattr(c, key)
+        if parse is _input_file and p is not None and not Path(p).is_file():
+            yield (key,), f"{key}: no file at {p}"
 
 
 def _parse_kv(path: str | Path, allowed: set[str]) -> dict[str, tuple[int, str]]:
@@ -136,7 +154,12 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
         kwargs[key] = path.parent / value if isinstance(value, Path) else value
     if out_dir is not None:
         kwargs["out_dir"] = Path(out_dir)
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except _RunValueError as exc:
+        # Every default keeps every rule, so one of the rule's keys is set.
+        key = next(k for k in exc.keys if k in raw)
+        raise ConfigError(f"{path}:{raw[key][0]}: {exc}") from None
 
 
 def load_grid_config(path: str | Path) -> GridCovering:

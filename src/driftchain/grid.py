@@ -157,10 +157,7 @@ class StateRoles:
 
     def __post_init__(self):
         for state, ell in self.sticky.items():
-            if not 0.0 < ell < 1.0:
-                raise ConfigError(
-                    f"land fraction for state {state} must lie strictly in (0, 1), got {ell}"
-                )
+            _check_land_fraction(state, ell)
         missing = [s for s in self.debris if s not in self.sticky]
         if missing:
             raise ConfigError(f"debris states not marked sticky: {sorted(set(missing))}")
@@ -178,6 +175,11 @@ class StateRoles:
                               f"{n_states} states")
 
 
+def _check_land_fraction(state: int, ell: float) -> None:
+    if not 0.0 < ell < 1.0:
+        raise ConfigError(f"land fraction for state {state} must lie strictly in (0, 1), got {ell}")
+
+
 #: Each role record kind and the number of value fields after its state:
 #: a sticky record gives the land fraction, a debris record the target label.
 ROLE_KINDS = {"leaky": 0, "sticky": 1, "debris": 1, "source": 0}
@@ -192,34 +194,42 @@ def roles_from_records(records: Iterable[tuple[str, str, int, str | None]],
     ``value`` is the text of the land fraction or target label (None for
     leaky and source records).  A state may carry each kind once, a debris
     label may appear once, and the labels must be exactly 1..M; the source
-    record order is the candidate order used for posterior intervals.
+    record order is the candidate order used for posterior intervals.  A
+    land fraction outside (0, 1) is named at its sticky record, a state
+    without one at its debris record.
     """
     seen: dict[str, dict] = {kind: {} for kind in ROLE_KINDS}
+    debris_at = []  # (where, state) of each debris record, in record order
     for where, kind, state, value in records:
         try:
             if kind == "debris":
                 key, item = int(value), state
+                debris_at.append((where, state))
+            elif kind == "sticky":
+                key, item = state, float(value)
+                _check_land_fraction(state, item)
             else:
-                key, item = state, float(value) if kind == "sticky" else None
-        except ValueError as exc:
+                key, item = state, None
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
         if key in seen[kind]:
             what = f"label {key}" if kind == "debris" else "record"
             raise ConfigError(f"{where}: duplicate {kind} {what}")
         seen[kind][key] = item
 
+    for where, state in debris_at:
+        if state not in seen["sticky"]:
+            raise ConfigError(f"{where}: debris state {state} is not marked sticky")
+
     labels = sorted(seen["debris"])
     if labels != list(range(1, len(labels) + 1)):
         raise ConfigError(f"{path}: debris target labels must be exactly 1..M, got {labels}")
-    try:
-        return StateRoles(
-            leaky=frozenset(seen["leaky"]),
-            sticky=seen["sticky"],
-            debris=tuple(seen["debris"][m] for m in labels),
-            candidate_sources=tuple(seen["source"]),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return StateRoles(
+        leaky=frozenset(seen["leaky"]),
+        sticky=seen["sticky"],
+        debris=tuple(seen["debris"][m] for m in labels),
+        candidate_sources=tuple(seen["source"]),
+    )
 
 
 def build_grid(

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .grid import GridCovering, StateRoles, build_grid
 from .ingest import DEFAULT_EPOCH, SEASONS, Season, TransitionPairs, season_of_day
 from .schedule import SeasonalSchedule
-from .textio import read_text, write_rows
+from .textio import line_breaks, read_text, write_rows
 from .ulam import TransitionMatrix
 
 
@@ -167,10 +167,13 @@ _SPEC_KEYS = {
 
 def load_spec(path: str | Path) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON description."""
+    text = read_text(path)
     try:
-        raw = json.loads(read_text(path))
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
+        # Lines end at \n, \r\n or \r, as in every other input; json counts only \n.
+        line = 1 + line_breaks(text[:exc.pos].encode())
+        raise ConfigError(f"{path}:{line}: malformed JSON ({exc.msg})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a synthetic spec is a JSON object")
     for key in raw:

@@ -285,8 +285,11 @@ class TestChainRolesAppendix:
         ("sticky,4,0.75\n", "sticky,4\n", "malformed roles line 'sticky,4'"),
         ("source,3\n", "swimmer,3\n", "malformed roles line 'swimmer,3'"),
         ("sticky,4,0.75\n", "sticky,4,x\n", "could not convert string to float"),
+        ("sticky,4,0.75\n", "sticky,4,1.5\n",
+         "land fraction for state 4 must lie strictly in (0, 1), got 1.5"),
+        ("debris,4,2\n", "debris,3,2\n", "debris state 3 is not marked sticky"),
     ], ids=["dup-source", "dup-leaky", "dup-sticky", "dup-label", "bad-state", "extra-field",
-            "missing-field", "unknown-kind", "bad-ell"])
+            "missing-field", "unknown-kind", "bad-ell", "ell-range", "debris-not-sticky"])
     def test_bad_record_names_its_line(self, saved, old, new, message):
         text = saved.read_text(encoding="utf-8")
         saved.write_text(text.replace(old, new), encoding="utf-8")
@@ -313,9 +316,7 @@ class TestChainRolesAppendix:
         ("debris,4,2\n", "debris,4,2\ndebris,4,3\n", "3 debris records, header n_targets 2"),
         ("source,3\n", "source,5\n", "role references state 5 but chain has 5 states"),
         ("source,3\n", "source,-1\n", "role references state -1 but chain has 5 states"),
-        ("sticky,4,0.75\n", "", "debris states not marked sticky: [4]"),
-    ], ids=["label-gap", "too-few-labels", "too-many-labels", "state-too-big", "negative-state",
-            "debris-not-sticky"])
+    ], ids=["label-gap", "too-few-labels", "too-many-labels", "state-too-big", "negative-state"])
     def test_inconsistent_roles_name_the_path(self, saved, old, new, message):
         text = saved.read_text(encoding="utf-8")
         saved.write_text(text.replace(old, new), encoding="utf-8")

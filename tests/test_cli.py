@@ -300,8 +300,10 @@ class TestSynth:
 
     @pytest.mark.parametrize("text, message", [
         (b'{\n  "bounds": [0, 1, 0, 1],\n', ":3: malformed JSON (Expecting property name"),
+        (b'{\r  "bounds": [0, 1, 0, 1],\r', ":3: malformed JSON (Expecting property name"),
+        (b'{\r\n  "bounds": [0, 1, 0, 1],\r\n', ":3: malformed JSON (Expecting property name"),
         (b'{"bounds": [0, 1, 0, 1],\n"n": "\xff"}\n', ":2: byte 0xff is not UTF-8 text"),
-    ], ids=["truncated", "not-utf8"])
+    ], ids=["truncated", "truncated-cr", "truncated-crlf", "not-utf8"])
     def test_unreadable_spec_names_its_line(self, tmp_path, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(text)

@@ -69,17 +69,35 @@ class TestRunConfig:
         # a path given to the loader stays relative to the working directory
         assert cfg.out_dir == Path("elsewhere")
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("crash_date", "2014-13-01", "month must be in 1..12"),
-        ("seed", "x1", "invalid literal for int() with base 10: 'x1'"),
-        ("eigen_tol", "tiny", "could not convert string to float: 'tiny'"),
-    ], ids=["date", "int", "float"])
-    def test_malformed_value_names_line_and_key(self, tmp_path, key, value, message):
+    @pytest.mark.parametrize("text, message", [
+        ("crash_date = 2014-13-01", "2: crash_date: month must be in 1..12"),
+        ("seed = x1", "2: seed: invalid literal for int() with base 10: 'x1'"),
+        ("eigen_tol = tiny", "2: eigen_tol: could not convert string to float: 'tiny'"),
+        # a value that parses but that RunConfig rejects
+        ("basin_threshold = 1.5", "2: basin_threshold must be below 1, got 1.5"),
+        ("lag_days = nan", "2: lag_days must be finite, got nan"),
+        ("lag_days = -5", "2: lag_days must be positive, got -5.0"),
+        ("cpi_level = 1", "2: cpi_level must be in (0, 1), got 1.0"),
+        ("window_steps = -1", "2: window_steps must be nonnegative, got -1"),
+        ("seed = -3", "2: seed must be nonnegative, got -3"),
+        ("eigen_tol = 0", "2: eigen_tol must be positive, got 0.0"),
+        ("eigen_max_iter = 0", "2: eigen_max_iter must be at least 1, got 0"),
+        # the season-block rule names season_exponent's line if it is set
+        ("lag_days = 5\nseason_exponent = 17", "3: season_exponent x lag_days must equal "
+         "90 days (one season block), got 17 x 5.0 = 85"),
+        ("season_exponent = 20\nlag_days = 5", "2: season_exponent x lag_days must equal "
+         "90 days (one season block), got 20 x 5.0 = 100"),
+        ("lag_days = 7", "2: season_exponent x lag_days must equal "
+         "90 days (one season block), got 18 x 7.0 = 126"),
+    ], ids=["date", "int", "float", "basin", "lag-nan", "lag-negative", "cpi", "window",
+            "seed-negative", "eigen-tol", "eigen-max-iter", "block-exponent",
+            "block-exponent-first", "block-lag"])
+    def test_malformed_value_names_line_and_key(self, tmp_path, text, message):
         write_inputs(tmp_path)
-        cfg_path = write_config(tmp_path, f"grid = grid.cfg\n{key} = {value}\n")
+        cfg_path = write_config(tmp_path, f"grid = grid.cfg\n{text}\n")
         with pytest.raises(ConfigError) as err:
             load_config(cfg_path)
-        assert str(err.value) == f"{cfg_path}:2: {key}: {message}"
+        assert str(err.value) == f"{cfg_path}:{message}"
 
     def test_unknown_and_duplicate_keys(self, tmp_path):
         bad = write_config(tmp_path, "wavelength = 5\n")
@@ -111,9 +129,12 @@ class TestRunConfig:
         RunConfig(lag_days=4.5, season_exponent=20)
 
     def test_missing_input_file_rejected(self, tmp_path):
-        cfg_path = write_config(tmp_path, "trajectories = nope.csv\n")
-        with pytest.raises(ConfigError):
+        cfg_path = write_config(tmp_path, "seed = 1\ntrajectories = nope.csv\n")
+        with pytest.raises(ConfigError) as err:
             load_config(cfg_path)
+        assert str(err.value) == f"{cfg_path}:2: trajectories: no file at {tmp_path / 'nope.csv'}"
+        with pytest.raises(ConfigError, match="^roles: no file at nope.csv$"):
+            RunConfig(roles=Path("nope.csv"))
 
     def test_require_lists_missing_keys(self):
         cfg = RunConfig()

@@ -388,8 +388,11 @@ def test_load_roles_file(tmp_path, square_grid):
     # only a line blank before its first `#` is skipped
     ("leaky: 0,0\n \t# note\n\x0b\n\x1c\nsource: 1,0\n", "4: unknown record kind ''"),
     ("leaky: 0,0\n\x85\n", "2: unknown record kind ''"),
+    ("leaky: 0,0\nsticky: 0,0,1.5\n",
+     "2: land fraction for state 0 must lie strictly in (0, 1), got 1.5"),
+    ("debris: 1,0,1\nsticky: 0,0,0.5\n", "1: debris state 1 is not marked sticky"),
 ], ids=["kind", "fields", "box-int", "dry-box", "ell", "dup-leaky", "dup-sticky", "dup-label",
-        "dup-source", "x1c-line", "x85-line"])
+        "dup-source", "x1c-line", "x85-line", "ell-range", "debris-not-sticky"])
 def test_load_roles_errors_name_their_line(tmp_path, square_grid, text, message):
     path = tmp_path / "roles.csv"
     path.write_text(text, encoding="utf-8")

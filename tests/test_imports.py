@@ -10,7 +10,8 @@ too.  The benchmark scripts under ``bench/`` are not imported by any
 test, so the driftchain names they use are resolved here: deleting a name
 only they need would otherwise pass every other test.  Likewise every
 driftchain name the README cites must resolve, so the documentation cannot
-keep naming a deleted function.  The benchmark's own
+keep naming a deleted function, and its `run.cfg` key table must name
+exactly the run keys, each with ``RunConfig``'s default.  The benchmark's own
 self-test is run too, since a name that resolves can still be called in a
 way that no longer works.  Last, ``csr.py`` must be the one package module
 that imports scipy, at module level or inside a function, only the modules
@@ -407,6 +408,52 @@ def test_readme_scan_reports_missing_names():
     assert sorted(name for name in names if not resolves(name)) == [
         "driftchain.grid.gone", "driftchain.ingest.MONTH_SEASONS.nope",
         "driftchain.ulam.vanished"]
+
+
+def run_key_table_faults(text: str) -> list[str]:
+    """Where the `run.cfg` key table of a README disagrees with ``config``.
+
+    The table is the first after the ``### Run configuration`` heading.  A
+    row's first cell names its keys and its last cell their defaults, each
+    in backticks; a last cell that does not open with one, such as
+    "required by `build`", stands for None.
+    """
+    from dataclasses import fields
+
+    from driftchain.config import _RUN_KEYS, RunConfig
+
+    section = text[text.index("### Run configuration"):]
+    table = re.search(r"^\|.*\n(?:\|.*\n)*", section, re.M)[0].splitlines()[2:]
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    faults, seen = [], []
+    for row in table:
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        keys = re.findall(r"`(\w+)`", cells[0])
+        given = re.findall(r"`([^`]*)`", cells[-1]) if cells[-1].startswith("`") else []
+        seen += keys
+        if given and len(given) != len(keys):
+            faults.append(f"{', '.join(keys)}: {len(given)} defaults for {len(keys)} keys")
+        for key, value in zip(keys, given or [None] * len(keys)):
+            if key not in _RUN_KEYS:
+                faults.append(f"unknown key {key!r}")
+            elif (None if value is None else _RUN_KEYS[key](value)) != defaults[key]:
+                faults.append(f"{key}: README default {value}, RunConfig {defaults[key]}")
+    faults += [f"missing key {key!r}" for key in _RUN_KEYS if key not in seen]
+    return faults
+
+
+def test_readme_run_key_table_matches_config():
+    assert run_key_table_faults((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_readme_run_key_scan_reports_faults():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    row = next(line for line in text.splitlines() if line.startswith("| `window_steps`"))
+    assert run_key_table_faults(text.replace(row + "\n", "")) == ["missing key 'window_steps'"]
+    assert run_key_table_faults(text.replace(row, row.replace("window_steps", "window"))) == [
+        "unknown key 'window'", "missing key 'window_steps'"]
+    assert run_key_table_faults(text.replace("| `0.95` |", "| `0.9` |")) == [
+        "cpi_level: README default 0.9, RunConfig 0.95"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
