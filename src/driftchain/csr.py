@@ -171,7 +171,7 @@ class Csr:
         return Transposed(self)
 
     def __matmul__(self, x):
-        return _product("csr", self, self.shape, x)
+        return _product(self, x)
 
     def __getitem__(self, key):
         return self._scipy[key]
@@ -211,25 +211,38 @@ class Transposed:
         return self.base._scipy.T.tocsr()
 
     def __matmul__(self, x):
-        return _product("csc", self.base, self.shape, x)
+        return _product(self, x)
 
 
-def _product(layout: str, m: Csr, shape: tuple[int, int], x) -> np.ndarray:
-    """``A @ x`` for the ``shape`` matrix A whose ``layout`` ("csr" or "csc")
-    arrays are ``m``'s, by scipy's compiled loop for a vector or a block.
+def _product(a: Csr | Transposed, x, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ x`` by scipy's compiled loop for a vector or a block: the CSR
+    loop over a :class:`Csr`'s arrays, the CSC loop over a transpose's.
 
     ``x`` is cast once to a C-contiguous float64 array, as scipy casts a
     real operand, so int, bool and float32 operands give scipy's bits.
+    The product is written into ``out`` when given, a C-contiguous float64
+    array of the product's shape that is not ``x``; it is zeroed first, as
+    the loops add into their output, so its old values never show.
     """
+    layout, m = ("csc", a.base) if isinstance(a, Transposed) else ("csr", a)
     x = np.asarray(x)
     if not np.can_cast(x.dtype, np.float64):
         raise TypeError(f"a sparse product takes a real operand, got {x.dtype}")
-    n_out, n_in = shape
+    n_out, n_in = a.shape
     if x.ndim not in (1, 2) or x.shape[0] != n_in:
         raise ValueError(f"an operand of shape {x.shape} does not match a "
                          f"{n_out} x {n_in} matrix")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.zeros((n_out, *x.shape[1:]))
+    shape = (n_out, *x.shape[1:])
+    if out is None:
+        y = np.zeros(shape)
+    elif (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
+          or np.may_share_memory(out, x)):
+        raise ValueError(f"a product buffer must be a C-contiguous float64 array of "
+                         f"shape {shape} apart from the operand")
+    else:
+        y = out
+        y.fill(0.0)
     kernels = _sparsetools()
     if x.ndim == 1:
         getattr(kernels, f"{layout}_matvec")(n_out, n_in, *m._arrays, x, y)

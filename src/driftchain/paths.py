@@ -72,9 +72,12 @@ class _EdgeLayout:
 
     target_col None keeps edges into grid states (intermediate step);
     otherwise only edges into that single column are kept.  Edges are
-    sorted by column, then by row.  Slot s holds the s-th edge of every
-    column with more than s in-edges; ``cols`` lists the columns by
-    in-degree, descending, so slot s covers a prefix of them.
+    sorted by column, then by row, and ``first[c]`` is the index of column
+    c's first edge.  Slot s holds the s-th edge of every column with more
+    than s in-edges; ``cols`` lists the columns by in-degree, descending,
+    so slot s covers a prefix of them.  A winning edge is stored as its
+    slot, in ``slot_dtype``: the smallest unsigned type that holds the
+    largest in-degree less one (``uint8`` up to 256 in-edges).
     """
 
     def __init__(self, matrix: Csr, n_grid: int, target_col: int | None):
@@ -92,15 +95,17 @@ class _EdgeLayout:
         degree = np.diff(starts, append=cols.size)
         by_degree = np.argsort(-degree, kind="stable")
         self.cols = cols[starts[by_degree]]
-        self.starts = starts[by_degree].astype(np.int32)
-        degree = degree[by_degree]
+        self.first = np.zeros(matrix.shape[1], dtype=self.rows.dtype)
+        self.first[cols[starts]] = starts
+        starts, degree = starts[by_degree], degree[by_degree]
         self.slots = []
         for s in range(degree.max(initial=1)):
-            e = self.starts[:np.count_nonzero(degree > s)] + s
+            e = starts[:np.count_nonzero(degree > s)] + s
             self.slots.append((self.rows[e], self.logs[e][:, None]))
+        self.slot_dtype = np.min_scalar_type(len(self.slots) - 1)
 
     def step(self, v: np.ndarray):
-        """Best score per (column, source) and the index of the edge attaining it.
+        """Best score per (column, source) and the slot of the edge attaining it.
 
         Slots are visited in row order and only a strictly larger score
         replaces the best, so the smallest row wins a tie; a column whose
@@ -109,7 +114,7 @@ class _EdgeLayout:
         (rows, logs), *rest = self.slots
         best = v[rows]
         best += logs
-        slot = np.zeros(best.shape, dtype=np.int32)
+        slot = np.zeros(best.shape, dtype=self.slot_dtype)
         for s, (rows, logs) in enumerate(rest, start=1):
             scores = v[rows]
             scores += logs
@@ -117,7 +122,7 @@ class _EdgeLayout:
             better = scores > best[:m]
             np.copyto(best[:m], scores, where=better)
             slot[:m][better] = s
-        return best, self.starts[:, None] + slot
+        return best, slot
 
 
 def most_probable_paths(
@@ -137,15 +142,16 @@ def most_probable_paths(
     forward max-product pass of max K - 1 intermediate steps serves them
     all: a ``paths`` run makes one pass, not one per observation.  It
     carries every source at once (a value column per source) and
-    keeps, per step, state and source, the index of the winning edge,
-    which costs S*(K_max - 1)*n*4 bytes.  When the pass reaches step K - 1
-    of a target it takes that target's final step into its absorbing
-    state, and every path is traced back through the shared back-pointers.
-    A step's temporaries are columns x sources.  Log-probabilities are
-    summed left to right along the path.  Ties are broken
-    deterministically: an intermediate step goes to the smallest
-    predecessor row, the final step to the smallest row entering the
-    target, and ``best`` to the smallest source.
+    keeps, per step, state and source, the winning edge's slot among the
+    state's in-edges: S*(K_max - 1)*n bytes while no state has more than
+    256 in-edges (``_EdgeLayout``).  When the pass reaches step K - 1 of a
+    target it takes that target's final step into its absorbing state, and
+    every path is traced back through the shared back-pointers, each slot
+    added to its column's first edge.  A step's temporaries are n x
+    sources floats.  Log-probabilities are summed left to right along the
+    path.  Ties are broken deterministically: an intermediate step goes to
+    the smallest predecessor row, the final step to the smallest row
+    entering the target, and ``best`` to the smallest source.
     """
     targets = list(targets)
     if not targets:
@@ -176,10 +182,12 @@ def most_probable_paths(
             layouts[key] = _EdgeLayout(m, n, target_col)
         return layouts[key]
 
+    middle = [layout(k, None) for k in range(k_max - 1)]
     v = np.full((n, src.size), -np.inf)
     v[src, np.arange(src.size)] = 0.0
-    back = np.full((k_max - 1, n, src.size), -1, dtype=np.int32)
-    middle: list[_EdgeLayout] = []
+    # No traceback reads a column without in-edges, so its zeros stay unread.
+    back = np.zeros((k_max - 1, n, src.size),
+                    dtype=np.result_type(np.uint8, *(lay.slot_dtype for lay in middle)))
     finals = {}
     for k in range(k_max):
         for i in due.get(k, ()):
@@ -187,8 +195,7 @@ def most_probable_paths(
             finals[i] = (lay, *lay.step(v))  # at most one column: the target
         if k == k_max - 1:
             break
-        lay = layout(k, None)
-        middle.append(lay)
+        lay = middle[k]
         best, back[k, lay.cols] = lay.step(v)
         v = np.full_like(v, -np.inf)
         v[lay.cols] = best
@@ -204,12 +211,12 @@ def most_probable_paths(
             seq = np.empty((n_steps + 1, ok.size), dtype=np.int64)
             step_logs = np.empty((n_steps, ok.size))
             seq[-1] = target_col
-            edge = win[0, ok]
+            edge = last.first[target_col] + win[0, ok]
             for k in range(n_steps - 1, -1, -1):
                 seq[k] = steps[k].rows[edge]
                 step_logs[k] = steps[k].logs[edge]
                 if k:
-                    edge = back[k - 1, seq[k], ok]
+                    edge = steps[k - 1].first[seq[k]] + back[k - 1, seq[k], ok]
             landing = int(schedule.roles.debris[b - 1])
             for j, s in enumerate(ok):
                 results[s] = PathResult(

@@ -165,11 +165,30 @@ _SPEC_KEYS = {
 }
 
 
+class _Zeros(dict):
+    """``json.loads``'s ``parse_float`` as ``_Zeros().__getitem__``: each
+    number text read by ``float``, and each spelling of zero (``0.0``,
+    ``-0.0``, ``0e0``, ...) stored on its first read and shared after.
+
+    Nearly every entry of a dense kernel is zero, so the parsed spec holds
+    one float object per spelling instead of one per entry (24 bytes
+    each); no other value is kept, so the memo stays a few entries long.
+    A float is immutable, and the key is the spelling, so ``-0.0`` keeps
+    its sign bit.
+    """
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if value == 0.0:
+            self[text] = value
+        return value
+
+
 def load_spec(path: str | Path) -> SyntheticSpec:
     """Read a SyntheticSpec from its JSON description."""
     text = read_text(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_Zeros().__getitem__)
     except json.JSONDecodeError as exc:
         # Lines end at \n, \r\n or \r, as in every other input; json counts only \n.
         line = 1 + line_breaks(text[:exc.pos].encode())
@@ -444,9 +463,14 @@ def write_grid_config(spec: SyntheticSpec, path: str | Path) -> None:
 
 def write_truth_sidecar(spec: SyntheticSpec, path: str | Path,
                         sampled_obs: list[tuple[int, int]] | None = None) -> None:
-    """Ground-truth JSON sidecar for oracle comparison."""
-    # json's indent encoder is pure Python and the kernels are nearly all of
-    # the payload, so they go in as placeholders and are encoded apart.
+    """Ground-truth JSON sidecar for oracle comparison: the text of
+    ``json.dumps(payload, indent=2, sort_keys=True)`` and a line end.
+
+    json's indent encoder is pure Python and the kernels are nearly all of
+    the payload, so they go in as placeholders and are written apart, row
+    by row (``_json_matrix``): the text up to each placeholder in file
+    order, then that kernel.  The file is never held whole in memory.
+    """
     tokens = {s: f"\0kernel {s}" for s in Season}
     payload = {
         "seed": spec.seed,
@@ -465,26 +489,28 @@ def write_truth_sidecar(spec: SyntheticSpec, path: str | Path,
         "sampled_observations": sampled_obs,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    for s, token in tokens.items():
-        text = text.replace(json.dumps(token), _json_matrix(spec.kernels[s], level=2))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for s in sorted(Season, key=str):  # sort_keys puts the kernels in this order
+            head, _, text = text.partition(json.dumps(tokens[s]))
+            fh.write(head)
+            fh.writelines(_json_matrix(spec.kernels[s], level=2))
         fh.write(text)
         fh.write("\n")
 
 
-def _json_matrix(rows, level: int) -> str:
-    """``json.dumps(rows, indent=2)`` of rows of finite numbers (a 2-D array
-    or lists), opened ``level`` indents deep, without json's pure-Python
-    indent encoder."""
+def _json_matrix(rows, level: int):
+    """The pieces of ``json.dumps(rows, indent=2)`` of rows of finite numbers
+    (a 2-D array or lists), opened ``level`` indents deep, one per row,
+    without json's pure-Python indent encoder."""
     if not len(rows):
-        return "[]"
+        yield "[]"
+        return
     outer = "\n" + "  " * (level + 1)
     inner = ",\n" + "  " * (level + 2)
-    items = [
-        "[" + inner[1:] + inner.join(_entry_texts(row)) + outer + "]" if len(row) else "[]"
-        for row in rows
-    ]
-    return "[" + outer + ("," + outer).join(items) + "\n" + "  " * level + "]"
+    for i, row in enumerate(rows):
+        item = "[" + inner[1:] + inner.join(_entry_texts(row)) + outer + "]" if len(row) else "[]"
+        yield ("," if i else "[") + outer + item
+    yield "\n" + "  " * level + "]"
 
 
 def _entry_texts(row) -> list[str]:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .csr import Csr, Transposed
+from .csr import Csr, Transposed, _product
 from .errors import ConfigError
 from .grid import OUT_OF_DOMAIN, GridCovering
 from .ingest import YEAR_BLOCKS, Season, TransitionPairs
@@ -184,13 +184,16 @@ class AnnualOperator:
 
     @property
     def T(self) -> AnnualOperator:
-        return AnnualOperator(tuple(m.T for m in reversed(self.factors)),
-                              self.exponent, self.transition_time)
+        return replace(self, factors=tuple(m.T for m in reversed(self.factors)))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        for m in reversed(self.factors):
-            for _ in range(self.exponent):
-                x = m @ x
+        """The 4e products, each written into one of two buffers of ``x``'s
+        shape in turn, so an application allocates twice, not 4e times.
+        The result is one of the two, never ``x`` itself."""
+        buffers = np.empty(np.shape(x)), np.empty(np.shape(x))
+        steps = [m for m in reversed(self.factors) for _ in range(self.exponent)]
+        for i, m in enumerate(steps):
+            x = _product(m, x, out=buffers[i % 2])
         return x
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -79,6 +81,19 @@ def seasonal(mats, roles, transition_time=5.0, start_date=None):
 def schedule_step_mats(schedule, n_steps) -> list[np.ndarray]:
     """Dense per-step matrices, as the enumeration oracles expect."""
     return [schedule.matrix_for_step(k).toarray() for k in range(n_steps)]
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak - base
 
 
 def random_roles(rng, n, max_targets=2):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -401,10 +402,18 @@ class ColumnByColumn:
 
 def column_by_column(op):
     """The annual operator ``op`` with each factor applied vector by vector,
-    as the eigensolve applied it before it took a block per product."""
+    as the eigensolve applied it before it took a block per product, and
+    each product a new array."""
+    class FactorByFactor(type(op)):
+        def __matmul__(self, x):
+            for m in reversed(self.factors):
+                for _ in range(self.exponent):
+                    x = m @ x
+            return x
+
     factors = tuple(ColumnByColumn(sparse.csr_matrix((f.data, f.indices, f.indptr),
                                                      shape=f.shape)) for f in op.factors)
-    return type(op)(factors, op.exponent, op.transition_time)
+    return FactorByFactor(factors, op.exponent, op.transition_time)
 
 
 def random_substochastic(rng: np.random.Generator, n: int,
@@ -644,6 +653,29 @@ def dense_row_pairs(kernels, n_pairs: int, seed: int):
         pos = int(np.sum(u[i] >= cum))
         ends[i] = pos if pos < n else -1
     return starts, ends, season_idx
+
+
+def whole_text_truth(spec, sampled_obs=None) -> str:
+    """The text of a spec's ``truth.json``, encoded whole: the payload with
+    its kernels as nested lists through one ``json.dumps(indent=2,
+    sort_keys=True)``, and a line end."""
+    payload = {
+        "seed": spec.seed,
+        "source_state": spec.source_state,
+        "n_drifters": spec.n_drifters,
+        "duration_days": spec.duration_days,
+        "sample_interval_days": spec.sample_interval_days,
+        "start_date": spec.start_date.isoformat(),
+        "bounds": list(spec.bounds),
+        "cell_size": spec.cell_size,
+        "kernels": {str(s): np.asarray(k).tolist() for s, k in spec.kernels.items()},
+        "leaky": list(spec.leaky),
+        "sticky": {str(i): ell for i, ell in spec.sticky.items()},
+        "debris": list(spec.debris),
+        "candidate_sources": list(spec.candidate_sources),
+        "sampled_observations": sampled_obs,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def reduceat_best_paths(schedule, sources, b: int, n_steps: int):

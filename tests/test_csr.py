@@ -243,6 +243,25 @@ def test_products_give_scipys_bytes(kind, operand, columns):
     assert "_scipy" not in vars(m)
 
 
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "3"])
+def test_product_into_a_used_buffer_is_zeroed_first(columns):
+    # The loops add into their output, so a buffer that held NaN must not show.
+    m = product_matrix("int32")
+    rng = np.random.default_rng(304)
+    for mat in (m, m.T):
+        x = product_operand("strided", mat.shape[1], columns, rng)
+        out = np.full((mat.shape[0],) if columns is None else (mat.shape[0], columns), np.nan)
+        got = csr._product(mat, x, out=out)
+        assert got is out and got.tobytes() == (mat @ x).tobytes()
+        # The loops trust their output, so a buffer that does not fit raises.
+        for bad in (out[:-1], out.astype(np.float32), out[::-1]):
+            with pytest.raises(ValueError, match="product buffer"):
+                csr._product(mat, x, out=bad)
+    x = np.ones(3)
+    with pytest.raises(ValueError, match="product buffer .* apart from the operand"):
+        csr._product(Csr.of(np.eye(3)), x, out=x)
+
+
 @pytest.mark.parametrize("operand, error", [
     (lambda n: np.ones(n, dtype=complex), TypeError),
     (lambda n: np.ones((n, 2), dtype=complex), TypeError),

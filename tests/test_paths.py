@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import autonomous, make_roles, random_roles, schedule_step_mats, seasonal
+from conftest import (autonomous, make_roles, random_roles, schedule_step_mats, seasonal,
+                      traced_peak)
 from oracles import (
     enumerate_best_constrained,
     enumerate_best_unconstrained,
@@ -337,6 +338,37 @@ class TestManyTargets:
         assert three.best.states == (0, 1, 4, 6)
         assert two.best.step_log_probs == (np.log(0.25), np.log(0.25))
         assert three.best.step_log_probs == (np.log(0.25), np.log(0.5), np.log(0.125))
+
+    @pytest.mark.parametrize("in_degree, slot_dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_hub_slots_take_the_smallest_unsigned_type(self, in_degree, slot_dtype):
+        # Every other box feeds box 0, the last one most strongly, so the
+        # winning slot into the hub is its last, 255 or 256.  Box 0 beaches.
+        n = in_degree + 1
+        a = np.zeros((n, n))
+        a[1:, 0] = np.linspace(0.1, 0.5, in_degree)
+        a[np.arange(1, n), np.arange(1, n)] = 0.4
+        a[0, 1:] = 0.9 / in_degree
+        sched = autonomous(a, make_roles(n, sticky={0: 0.5}, debris=(0,)))
+        lay = _EdgeLayout(sched.matrix_for_step(0), n, None)
+        assert lay.slot_dtype == slot_dtype and len(lay.slots) == in_degree
+        assert lay.step(np.zeros((n, 1)))[1][0, 0] == in_degree - 1
+        batch = self.assert_batch_matches(sched, [1, n // 2, n - 1], [(1, 2), (1, 4), (1, 3)])
+        assert batch[1].best.states[-2:] == (0, n + 1)
+
+    def test_back_pointers_cost_one_byte_per_step_state_and_source(self):
+        # The DP's peak: S*(K-1)*n one-byte slots and a few n x S float
+        # temporaries per step, where int32 edge indices cost four times more.
+        rng = np.random.default_rng(7)
+        n, k = 400, 60
+        a = random_substochastic(rng, n, min_row=1.0, density=0.01)
+        sched = autonomous(a, make_roles(n, sticky={3: 0.5, 200: 0.5}, debris=(3, 200)))
+        sources = list(range(0, n, 20))
+        most_probable_paths(sched, sources, [(1, 2)])  # first use of the matrices' arrays
+        batch, peak = traced_peak(lambda: most_probable_paths(sched, sources,
+                                                              [(1, k), (2, k - 20)]))
+        s = len(sources)
+        assert any(r is not None for ps in batch for r in ps.results)
+        assert peak <= s * (k - 1) * n + 8 * (n * s * 8)
 
     def test_validation(self):
         sched = pipeline_schedule()

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import autonomous, make_roles
-from oracles import dense_row_pairs, dense_walk_tracks, random_substochastic
+from conftest import autonomous, make_roles, traced_peak
+from oracles import dense_row_pairs, dense_walk_tracks, random_substochastic, whole_text_truth
 
 from driftchain.bayes import load_observations
 from driftchain.errors import ConfigError
@@ -23,6 +23,7 @@ from driftchain.synth import (
     SimulatedTrack,
     SyntheticSpec,
     _json_matrix,
+    _Zeros,
     load_spec,
     sample_observations,
     sample_pairs,
@@ -65,6 +66,20 @@ def awkward_kernel(rng, n: int) -> np.ndarray:
     k[one_hot] = 0.0
     k[one_hot, rng.integers(n, size=len(one_hot))] = 1.0
     return k
+
+
+def dense_spec_text(rng, n: int = 256) -> str:
+    """A spec's JSON with three dense n-state kernels (n a square), five
+    nonzero entries a row, as `bench/` writes the spec it times `synth` on."""
+    side = int(round(n ** 0.5))
+    kernels = {}
+    for s in Season:
+        k = np.zeros((n, n))
+        for i in range(n):
+            k[i, rng.choice(n, 5, replace=False)] = rng.random(5)
+        kernels[s.value] = (0.9 * k / k.sum(axis=1)[:, None]).round(12).tolist()
+    return json.dumps({"bounds": [40.0, 40.0 + side, -30.0, -30.0 + side], "cell_size": 1.0,
+                       "kernels": kernels, "n_drifters": 3, "seed": 5})
 
 
 class TestSamplePairs:
@@ -336,6 +351,38 @@ class TestWriters:
         assert '"duration_days": 1e+16' in text
         assert "-0.0" in text and "5e-324" in text
 
+    @pytest.mark.parametrize("case", ["edge-values", "distinct-values", "no-drifters"])
+    def test_streamed_truth_equals_whole_text_encoder(self, tmp_path, case):
+        rng = np.random.default_rng(31)
+        if case == "edge-values":
+            kernel = np.array([[-0.0, 5e-324, 0.1], [0.1 + 0.2, 1e-05, 0.0], [0.0, -0.0, 1.0]])
+            fields = dict(kernels={Season.W: kernel, Season.S: np.zeros((3, 3)),
+                                   Season.SF: -np.zeros((3, 3))},
+                          duration_days=1e+16, source_state=1)
+        elif case == "distinct-values":  # no entry shares its text with another
+            values = rng.permutation(np.arange(1, 28)) / 100.0 + rng.random(27) * 1e-9
+            assert len(set(values.tolist())) == 27
+            fields = dict(kernels=dict(zip(Season, values.reshape(3, 3, 3))),
+                          sticky={2: 0.5, 1: 0.25})
+        else:
+            fields = dict(n_drifters=0)
+        spec = toy_spec(**fields)
+        path = tmp_path / "truth.json"
+        for sampled in (None, [], [(1, 4), (1, 9)]):
+            write_truth_sidecar(spec, path, sampled)
+            assert path.read_bytes() == whole_text_truth(spec, sampled).encode("utf-8")
+
+    def test_truth_sidecar_peak_is_a_kernel_row_not_the_file(self, tmp_path):
+        # The whole text of this file is 2.6 MB; a row of it is about 3.5 kB.
+        source = tmp_path / "spec.json"
+        source.write_text(dense_spec_text(np.random.default_rng(3)))
+        spec = load_spec(source)
+        path = tmp_path / "truth.json"
+        _, peak = traced_peak(lambda: write_truth_sidecar(spec, path, [(1, 2)]))
+        assert path.stat().st_size > 2_000_000
+        assert peak <= 64 * 1024
+        assert path.read_bytes() == whole_text_truth(spec, [(1, 2)]).encode("utf-8")
+
     def test_tracks_csv_follows_row_rule(self, tmp_path):
         # a repeated time is formatted once, and 0.0 and -0.0 keep their texts
         tracks = simulate_tracks(toy_spec(n_drifters=20)) + [
@@ -368,7 +415,7 @@ class TestWriters:
         text = json.dumps(nested, indent=2)
         start = text.rfind('"k": ') + 5 if level else 0
         closing = "".join("\n" + "  " * i + "}" for i in reversed(range(level)))
-        assert _json_matrix(rows, level) == text[start:len(text) - len(closing)]
+        assert "".join(_json_matrix(rows, level)) == text[start:len(text) - len(closing)]
 
 
 class TestSpecParsing:
@@ -417,6 +464,52 @@ class TestSpecParsing:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=message):
             load_spec(path)
+
+    def test_zero_memo_keeps_every_value_type_and_sign(self, tmp_path):
+        # Spellings differ ("0.10" beside "0.1", "0e0" beside "0.0"); integers
+        # stay int; -0.0 keeps its sign bit; only zeros enter the memo.
+        text = ('{"bounds": [40, 43.0, -30.0, -29.0], "cell_size": 1.0, "seed": 7, '
+                '"n_drifters": 2, "duration_days": 50, "kernels": {'
+                '"W": [[0.10, 0.1, 0], [-0.0, 0.0, 1], [0e0, 5e-324, 0.25]], '
+                '"S": [[0.0, 0.0, 0.0], [-0.0, -0.0, 0.5], [0, 0.0, 1.0]], '
+                '"SF": [[1, 0, 0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-300]]}}')
+        memo = _Zeros()
+        raw = json.loads(text, parse_float=memo.__getitem__)
+        want = json.loads(text)
+        assert json.dumps(raw) == json.dumps(want)  # each value, int or float, sign included
+        assert sorted(memo) == ["-0.0", "0.0", "0e0"]
+        assert raw["kernels"]["W"][1][1] is raw["kernels"]["S"][2][1]
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        spec = load_spec(path)
+        assert type(spec.seed) is type(spec.n_drifters) is int
+        for s in Season:
+            kernel = np.asarray(want["kernels"][s.value], dtype=float)
+            assert spec.kernels[s].tobytes() == kernel.tobytes()
+        assert np.signbit(spec.kernels[Season.W][1, 0])
+        write_truth_sidecar(spec, tmp_path / "truth.json")
+        assert (tmp_path / "truth.json").read_text(encoding="utf-8") == whole_text_truth(spec)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_still_reach_the_kernel_check(self, tmp_path, constant):
+        path = tmp_path / "spec.json"
+        path.write_text('{"bounds": [40, 42, -30, -29], "cell_size": 1, "kernels": {'
+                        f'"W": [[0.5, {constant}], [0.0, 0.5]], "S": [[1, 0], [0, 1]], '
+                        '"SF": [[1, 0], [0, 1]]}}')
+        with pytest.raises(ConfigError, match="kernel W: transition matrix entries must be "
+                                              "finite"):
+            load_spec(path)
+
+    def test_load_spec_holds_no_float_per_zero_entry(self, tmp_path):
+        # The peak holds the text, one list slot and one float64 per entry,
+        # and the spec's matrices, but no 24-byte float object per zero.
+        text = dense_spec_text(np.random.default_rng(4))
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        spec, peak = traced_peak(lambda: load_spec(path))
+        entries = 3 * spec.n_states ** 2
+        assert spec.n_states == 256
+        assert peak <= len(text) + 3 * 8 * entries
 
     def test_missing_season_rejected(self, tmp_path):
         raw = {

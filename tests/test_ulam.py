@@ -139,6 +139,28 @@ class TestAnnualOperator:
         x = np.random.default_rng(seed).random(n)
         assert np.abs(op @ x - want @ x).max() <= 1e-12
 
+    @pytest.mark.parametrize("columns", [None, 1, 3], ids=["vector", "1", "3"])
+    def test_buffered_products_equal_factor_by_factor(self, columns):
+        # The 4e products take turns in two buffers, each zeroed before its
+        # product, so the bits are those of one new array per factor; the
+        # operand is never written and never returned.
+        rng = np.random.default_rng(12)
+        tms = seasonal_tms(rng, 40)
+        op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=3)
+        x = rng.random(40 if columns is None else (40, columns))
+        kept = x.copy()
+        for a in (op, op.T):
+            want = x
+            for m in reversed(a.factors):
+                for _ in range(a.exponent):
+                    want = m @ want
+            got = a @ x
+            assert got.shape == x.shape and got.tobytes() == want.tobytes()
+            again = a @ got
+            assert not np.shares_memory(got, x) and not np.shares_memory(again, got)
+            assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
     def test_metadata_and_transpose_views(self):
         tms = seasonal_tms(np.random.default_rng(6), 5)
         op = annual_operator(tms["W"], tms["S"], tms["SF"], exponent=3)
